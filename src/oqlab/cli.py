@@ -5,10 +5,9 @@ Subcommands: predict (exact quasiprobability at one setting), scan
 plus analysis report), g2 (timing run and correlation histogram), and
 analyze (count CSVs to a JSON report).
 
-Angles are degrees at this boundary and radians everywhere else. Scan
-grid points run in a thread pool with per-point seeds spawned from the
-master seed, so results are independent of the thread count; the
-OQLAB_THREADS environment variable overrides the --threads flag.
+Angles are degrees at this boundary and radians everywhere else. Each
+weak-field scan point draws from its own seed, spawned from the master
+seed by its grid position.
 
 Exit codes: 0 success, 2 usage, 3 malformed or degenerate data, 4 I/O.
 """
@@ -20,7 +19,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -116,7 +114,7 @@ def resolve_detector(name_or_path: str) -> DetectorModel:
         kwargs[key] = value
     try:
         return DetectorModel(**kwargs)
-    except ValueError as exc:
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{name_or_path}: {exc}") from None
 
 
@@ -144,21 +142,6 @@ def resolve_source(name_or_path: str):
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"{name_or_path}: {exc}") from None
-
-
-def resolve_threads(flag_value: int) -> int:
-    """Thread count for scan points; OQLAB_THREADS wins over the flag."""
-    env = os.environ.get("OQLAB_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ValueError(f"OQLAB_THREADS must be an integer, got '{env}'") from None
-    else:
-        value = flag_value
-    if value < 1:
-        raise ValueError("thread count must be at least 1")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -258,59 +241,56 @@ def _scan_rows_bloch_disk(args):
     return header, rows
 
 
-def _weak_field_point(task):
-    theta_deg, mean, pulses, det, seed_seq = task
+def _weak_field_point(theta_deg, mean, pulses, det, seed_seq):
+    """One weak-field scan point: runs of setups (1, 1) and (0, 1).
+
+    Returns (uncorrected negativity, dark-corrected Quasiprobability,
+    exact negativity).
+    """
     theta = math.radians(theta_deg)
     src = WeakCoherent(mean_photons_per_pulse=mean)
-    seeds = seed_seq.spawn(2)
     tables = {
         setup: weakfield_run(theta, 0.0, src, setup, pulses, det=det, seed=seed)
-        for setup, seed in zip([(1, 1), (0, 1)], seeds)
+        for setup, seed in zip([(1, 1), (0, 1)], seed_seq.spawn(2))
     }
     rec = ExperimentRecord(tables=tables, theta_deg=theta_deg, source="weak-coherent")
     q_raw, _ = analyze(rec, n_boot=0)
     corrected = dark_count_correction(rec, expected_dark_counts(det, pulses))
     q_corr, _ = analyze(corrected, n_boot=0)
     exact = oq_distribution(context_table(qcore.make_pure_state(theta)))
-    return theta_deg, mean, q_corr, float(exact.negativity), float(q_raw.negativity)
+    return float(q_raw.negativity), q_corr, float(exact.negativity)
 
 
 def _scan_rows_weak_field(args):
     det = resolve_detector(args.det)
     means = [float(m) for m in args.means.split(",")]
-    if not means or any(m <= 0 for m in means):
-        raise ValueError("means must be positive numbers")
-    thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
-    tasks = []
-    for i, theta in enumerate(thetas):
-        for j, mean in enumerate(means):
-            tasks.append(
-                (float(theta), mean, args.pulses, det,
-                 np.random.SeedSequence(args.seed, spawn_key=(i, j)))
-            )
-    threads = resolve_threads(args.threads)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_weak_field_point, tasks))
-    else:
-        results = [_weak_field_point(t) for t in tasks]
+    if not all(0.0 < m < math.inf for m in means):
+        raise ValueError("means must be finite positive numbers")
     header = (
         "theta_deg,mean_photons,w00,w01,w10,w11,"
         "negativity_exact,negativity_uncorrected,negativity_corrected"
     )
     rows = []
-    for theta_deg, mean, q_corr, exact, raw in results:
-        rows.append(
-            ",".join(
-                [_fmt(theta_deg), _fmt(mean)]
-                + [_fmt(v) for v in q_corr.w.ravel()]
-                + [_fmt(exact), _fmt(raw), _fmt(q_corr.negativity)]
+    for i, theta in enumerate(np.arange(0.0, 90.0 + 1e-9, args.theta_step)):
+        for j, mean in enumerate(means):
+            seed_seq = np.random.SeedSequence(args.seed, spawn_key=(i, j))
+            raw, q_corr, exact = _weak_field_point(float(theta), mean, args.pulses, det, seed_seq)
+            rows.append(
+                ",".join(
+                    [_fmt(theta), _fmt(mean)]
+                    + [_fmt(v) for v in q_corr.w.ravel()]
+                    + [_fmt(exact), _fmt(raw), _fmt(q_corr.negativity)]
+                )
             )
-        )
     return header, rows
 
 
 def cmd_scan(args) -> str:
+    for flag, step in (("--theta-step", args.theta_step), ("--phi-step", args.phi_step)):
+        if not (0.0 < step < math.inf):
+            raise ValueError(f"{flag} must be a finite number above 0, got {step}")
+    if args.alpha_steps < 1:
+        raise ValueError(f"--alpha-steps must be at least 1, got {args.alpha_steps}")
     builders = {
         "pure-grid": _scan_rows_pure_grid,
         "bloch-disk": _scan_rows_bloch_disk,
@@ -454,7 +434,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", default="dark-only",
                    help="weak-field detector: ideal, bench, dark-only, or config path")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_run_scan)
 
     p = sub.add_parser("simulate", help="Monte Carlo counting run with analysis report")

@@ -14,11 +14,7 @@ import time
 import numpy as np
 
 from oqlab import cli, qcore
-from oqlab.analysis import (
-    ExperimentRecord,
-    analyze,
-    dark_count_correction,
-)
+from oqlab.analysis import ExperimentRecord, analyze
 from oqlab.contexts import ProbabilitySet, context_table
 from oqlab.correlation import dip_width, g2_zero, start_stop_histogram
 from oqlab.oq import (
@@ -32,10 +28,8 @@ from oqlab.photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
-    expected_dark_counts,
     generate_click_streams,
     simulate_counts,
-    weakfield_run,
 )
 
 # Measured reference counts at theta = 0, 45, 90 degrees (phi = 0),
@@ -204,21 +198,6 @@ def test_criterion_06_waveplate_preparation_fidelity():
     _report(6, "waveplate preparation fidelity on a 19x19 grid", elapsed, budget)
 
 
-def _weak_field_point(theta_deg, mean, pulses, det, seed_seq):
-    theta = math.radians(theta_deg)
-    src = WeakCoherent(mean_photons_per_pulse=mean)
-    tables = {
-        setup: weakfield_run(theta, 0.0, src, setup, pulses, det=det, seed=seed)
-        for setup, seed in zip([(1, 1), (0, 1)], seed_seq.spawn(2))
-    }
-    rec = ExperimentRecord(tables=tables, theta_deg=theta_deg)
-    q_raw, _ = analyze(rec, n_boot=0)
-    corrected = dark_count_correction(rec, expected_dark_counts(det, pulses))
-    q_corr, _ = analyze(corrected, n_boot=0)
-    exact = oq_distribution(context_table(qcore.make_pure_state(theta))).negativity
-    return q_raw.negativity, q_corr.negativity, exact
-
-
 def test_criterion_07_weak_field_dark_count_correction():
     budget = 60.0
     t0 = time.perf_counter()
@@ -226,22 +205,22 @@ def test_criterion_07_weak_field_dark_count_correction():
     det = DetectorModel.ideal(dark_rate_hz=1.0e3)
     pulses = 1_000_000
 
-    raw, corr, _ = _weak_field_point(
+    raw, corr, _ = cli._weak_field_point(
         45.0, 6e-3, pulses, det, np.random.SeedSequence(20, spawn_key=(0,))
     )
-    assert corr > raw
+    assert corr.negativity > raw
 
     for i, theta in enumerate([44.0, 45.0]):
-        raw, _, _ = _weak_field_point(
+        raw, _, _ = cli._weak_field_point(
             theta, 0.1, pulses, det, np.random.SeedSequence(21, spawn_key=(i,))
         )
         assert raw >= 0.09
 
     for i, theta in enumerate([0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0]):
-        _, corr, exact = _weak_field_point(
+        _, corr, exact = cli._weak_field_point(
             theta, 6e-3, pulses, det, np.random.SeedSequence(22, spawn_key=(i,))
         )
-        assert abs(corr - exact) <= 0.02
+        assert abs(corr.negativity - exact) <= 0.02
 
     elapsed = time.perf_counter() - t0
     assert elapsed < budget

@@ -151,16 +151,16 @@ class TestScanWeakField:
             expected = max(0.0, (abs(math.sin(theta)) + abs(math.cos(theta)) - 1.0) / 4.0)
             assert row[6] == pytest.approx(expected, abs=1e-9)
 
-    def test_thread_count_does_not_change_bytes(self, tmp_path, capsys, monkeypatch):
-        a = str(tmp_path / "a.csv")
-        b = str(tmp_path / "b.csv")
-        monkeypatch.delenv("OQLAB_THREADS", raising=False)
-        run_cli(["scan", "--kind", "weak-field", "--theta-step", "30", "--means", "0.05",
-                 "--pulses", "10000", "--seed", "9", "--threads", "1", "--out", a], capsys)
-        monkeypatch.setenv("OQLAB_THREADS", "4")
-        run_cli(["scan", "--kind", "weak-field", "--theta-step", "30", "--means", "0.05",
-                 "--pulses", "10000", "--seed", "9", "--threads", "1", "--out", b], capsys)
-        assert open(a, "rb").read() == open(b, "rb").read()
+    def test_seeded_reruns_are_byte_identical(self, tmp_path, capsys):
+        paths = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        for path in paths:
+            code, _, _ = run_cli(
+                ["scan", "--kind", "weak-field", "--theta-step", "30", "--means", "0.05,0.2",
+                 "--pulses", "10000", "--seed", "9", "--out", path],
+                capsys,
+            )
+            assert code == 0
+        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
 
     def test_bad_means_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -405,17 +405,19 @@ class TestConfigs:
         with pytest.raises(ValueError, match=fragment):
             cli.resolve_source(str(path))
 
-    def test_resolve_threads_env_wins(self, monkeypatch):
-        monkeypatch.delenv("OQLAB_THREADS", raising=False)
-        assert cli.resolve_threads(2) == 2
-        monkeypatch.setenv("OQLAB_THREADS", "6")
-        assert cli.resolve_threads(2) == 6
-        monkeypatch.setenv("OQLAB_THREADS", "zero")
-        with pytest.raises(ValueError, match="integer"):
-            cli.resolve_threads(2)
-        monkeypatch.setenv("OQLAB_THREADS", "0")
-        with pytest.raises(ValueError, match="at least 1"):
-            cli.resolve_threads(2)
+    @pytest.mark.parametrize(
+        "line", ["dark_rate_hz = nan", "dark_rate_hz = inf", "dark_rate_hz = abc", "efficiency = 1"]
+    )
+    def test_detector_config_unusable_value_is_data_error(self, tmp_path, capsys, line):
+        path = tmp_path / "det.cfg"
+        path.write_text(line + "\n")
+        out = tmp_path / "wf.csv"
+        code, _, err = run_cli(
+            ["scan", "--kind", "weak-field", "--det", str(path), "--out", str(out)], capsys
+        )
+        assert code == 3
+        assert "det.cfg" in err
+        assert not out.exists()
 
 
 class TestExitCodes:
@@ -445,3 +447,23 @@ class TestExitCodes:
         )
         assert code == 3
         assert "line 1" in err
+
+    @pytest.mark.parametrize(
+        "argv,fragment",
+        [
+            (["--kind", "pure-grid", "--theta-step", "0"], "--theta-step"),
+            (["--kind", "pure-grid", "--theta-step", "-1"], "--theta-step"),
+            (["--kind", "pure-grid", "--theta-step", "nan"], "--theta-step"),
+            (["--kind", "weak-field", "--theta-step", "inf"], "--theta-step"),
+            (["--kind", "pure-grid", "--phi-step", "0"], "--phi-step"),
+            (["--kind", "bloch-disk", "--alpha-steps", "0"], "--alpha-steps"),
+            (["--kind", "weak-field", "--means", "nan"], "means"),
+            (["--kind", "weak-field", "--means", "0.1,inf"], "means"),
+        ],
+    )
+    def test_bad_grid_is_data_error(self, tmp_path, capsys, argv, fragment):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["scan", *argv, "--out", str(out)], capsys)
+        assert code == 3
+        assert fragment in err
+        assert not out.exists()

@@ -1,3 +1,8 @@
+import dataclasses
+import math
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,6 +16,7 @@ from oqlab.photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
+    _draw_misalignment,
     and_gate,
     click_streams_to_csv,
     count_tables_from_csv,
@@ -64,6 +70,13 @@ class TestDetectorModel:
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):
             DetectorModel(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(DetectorModel)])
+    def test_rejects_non_finite_parameters(self, field, value):
+        arg = (1.0, value, 1.0, 1.0) if field == "efficiency" else value
+        with pytest.raises(ValueError, match=field):
+            DetectorModel(**{field: arg})
 
 
 class TestDetectionProbs:
@@ -198,7 +211,90 @@ class TestSimulateCounts:
             simulate_counts(qcore.make_pure_state(0.0), (1, 1), 0)
 
 
+def per_pulse_weakfield_run(theta, phi, src, setup, n_pulses, det, seed):
+    """Reference for weakfield_run that simulates every pulse.
+
+    Same model and the same first draw from the seed (the misalignment);
+    time and memory grow with n_pulses.
+    """
+    rng = np.random.default_rng(seed)
+    mis = _draw_misalignment(det, rng)
+    probs, lost = detection_probs(qcore.make_pure_state(theta, phi), setup, det, mis)
+    pvals = np.append(probs.ravel(), lost)
+    pvals /= pvals.sum()
+
+    photon_count = rng.poisson(src.mean_photons_per_pulse, n_pulses)
+    clicks = np.zeros((n_pulses, 4), dtype=bool)
+
+    single = np.flatnonzero(photon_count == 1)
+    if single.size:
+        dest = rng.choice(5, size=single.size, p=pvals)
+        hit = dest < 4
+        clicks[single[hit], dest[hit]] = True
+
+    multi = np.flatnonzero(photon_count >= 2)
+    if multi.size:
+        per_det = rng.multinomial(photon_count[multi], pvals)
+        clicks[multi] = per_det[:, :4] > 0
+
+    p_dark = dark_click_prob(det)
+    if p_dark > 0.0:
+        clicks |= rng.random((n_pulses, 4)) < p_dark
+
+    keep = clicks.sum(axis=1) == 1
+    fired = np.argmax(clicks[keep], axis=1)
+    counts = np.bincount(fired, minlength=4).reshape(2, 2)
+    return CountTable(setup=setup, counts=counts, total=int(keep.sum()))
+
+
+REFERENCE_DETECTORS = {
+    "ideal": DetectorModel.ideal(),
+    "bench": DetectorModel(),
+    "high-dark": DetectorModel(dark_rate_hz=2.0e5),
+}
+
+
 class TestWeakFieldRun:
+    @pytest.mark.parametrize("det_name", sorted(REFERENCE_DETECTORS))
+    @pytest.mark.parametrize("setup", [(1, 1), (0, 1), (0, 0)])
+    @pytest.mark.parametrize("mean", [0.006, 0.1, 5.0])
+    def test_matches_per_pulse_reference(self, mean, setup, det_name):
+        det = REFERENCE_DETECTORS[det_name]
+        src = WeakCoherent(mean_photons_per_pulse=mean)
+        n = 200_000
+        cells = []
+        for sampler in (weakfield_run, per_pulse_weakfield_run):
+            # the same seed on both sides gives the same misalignment draw
+            table = sampler(np.pi / 3, 0.2, src, setup, n, det=det, seed=17)
+            cells.append(np.append(table.counts.ravel(), n - table.total))
+        pooled = (cells[0] + cells[1]) / (2 * n)
+        sigma = np.sqrt(2 * n * pooled * (1 - pooled))
+        assert np.all(np.abs(cells[0] - cells[1]) <= 5 * sigma)
+
+    def test_certain_dark_clicks_keep_no_pulse(self):
+        det = DetectorModel.ideal(dark_rate_hz=1.0e12)
+        assert dark_click_prob(det) == 1.0
+        for sampler in (weakfield_run, per_pulse_weakfield_run):
+            table = sampler(np.pi / 4, 0.0, WeakCoherent(), (1, 1), 10_000, det=det, seed=3)
+            assert table.total == 0
+            assert not np.any(table.counts)
+
+    def test_cost_does_not_grow_with_pulses(self):
+        n = 10**9
+        # a first call pays one-off lazy imports; time the steady state
+        weakfield_run(np.pi / 4, 0.0, WeakCoherent(), (1, 1), 1, seed=6)
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            table = weakfield_run(np.pi / 4, 0.0, WeakCoherent(), (1, 1), n, seed=6)
+            elapsed = time.perf_counter() - t0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.1
+        assert peak < 100_000
+        assert 0 < table.total < n
+
     def test_deterministic_for_fixed_seed(self):
         src = WeakCoherent()
         a = weakfield_run(np.pi / 4, 0.0, src, (1, 1), 50_000, seed=2)
@@ -209,12 +305,12 @@ class TestWeakFieldRun:
     def test_small_mean_reproduces_single_photon_statistics(self):
         det = DetectorModel.ideal()
         src = WeakCoherent(mean_photons_per_pulse=6.0e-3)
-        table = weakfield_run(np.pi / 4, 0.0, src, (1, 1), 400_000, det=det, seed=21)
+        table = weakfield_run(np.pi / 4, 0.0, src, (1, 1), 4_000_000, det=det, seed=21)
         probs, _ = detection_probs(qcore.make_pure_state(np.pi / 4), (1, 1), det)
         freq = table.counts / table.total
         # total variation distance against the exact single-photon cells
         assert 0.5 * np.abs(freq - probs).sum() < 0.02
-        assert 0 < table.total < 400_000
+        assert 0 < table.total < 4_000_000
 
     def test_post_selection_keeps_single_click_pulses_only(self):
         # with a large mean most pulses have several clicks and are dropped
@@ -234,9 +330,20 @@ class TestWeakFieldRun:
         strays = table.counts[0, 1] + table.counts[1, 0] + table.counts[1, 1]
         assert (expect - 4 * np.sqrt(expect)) * 3 * 0.8 <= strays <= (expect + 4 * np.sqrt(expect)) * 3
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["mean_photons_per_pulse", "pulse_rate_hz"])
+    def test_rejects_non_finite_source(self, field, value):
+        with pytest.raises(ValueError, match="weak coherent"):
+            WeakCoherent(**{field: value})
+
     def test_rejects_wrong_source_type(self):
         with pytest.raises(TypeError, match="WeakCoherent"):
             weakfield_run(0.0, 0.0, SingleEmitter(), (1, 1), 100)
+
+    @pytest.mark.parametrize("n", [0, 2**63])
+    def test_rejects_pulse_count_out_of_range(self, n):
+        with pytest.raises(ValueError, match="n_pulses"):
+            weakfield_run(0.0, 0.0, WeakCoherent(), (1, 1), n)
 
     def test_expected_dark_counts_helper(self):
         det = DetectorModel(dark_rate_hz=1.0e3, pulse_window_ns=125.0)
