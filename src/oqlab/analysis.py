@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .contexts import SETUPS, ProbabilitySet, validate_setup
-from .oq import oq_distribution
+from .oq import _quasi_rows, oq_distribution
 from .photonsim import CountTable, count_tables_from_csv, count_tables_to_csv
 
 COMPONENT_ERRORS = {
@@ -238,29 +238,47 @@ def bootstrap_negativity_error(
 ) -> float:
     """Statistical error of the negativity by multinomial resampling.
 
-    Each table is resampled at its own total with cell probabilities
-    given by the observed frequencies; the spread of the re-analyzed
-    negativity estimates is returned (sample standard deviation).
+    Each table the mode reads, (1,1) and (0,1) plus (1,0) in strict mode,
+    is resampled n_boot times at its own total with cell probabilities
+    given by the observed frequencies. All resamples are re-analyzed at
+    once, as estimate_probs and oq_distribution would one by one, and the
+    spread of their negativities is returned (sample standard deviation).
+    A resample that estimate_probs would reject, because the a1 = 0 row
+    of (0,1) or, in strict mode, the a2 = 0 column of (1,0) drew no
+    counts, is dropped.
     """
     if n_boot < 2:
         raise ValueError("n_boot must be at least 2")
-    rng = np.random.default_rng(seed)
-    values = []
-    for _ in range(n_boot):
-        tables = {}
-        for setup, table in rec.tables.items():
-            p = table.counts.ravel() / table.total
-            counts = rng.multinomial(table.total, p).reshape(2, 2)
-            tables[setup] = CountTable(setup=setup, counts=counts, total=int(counts.sum()))
-        resampled = replace(rec, tables=tables)
-        try:
-            ps = estimate_probs(resampled, mode)
-        except ValueError:
-            continue
-        values.append(oq_distribution(ps).negativity)
-    if len(values) < 2:
+    if mode not in ("lab", "strict"):
+        raise ValueError(f"mode must be 'lab' or 'strict', got {mode!r}")
+    setups = REQUIRED_SETUPS + ((1, 0),) if mode == "strict" else REQUIRED_SETUPS
+    tables = [rec.tables.get(setup) for setup in setups]
+    if any(table is None or table.total <= 0 for table in tables):
         raise ValueError("too few valid bootstrap resamples")
-    return float(np.std(values, ddof=1))
+    rng = np.random.default_rng(seed)
+    cal = np.asarray(rec.calibration, dtype=float).reshape(2, 2)
+    joint, off, *first = [
+        rng.multinomial(t.total, t.counts.ravel() / t.total, size=n_boot).reshape(-1, 2, 2) * cal
+        for t in tables
+    ]
+    row = off[:, 0]  # the a1 = 0 row of (0,1)
+    col = first[0][:, :, 0] if first else None  # the a2 = 0 column of (1,0)
+    valid = row.sum(axis=1) > 0
+    if col is not None:
+        valid &= col.sum(axis=1) > 0
+    if np.count_nonzero(valid) < 2:
+        raise ValueError("too few valid bootstrap resamples")
+
+    joint, row = joint[valid], row[valid]
+    p_joint = joint / joint.sum(axis=(1, 2), keepdims=True)
+    p_t2 = row / row.sum(axis=1, keepdims=True)
+    if col is None:
+        p_t1 = p_joint.sum(axis=2)
+    else:
+        col = col[valid]
+        p_t1 = col / col.sum(axis=1, keepdims=True)
+    _, neg, _, _ = _quasi_rows(np.concatenate((p_t1, p_t2, p_joint.reshape(-1, 4)), axis=1))
+    return float(np.std(neg, ddof=1))
 
 
 def analyze(

@@ -24,9 +24,9 @@ import numpy as np
 
 from . import qcore
 from .analysis import ExperimentRecord, analyze, dark_count_correction
-from .contexts import SETUPS, context_table
+from .contexts import SETUPS, _probabilities, context_table
 from .correlation import g2_zero, start_stop_histogram
-from .oq import oq_distribution
+from .oq import _quasi_rows, oq_distribution
 from .photonsim import (
     SCHEMA_VERSION,
     DetectorModel,
@@ -187,6 +187,20 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
+def _write_table(path, header: str, table, chunk: int = 1024):
+    """Write a scan CSV: schema line, header, then one row per table row.
+
+    Rows are formatted and written `chunk` at a time, so no text of the
+    whole table is ever held. tolist() yields Python floats, whose repr
+    is _fmt.
+    """
+    with open(path, "w") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n{header}\n")
+        for start in range(0, len(table), chunk):
+            rows = table[start:start + chunk].tolist()
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -200,45 +214,50 @@ def cmd_predict(args) -> dict:
     return _quasi_payload(q, args.theta, args.phi)
 
 
+_QUASI_HEADER = "w00,w01,w10,w11,negativity,nsit_dev,aot_dev"
+
+
+def _quasi_columns(rho) -> np.ndarray:
+    """Exact scan columns of an (N, 2, 2) state stack, in one batch.
+
+    One vectorised state check, one kernel call and one evaluation of
+    eq. (1) for all N states; returns (N, 7): w row-major, negativity,
+    and the largest nsit and aot deviations.
+    """
+    w, neg, nsit, aot = _quasi_rows(_probabilities(qcore._validate_states(rho)))
+    return np.column_stack((w.reshape(-1, 4), neg, nsit.max(axis=1), aot.max(axis=1)))
+
+
 def _scan_rows_pure_grid(args):
     thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
     phis = np.arange(0.0, 90.0 + 1e-9, args.phi_step)
-    header = "theta_deg,phi_deg,w00,w01,w10,w11,negativity,nsit_dev,aot_dev"
-    rows = []
-    for theta in thetas:
-        for phi in phis:
-            q = oq_distribution(
-                context_table(qcore.make_pure_state(math.radians(theta), math.radians(phi)))
-            )
-            rows.append(
-                ",".join(
-                    [_fmt(theta), _fmt(phi)]
-                    + [_fmt(v) for v in q.w.ravel()]
-                    + [_fmt(q.negativity), _fmt(q.nsit_dev.max()), _fmt(q.aot_dev.max())]
-                )
-            )
-    return header, rows
+    theta, phi = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+    # make_pure_state for the whole grid, theta the outer loop
+    half = np.radians(theta) / 2
+    amp = np.stack((np.cos(half), np.exp(1j * np.radians(phi)) * np.sin(half)), axis=1)
+    rho = amp[:, :, None] * amp.conj()[:, None, :]
+    header = "theta_deg,phi_deg," + _QUASI_HEADER
+    return header, np.column_stack((theta, phi, _quasi_columns(rho)))
 
 
 def _scan_rows_bloch_disk(args):
     thetas = np.arange(0.0, 180.0 + 1e-9, args.theta_step)
-    alphas = np.arange(-1.0, 1.0 + 1e-9, 1.0 / args.alpha_steps)
-    header = "theta1_deg,alpha,x,z,w00,w01,w10,w11,negativity,nsit_dev,aot_dev"
-    rows = []
-    for theta in thetas:
-        t1 = math.radians(theta)
-        for alpha in alphas:
-            rho = qcore.make_mixed_state(t1, t1 + math.pi, alpha)
-            x, _, z = qcore.bloch_vector(rho)
-            q = oq_distribution(context_table(rho))
-            rows.append(
-                ",".join(
-                    [_fmt(theta), _fmt(alpha), _fmt(x), _fmt(z)]
-                    + [_fmt(v) for v in q.w.ravel()]
-                    + [_fmt(q.negativity), _fmt(q.nsit_dev.max()), _fmt(q.aot_dev.max())]
-                )
-            )
-    return header, rows
+    # arange can overshoot 1 by round-off at the last step
+    alphas = np.clip(np.arange(-1.0, 1.0 + 1e-9, 1.0 / args.alpha_steps), -1.0, 1.0)
+    # make_mixed_state(t1, t1 + pi, alpha) for every (theta, alpha), theta
+    # the outer loop: the two pure branches per theta, then the weights
+    t1 = [math.radians(theta) for theta in thetas]
+    first = np.stack([qcore.make_pure_state(t) for t in t1])[:, None]
+    second = np.stack([qcore.make_pure_state(t + math.pi) for t in t1])[:, None]
+    w1 = ((1.0 + alphas) / 2.0)[None, :, None, None]
+    w2 = ((1.0 - alphas) / 2.0)[None, :, None, None]
+    rho = (w1 * first + w2 * second).reshape(-1, 2, 2)
+    # x and z as bloch_vector computes them, so these columns keep their bytes
+    x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
+    z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
+    theta, alpha = (g.ravel() for g in np.meshgrid(thetas, alphas, indexing="ij"))
+    header = "theta1_deg,alpha,x,z," + _QUASI_HEADER
+    return header, np.column_stack((theta, alpha, x, z, _quasi_columns(rho)))
 
 
 def _weak_field_point(theta_deg, mean, pulses, det, seed_seq):
@@ -275,20 +294,19 @@ def _scan_rows_weak_field(args):
         for j, mean in enumerate(means):
             seed_seq = np.random.SeedSequence(args.seed, spawn_key=(i, j))
             raw, q_corr, exact = _weak_field_point(float(theta), mean, args.pulses, det, seed_seq)
-            rows.append(
-                ",".join(
-                    [_fmt(theta), _fmt(mean)]
-                    + [_fmt(v) for v in q_corr.w.ravel()]
-                    + [_fmt(exact), _fmt(raw), _fmt(q_corr.negativity)]
-                )
-            )
-    return header, rows
+            rows.append([theta, mean, *q_corr.w.ravel(), exact, raw, q_corr.negativity])
+    return header, np.array(rows, dtype=float)
+
+
+def _require_positive(*flags):
+    """Reject any (flag, value) pair whose value is not a finite number above 0."""
+    for flag, value in flags:
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{flag} must be a finite number above 0, got {value}")
 
 
 def cmd_scan(args) -> str:
-    for flag, step in (("--theta-step", args.theta_step), ("--phi-step", args.phi_step)):
-        if not (0.0 < step < math.inf):
-            raise ValueError(f"{flag} must be a finite number above 0, got {step}")
+    _require_positive(("--theta-step", args.theta_step), ("--phi-step", args.phi_step))
     if args.alpha_steps < 1:
         raise ValueError(f"--alpha-steps must be at least 1, got {args.alpha_steps}")
     builders = {
@@ -296,9 +314,8 @@ def cmd_scan(args) -> str:
         "bloch-disk": _scan_rows_bloch_disk,
         "weak-field": _scan_rows_weak_field,
     }
-    header, rows = builders[args.kind](args)
-    text = "\n".join([f"# schema_version={SCHEMA_VERSION}", header] + rows) + "\n"
-    _write_text(args.out, text)
+    header, table = builders[args.kind](args)
+    _write_table(args.out, header, table)
     return args.out
 
 
@@ -336,6 +353,13 @@ def cmd_simulate(args) -> dict:
 
 
 def cmd_g2(args) -> dict:
+    # checked before the run, so a bad histogram flag costs no click streams
+    _require_positive(
+        ("--duration", args.duration),
+        ("--bin-width", args.bin_width),
+        ("--max-delay", args.max_delay),
+        *([("--window", args.window)] if args.window is not None else []),
+    )
     det = resolve_detector(args.det)
     src = resolve_source(args.source)
     streams = generate_click_streams(src, args.duration, det=det, seed=args.seed)

@@ -152,6 +152,20 @@ def validate_probability_set(ps: ProbabilitySet, atol: float = 1e-9) -> Probabil
     return ps
 
 
+def _validate_vectors(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    """validate_probability_set over the rows of an (N, 8) float array at once.
+
+    Rows follow the _split layout. On failure the first failing row goes
+    through validate_probability_set, which names its defect.
+    """
+    with np.errstate(invalid="ignore"):
+        sums = np.add.reduceat(p, _BLOCK_STARTS, axis=1)
+        ok = (p.min(axis=1) >= -atol) & (np.abs(sums - 1.0).max(axis=1) <= atol)
+    if not ok.all():
+        validate_probability_set(ProbabilitySet(*_split(p[np.argmin(ok)])), atol=atol)
+    return p
+
+
 def context_table(rho) -> ProbabilitySet:
     """Exact single and sequential probabilities for one input state.
 

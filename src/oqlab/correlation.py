@@ -14,6 +14,7 @@ large delay without needing the absolute rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,8 +66,9 @@ def start_stop_histogram(
     Returns bins covering (-max_delay_ns, max_delay_ns); tau = 0 falls on
     a bin edge so the two sides stay symmetric.
     """
-    if bin_width_ns <= 0 or max_delay_ns <= 0:
-        raise ValueError("bin_width_ns and max_delay_ns must be positive")
+    for name, value in (("bin_width_ns", bin_width_ns), ("max_delay_ns", max_delay_ns)):
+        if not (0.0 < value < math.inf):
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     if max_delay_ns < 2 * bin_width_ns:
         raise ValueError("max_delay_ns must span at least two bins")
     half_bins = int(np.ceil(max_delay_ns / bin_width_ns))
@@ -97,8 +99,8 @@ def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:
 
     Returns nan for a histogram flagged low_statistics.
     """
-    if window_ns <= 0:
-        raise ValueError("window_ns must be positive")
+    if not (0.0 < window_ns < math.inf):
+        raise ValueError(f"window_ns must be finite and positive, got {window_ns}")
     sel = np.abs(hist.tau_ns) <= window_ns / 2 + 1e-9
     if not np.any(sel):
         raise ValueError("window_ns is narrower than one histogram bin")

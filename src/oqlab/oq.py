@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import ProbabilitySet, _split, _vector, validate_probability_set
+from .contexts import ProbabilitySet, _split, _validate_vectors, _vector, validate_probability_set
 
 # Largest attainable negativity for projective qubit measurements in
 # mutually unbiased bases: (sqrt(2) - 1) / 4.
@@ -88,6 +88,19 @@ def oq_distribution(ps: ProbabilitySet, atol: float = 1e-9) -> Quasiprobability:
     return Quasiprobability(
         w=w, negativity=negativity(w), nsit_dev=np.abs(out[6:]), aot_dev=np.abs(out[4:6])
     )
+
+
+def _quasi_rows(p, atol: float = 1e-9):
+    """oq_distribution of N probability vectors at once.
+
+    p is an (N, 8) array in the _split layout. Every row is validated as
+    oq_distribution validates its bundle. Returns (w, negativity,
+    nsit_dev, aot_dev) with shapes (N, 2, 2), (N,), (N, 2) and (N, 2).
+    """
+    out = _validate_vectors(p, atol) @ _EQ1_MATRIX
+    w = out[:, :4]
+    neg = 0.5 * (np.abs(w) - w).sum(axis=1)
+    return w.reshape(-1, 2, 2), neg, np.abs(out[:, 6:]), np.abs(out[:, 4:6])
 
 
 def _check_disk(x: float, z: float):

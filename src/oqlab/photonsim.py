@@ -132,8 +132,10 @@ class SingleEmitter:
     excitation_rate_hz: float = 2.0e6
 
     def __post_init__(self):
-        if self.excited_lifetime_ns < 0 or self.excitation_rate_hz <= 0:
-            raise ValueError("emitter parameters must be positive")
+        if not (0.0 <= self.excited_lifetime_ns < math.inf):
+            raise ValueError("excited_lifetime_ns must be finite and nonnegative")
+        if not (0.0 < self.excitation_rate_hz < math.inf):
+            raise ValueError("excitation_rate_hz must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -151,10 +153,10 @@ class HeraldedSPDC:
     herald_efficiency: float = 0.8
 
     def __post_init__(self):
-        if self.pair_rate_hz < 0:
-            raise ValueError("pair rate must be nonnegative")
+        if not (0.0 <= self.pair_rate_hz < math.inf):
+            raise ValueError("pair_rate_hz must be finite and nonnegative")
         if not (0.0 <= self.herald_efficiency <= 1.0):
-            raise ValueError("herald efficiency must lie in [0, 1]")
+            raise ValueError("herald_efficiency must lie in [0, 1]")
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +422,8 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
     Detection applies per-branch efficiency (channels 0 and 1 of the
     detector model), Gaussian timing jitter, and uniform dark counts.
     """
-    if duration_s <= 0:
-        raise ValueError("duration_s must be positive")
+    if not (0.0 < duration_s < math.inf):
+        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
     det = det if det is not None else DetectorModel()
     rng = np.random.default_rng(seed)
     duration_ns = duration_s * NS_PER_S

@@ -65,6 +65,23 @@ def validate_state(rho) -> np.ndarray:
     raise ValueError("density matrix must be positive semidefinite")
 
 
+def _validate_states(rho: np.ndarray) -> np.ndarray:
+    """validate_state over an (N, 2, 2) complex stack in one vectorised pass.
+
+    The same three conditions as validate_state, row by row. On failure
+    the first failing state goes through validate_state, which names its
+    defect.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(rho - rho.conj().transpose(0, 2, 1)).max(axis=(1, 2))
+        tr = rho[:, 0, 0] + rho[:, 1, 1]
+        det = (rho[:, 0, 0] * rho[:, 1, 1] - rho[:, 0, 1] * rho[:, 1, 0]).real
+        ok = (herm <= HERMITICITY_TOL) & (np.abs(tr - 1.0) <= TRACE_TOL) & (det >= _DET_FLOOR)
+    if not ok.all():
+        validate_state(rho[np.argmin(ok)])
+    return rho
+
+
 def density_from_amplitudes(amp) -> np.ndarray:
     """Rank-1 density matrix |amp><amp| / <amp|amp>."""
     amp = np.asarray(amp, dtype=complex)
@@ -123,16 +140,15 @@ def state_from_bloch(x: float, y: float, z: float) -> np.ndarray:
     return (IDENTITY + x * SIGMA_X + y * SIGMA_Y + z * SIGMA_Z) / 2.0
 
 
-def rotate_polarization(rho, angle: float) -> np.ndarray:
-    """Rotate the linear polarization frame of rho by `angle` radians."""
-    c, s = np.cos(angle), np.sin(angle)
-    r = np.array([[c, -s], [s, c]], dtype=complex)
-    return r @ np.asarray(rho, dtype=complex) @ r.T
-
-
 def _rotation(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def rotate_polarization(rho, angle: float) -> np.ndarray:
+    """Rotate the linear polarization frame of rho by `angle` radians."""
+    r = _rotation(angle)
+    return r @ np.asarray(rho, dtype=complex) @ r.T
 
 
 def hwp_matrix(angle: float) -> np.ndarray:

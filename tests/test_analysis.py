@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from oqlab.analysis import (
     record_to_csv,
 )
 from oqlab.contexts import context_table
-from oqlab.oq import MAX_NEGATIVITY
+from oqlab.oq import MAX_NEGATIVITY, oq_distribution
 from oqlab.photonsim import CountTable, DetectorModel, simulate_counts
 
 
@@ -359,7 +361,123 @@ class TestAnalyze:
         np.testing.assert_allclose(q_strict.w, q_lab.w, atol=1e-12)
 
 
+def per_resample_bootstrap(rec, mode="lab", n_boot=200, seed=0):
+    """Reference for bootstrap_negativity_error that re-analyzes one resample at a time.
+
+    Resamples every table of the record, builds a record from the
+    resample and runs estimate_probs and oq_distribution on it, skipping
+    resamples that estimate_probs rejects.
+    """
+    if n_boot < 2:
+        raise ValueError("n_boot must be at least 2")
+    rng = np.random.default_rng(seed)
+    values = []
+    for _ in range(n_boot):
+        tables = {}
+        for setup, table in rec.tables.items():
+            p = table.counts.ravel() / table.total
+            counts = rng.multinomial(table.total, p).reshape(2, 2)
+            tables[setup] = CountTable(setup=setup, counts=counts, total=int(counts.sum()))
+        try:
+            ps = estimate_probs(replace(rec, tables=tables), mode)
+        except ValueError:
+            continue
+        values.append(oq_distribution(ps).negativity)
+    if len(values) < 2:
+        raise ValueError("too few valid bootstrap resamples")
+    return float(np.std(values, ddof=1))
+
+
+def strict_bench_record():
+    """bench_record(45) plus a first-measurement-only (1,0) table near its p_t1."""
+    rec = bench_record(45)
+    return replace(rec, tables={**rec.tables, (1, 0): tab((1, 0), [[8512, 9], [1466, 13]])})
+
+
+RATIONAL_STATE = qcore.state_from_bloch(0.6, 0.0, 0.6)
+
+
 class TestBootstrap:
+    @pytest.mark.parametrize(
+        "make,mode",
+        [
+            (lambda: bench_record(0), "lab"),
+            (lambda: bench_record(45), "lab"),
+            (lambda: replace(bench_record(45), calibration=(1.2, 0.9, 1.1, 0.8)), "lab"),
+            (strict_bench_record, "strict"),
+            (lambda: exact_record(RATIONAL_STATE, n=2_000, with_first=True), "lab"),
+            (lambda: exact_record(RATIONAL_STATE, n=2_000, with_first=True), "strict"),
+        ],
+        ids=["bench0", "bench45", "bench45-calibrated", "bench45-strict", "exact", "exact-strict"],
+    )
+    def test_matches_per_resample_reference(self, make, mode):
+        # independent seeds: at 4000 resamples each spread estimate is good
+        # to about 1%, so 10% is several standard errors
+        rec = make()
+        batched = bootstrap_negativity_error(rec, mode, n_boot=4000, seed=5)
+        reference = per_resample_bootstrap(rec, mode, n_boot=4000, seed=6)
+        assert batched == pytest.approx(reference, rel=0.1)
+
+    @pytest.mark.parametrize("mode", ["lab", "strict"])
+    def test_replayed_draws_match_the_scalar_pipeline(self, mode):
+        # the same draws, one table the mode reads at a time, re-analyzed
+        # one by one; small rows and columns make some resamples invalid
+        rec = ExperimentRecord(
+            tables={(1, 1): tab((1, 1), [[40, 30], [20, 10]]),
+                    (0, 1): tab((0, 1), [[1, 0], [2, 0]]),
+                    (1, 0): tab((1, 0), [[2, 5], [1, 3]])},
+            calibration=(1.2, 0.9, 1.1, 0.8),
+        )
+        n_boot = 300
+        setups = [(1, 1), (0, 1)] + ([(1, 0)] if mode == "strict" else [])
+        rng = np.random.default_rng(4)
+        draws = {
+            s: rng.multinomial(rec.tables[s].total, rec.tables[s].counts.ravel() / rec.tables[s].total,
+                               size=n_boot).reshape(-1, 2, 2)
+            for s in setups
+        }
+        values = []
+        for i in range(n_boot):
+            tables = {s: tab(s, draws[s][i]) for s in setups}
+            try:
+                ps = estimate_probs(replace(rec, tables=tables), mode)
+            except ValueError:
+                continue
+            values.append(oq_distribution(ps).negativity)
+        assert 2 <= len(values) < n_boot
+        expected = np.std(values, ddof=1)
+        batched = bootstrap_negativity_error(rec, mode, n_boot=n_boot, seed=4)
+        assert batched == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    def test_lab_mode_reads_only_its_two_tables(self):
+        rec = bench_record(45)
+        empty = np.zeros((2, 2), dtype=np.int64)
+        padded = replace(
+            rec, tables={**rec.tables, (0, 0): tab((0, 0), empty), (1, 0): tab((1, 0), empty)}
+        )
+        with np.errstate(all="raise"):
+            value = bootstrap_negativity_error(padded, seed=9)
+        assert value == bootstrap_negativity_error(rec, seed=9)
+
+    @pytest.mark.parametrize(
+        "rec,mode",
+        [
+            # the a1 = 0 row of (0,1) is empty in every resample
+            (ExperimentRecord(tables={(1, 1): tab((1, 1), [[5, 5], [5, 5]]),
+                                      (0, 1): tab((0, 1), [[0, 0], [3, 4]])}), "lab"),
+            # so is the a2 = 0 column of (1,0)
+            (replace(bench_record(45), tables={**bench_record(45).tables,
+                                               (1, 0): tab((1, 0), [[0, 7], [0, 2]])}), "strict"),
+            # strict mode without a (1,0) table
+            (bench_record(45), "strict"),
+        ],
+        ids=["empty-row", "empty-column", "no-first-table"],
+    )
+    def test_all_resamples_dropped_raises(self, rec, mode):
+        for boot in (bootstrap_negativity_error, per_resample_bootstrap):
+            with pytest.raises(ValueError, match="too few valid bootstrap resamples"):
+                boot(rec, mode, n_boot=50)
+
     def test_error_shrinks_with_counts(self):
         # state with rational probabilities and genuine negativity 0.05
         rho = qcore.state_from_bloch(0.6, 0.0, 0.6)

@@ -3,12 +3,15 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
-from oqlab import cli
-from oqlab.oq import MAX_NEGATIVITY, negativity
+from oqlab import cli, qcore
+from oqlab.contexts import context_table
+from oqlab.oq import MAX_NEGATIVITY, negativity, oq_distribution
+from oqlab.photonsim import CountTable, count_tables_to_csv
 
 
 def run_cli(argv, capsys):
@@ -121,6 +124,44 @@ class TestScanBlochDisk:
             x, z, n = row[2], row[3], row[8]
             expected = max(0.0, (abs(x) + abs(z) - 1.0) / 4.0)
             assert n == pytest.approx(expected, abs=1e-9)
+
+
+def scalar_columns(rho):
+    """The exact scan columns of one state by the N = 1 pipeline."""
+    q = oq_distribution(context_table(rho))
+    return [*q.w.ravel(), q.negativity, q.nsit_dev.max(), q.aot_dev.max()]
+
+
+class TestScanBatchMatchesScalar:
+    def test_pure_grid(self, tmp_path, capsys):
+        out = str(tmp_path / "grid.csv")
+        code, _, _ = run_cli(["scan", "--kind", "pure-grid", "--theta-step", "7.5",
+                              "--phi-step", "22.5", "--out", out], capsys)
+        assert code == 0
+        _, rows = parse_scan_csv(out)
+        assert [r[:2] for r in rows] == [[t, p] for t in np.arange(0.0, 90.1, 7.5)
+                                         for p in np.arange(0.0, 90.1, 22.5)]
+        for theta, phi, *cells in rows:
+            rho = qcore.make_pure_state(math.radians(theta), math.radians(phi))
+            np.testing.assert_allclose(cells, scalar_columns(rho), rtol=0, atol=1e-15)
+
+    # 9 steps per unit: the last alpha of arange(-1, 1, 1/9) overshoots 1
+    # by round-off, which the grid clips to 1
+    @pytest.mark.parametrize("alpha_steps", ["4", "9"])
+    def test_bloch_disk(self, tmp_path, capsys, alpha_steps):
+        out = str(tmp_path / "disk.csv")
+        code, _, _ = run_cli(["scan", "--kind", "bloch-disk", "--theta-step", "22.5",
+                              "--alpha-steps", alpha_steps, "--out", out], capsys)
+        assert code == 0
+        _, rows = parse_scan_csv(out)
+        assert len(rows) == 9 * (2 * int(alpha_steps) + 1)
+        assert rows[-1][1] == 1.0
+        for theta, alpha, x, z, *cells in rows:
+            t1 = math.radians(theta)
+            rho = qcore.make_mixed_state(t1, t1 + math.pi, alpha)
+            bx, _, bz = qcore.bloch_vector(rho)
+            assert (x, z) == (bx, bz)
+            np.testing.assert_allclose(cells, scalar_columns(rho), rtol=0, atol=1e-15)
 
 
 class TestScanWeakField:
@@ -265,6 +306,19 @@ class TestG2:
                      "--out", out], capsys)
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--bin-width", "nan"), ("--max-delay", "nan"), ("--max-delay", "inf"),
+         ("--duration", "nan"), ("--duration", "inf"), ("--window", "nan")],
+    )
+    def test_non_finite_flag_is_named(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--duration", "0.01", flag, value, "--out", str(out)],
+                               capsys)
+        assert code == 3
+        assert flag in err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def make_run(self, tmp_path, capsys):
@@ -291,6 +345,22 @@ class TestAnalyze:
         code, out, _ = run_cli(["analyze", *inputs, "--mode", "strict"], capsys)
         assert code == 0
         assert json.loads(out)["mode"] == "strict"
+
+    def test_unused_empty_table_is_ignored(self, tmp_path, capsys):
+        # lab mode reads (1,1) and (0,1) only; an all-zero (0,0) table
+        # must neither stop the run nor disturb the bootstrap
+        out_dir = self.make_run(tmp_path, capsys)
+        empty = str(tmp_path / "counts_00.csv")
+        count_tables_to_csv([CountTable(setup=(0, 0), counts=np.zeros((2, 2)), total=0)], empty)
+        inputs = [os.path.join(out_dir, "counts_11.csv"), os.path.join(out_dir, "counts_01.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["analyze", *inputs, empty, "--mode", "lab"], capsys)
+        assert (code, err) == (0, "")
+        statistical = json.loads(out)["error"]["statistical"]
+        assert math.isfinite(statistical) and statistical > 0
+        _, plain, _ = run_cli(["analyze", *inputs, "--mode", "lab"], capsys)
+        assert json.loads(out) == json.loads(plain)
 
     def test_dark_counts_must_be_four_integers(self, tmp_path, capsys):
         out_dir = self.make_run(tmp_path, capsys)

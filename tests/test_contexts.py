@@ -174,7 +174,7 @@ class TestKernelMatchesDefinition:
     def test_stack(self):
         states = self._states()
         expected = np.array([_written_definition(rho) for rho in states])
-        got = contexts._probabilities(np.stack(states))
+        got = contexts._probabilities(qcore._validate_states(np.stack(states)))
         assert got.shape == (len(states), 8)
         assert_allclose(got, expected, rtol=0, atol=1e-15)
 
@@ -224,6 +224,11 @@ class TestContextTable:
         # check (finite, negative, sum) is the one named.
         with pytest.raises(ValueError, match=message):
             contexts.validate_probability_set(contexts.ProbabilitySet(*blocks))
+        # the batched check names the same failure, behind a valid row
+        good = contexts._vector(contexts.context_table(qcore.IDENTITY / 2))
+        bad = np.concatenate([np.ravel(b) for b in blocks])
+        with pytest.raises(ValueError, match=message):
+            contexts._validate_vectors(np.stack([good, bad, good]))
 
     def test_setup_validation(self):
         assert contexts.validate_setup((1, 0)) == (1, 0)

@@ -40,6 +40,13 @@ class TestHistogramStructure:
         with pytest.raises(ValueError, match="two bins"):
             start_stop_histogram(a, a, bin_width_ns=10.0, max_delay_ns=15.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("field", ["bin_width_ns", "max_delay_ns"])
+    def test_rejects_non_finite_binning(self, field, value):
+        a = ClickStream(np.array([1.0]))
+        with pytest.raises(ValueError, match=field):
+            start_stop_histogram(a, a, **{field: value})
+
     def test_empty_streams_are_flagged_not_fatal(self):
         empty = ClickStream(np.empty(0))
         hist = start_stop_histogram(empty, empty)
@@ -96,8 +103,9 @@ class TestNormalization:
     def test_g2_zero_rejects_bad_window(self):
         rng = np.random.default_rng(23)
         hist = start_stop_histogram(poisson_stream(2e-4, 1e7, rng), poisson_stream(2e-4, 1e7, rng))
-        with pytest.raises(ValueError, match="positive"):
-            g2_zero(hist, window_ns=0.0)
+        for window in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="positive"):
+                g2_zero(hist, window_ns=window)
         with pytest.raises(ValueError, match="narrower"):
             g2_zero(hist, window_ns=0.1)
 

@@ -82,10 +82,15 @@ class TestOqDistribution:
 
     def test_matches_cellwise_reference(self):
         rng = np.random.default_rng(2)
-        for _ in range(200):
-            ps = random_probability_set(rng)
+        sets = [random_probability_set(rng) for _ in range(200)]
+        w, neg, nsit, aot = oq._quasi_rows(np.stack([contexts._vector(ps) for ps in sets]))
+        for i, ps in enumerate(sets):
             q = oq.oq_distribution(ps)
             assert_allclose(q.w, eq1_reference(ps), atol=1e-14)
+            # the batched entry agrees with the N = 1 path
+            assert_allclose(w[i], q.w, rtol=0, atol=1e-15)
+            assert_allclose([neg[i], *nsit[i], *aot[i]], [q.negativity, *q.nsit_dev, *q.aot_dev],
+                            rtol=0, atol=1e-15)
 
     def test_structural_properties_random_bundles(self):
         rng = np.random.default_rng(3)

@@ -487,8 +487,23 @@ class TestClickStreams:
     def test_rejects_unknown_source_and_bad_duration(self):
         with pytest.raises(TypeError, match="source"):
             generate_click_streams(object(), 0.1)
-        with pytest.raises(ValueError, match="duration"):
-            generate_click_streams(WeakCoherent(), 0.0)
+        for duration in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="duration"):
+                generate_click_streams(WeakCoherent(), duration)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "cls,field",
+        [
+            (SingleEmitter, "excited_lifetime_ns"),
+            (SingleEmitter, "excitation_rate_hz"),
+            (HeraldedSPDC, "pair_rate_hz"),
+            (HeraldedSPDC, "herald_efficiency"),
+        ],
+    )
+    def test_timing_sources_reject_non_finite_fields(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
 
 
 class TestCsvRoundTrip:

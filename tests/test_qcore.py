@@ -149,6 +149,11 @@ class TestValidation:
         # NaN and infinite entries must never pass as valid.
         with pytest.raises(ValueError, match=message):
             qcore.validate_state(rho)
+        if rho.shape == (2, 2):
+            # the batched check applies the same conditions, behind a valid state
+            stack = np.stack([qcore.IDENTITY / 2, rho, qcore.IDENTITY / 2]).astype(complex)
+            with pytest.raises(ValueError, match=message):
+                qcore._validate_states(stack)
 
 
 class TestWaveplates:
