@@ -25,9 +25,10 @@ import numpy as np
 from . import qcore
 from .analysis import ExperimentRecord, analyze, dark_count_correction
 from .contexts import SETUPS, _probabilities, context_table
-from .correlation import g2_zero, start_stop_histogram
+from .correlation import _StartStopAccumulator, g2_zero
 from .oq import _quasi_rows, oq_distribution
 from .photonsim import (
+    NS_PER_S,
     SCHEMA_VERSION,
     DetectorModel,
     HeraldedSPDC,
@@ -352,6 +353,23 @@ def cmd_simulate(args) -> dict:
     return payload
 
 
+# g2 simulates its run as independent chunks of this length in seconds
+# (the last one shorter), so peak memory is set by one chunk, not by
+# --duration
+G2_CHUNK_S = 0.05
+
+
+def _g2_chunks(duration_s):
+    """(start, length) in seconds of the chunks that tile [0, duration_s)."""
+    n = max(1, math.ceil(duration_s / G2_CHUNK_S))
+    while n > 1 and (n - 1) * G2_CHUNK_S >= duration_s:
+        n -= 1
+    for k in range(n - 1):
+        yield k * G2_CHUNK_S, G2_CHUNK_S
+    start = (n - 1) * G2_CHUNK_S
+    yield start, duration_s - start
+
+
 def cmd_g2(args) -> dict:
     # checked before the run, so a bad histogram flag costs no click streams
     _require_positive(
@@ -362,10 +380,24 @@ def cmd_g2(args) -> dict:
     )
     det = resolve_detector(args.det)
     src = resolve_source(args.source)
-    streams = generate_click_streams(src, args.duration, det=det, seed=args.seed)
-    hist = start_stop_histogram(
-        streams[0], streams[1], bin_width_ns=args.bin_width, max_delay_ns=args.max_delay
+    # numpy's normal draws never leave about 14 sigma, so no jittered click
+    # of a chunk lands more than 20 sigma + 1 ns before the chunk's start
+    acc = _StartStopAccumulator(
+        args.bin_width, args.max_delay, guard_ns=20.0 * det.timing_jitter_ns + 1.0
     )
+    # each chunk restarts the source at its start, seeded by its index the
+    # way the weak-field scan seeds each grid point
+    for k, (start_s, length_s) in enumerate(_g2_chunks(args.duration)):
+        seed = np.random.SeedSequence(args.seed, spawn_key=(k,))
+        streams = generate_click_streams(src, length_s, det=det, seed=seed)
+        offset_ns = start_s * NS_PER_S
+        acc.add(
+            streams[0].times_ns + offset_ns,
+            streams[1].times_ns + offset_ns,
+            end_ns=offset_ns + length_s * NS_PER_S,
+        )
+        del streams
+    hist = acc.histogram()
     window = args.window if args.window is not None else det.coincidence_window_ns
     value = g2_zero(hist, window_ns=window)
     lines = [

@@ -55,6 +55,79 @@ def _forward_delays(a, b, max_delay_ns):
     return delays[delays <= max_delay_ns]
 
 
+class _StartStopAccumulator:
+    """Start-stop histogram fed with consecutive chunks of two channels.
+
+    Each add() takes one chunk of both channels as sorted times on a
+    common clock, plus the time end_ns before which no later chunk brings
+    a click (less a guard_ns margin, for clicks that detector jitter
+    pushes back across the chunk boundary). A click is tallied once every
+    click within max_delay_ns after it is known, so its delay is the one
+    start_stop_histogram finds on the whole record. The clicks not yet
+    tallied are held back and merged into the next chunk; the rest of the
+    chunk is dropped. A chunk that brings a click before the range
+    already tallied raises ValueError, since its delays could no longer
+    be counted right.
+    """
+
+    def __init__(self, bin_width_ns: float, max_delay_ns: float, guard_ns: float = 0.0):
+        for name, value in (("bin_width_ns", bin_width_ns), ("max_delay_ns", max_delay_ns)):
+            if not (0.0 < value < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if max_delay_ns < 2 * bin_width_ns:
+            raise ValueError("max_delay_ns must span at least two bins")
+        half_bins = int(np.ceil(max_delay_ns / bin_width_ns))
+        self._edges = bin_width_ns * np.arange(-half_bins, half_bins + 1)
+        self._counts = np.zeros(2 * half_bins, dtype=np.int64)
+        self._bin_width_ns = float(bin_width_ns)
+        self._max_delay_ns = max_delay_ns
+        self._guard_ns = guard_ns
+        self._horizon_ns = -math.inf
+        self._held = (np.empty(0), np.empty(0))
+
+    def _merge(self, held, times):
+        if times.size and times[0] < self._horizon_ns:
+            raise ValueError(
+                f"chunk brings a click at {times[0]} ns, before {self._horizon_ns} ns "
+                "where the histogram is already tallied"
+            )
+        if not held.size:
+            return times
+        return np.sort(np.concatenate([held, times]), kind="stable")
+
+    def add(self, start_ns, stop_ns, end_ns: float = math.inf):
+        """Tally one chunk; end_ns = inf marks the last one."""
+        a = self._merge(self._held[0], start_ns)
+        b = self._merge(self._held[1], stop_ns)
+        self._horizon_ns = end_ns - self._guard_ns
+        cut = self._horizon_ns - self._max_delay_ns
+        na = np.searchsorted(a, cut)
+        nb = np.searchsorted(b, cut)
+        pos = _forward_delays(a[:na], b, self._max_delay_ns)
+        neg = _forward_delays(b[:nb], a, self._max_delay_ns)
+        self._counts += np.histogram(np.concatenate([pos, -neg]), bins=self._edges)[0]
+        # copies, so the chunk's arrays are freed
+        self._held = (a[na:].copy(), b[nb:].copy())
+
+    def histogram(self) -> G2Histogram:
+        """Normalized histogram of the whole record; no chunk may follow."""
+        self.add(np.empty(0), np.empty(0))
+        counts = self._counts
+        centers = 0.5 * (self._edges[:-1] + self._edges[1:])
+        tail = np.abs(centers) >= TAIL_FRACTION * self._max_delay_ns
+        baseline = counts[tail].mean() if np.any(tail) else 0.0
+        low = baseline <= 0.0
+        g2 = counts / baseline if not low else np.zeros_like(counts, dtype=float)
+        return G2Histogram(
+            tau_ns=centers,
+            counts=counts,
+            g2=g2,
+            bin_width_ns=self._bin_width_ns,
+            baseline=float(baseline),
+            low_statistics=bool(low),
+        )
+
+
 def start_stop_histogram(
     start: ClickStream,
     stop: ClickStream,
@@ -66,32 +139,9 @@ def start_stop_histogram(
     Returns bins covering (-max_delay_ns, max_delay_ns); tau = 0 falls on
     a bin edge so the two sides stay symmetric.
     """
-    for name, value in (("bin_width_ns", bin_width_ns), ("max_delay_ns", max_delay_ns)):
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{name} must be finite and positive, got {value}")
-    if max_delay_ns < 2 * bin_width_ns:
-        raise ValueError("max_delay_ns must span at least two bins")
-    half_bins = int(np.ceil(max_delay_ns / bin_width_ns))
-    edges = bin_width_ns * np.arange(-half_bins, half_bins + 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-
-    ta, tb = start.times_ns, stop.times_ns
-    pos = _forward_delays(ta, tb, max_delay_ns)
-    neg = _forward_delays(tb, ta, max_delay_ns)
-    counts, _ = np.histogram(np.concatenate([pos, -neg]), bins=edges)
-
-    tail = np.abs(centers) >= TAIL_FRACTION * max_delay_ns
-    baseline = counts[tail].mean() if np.any(tail) else 0.0
-    low = baseline <= 0.0
-    g2 = counts / baseline if not low else np.zeros_like(counts, dtype=float)
-    return G2Histogram(
-        tau_ns=centers,
-        counts=counts,
-        g2=g2,
-        bin_width_ns=float(bin_width_ns),
-        baseline=float(baseline),
-        low_statistics=bool(low),
-    )
+    acc = _StartStopAccumulator(bin_width_ns, max_delay_ns)
+    acc.add(start.times_ns, stop.times_ns)
+    return acc.histogram()
 
 
 def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:

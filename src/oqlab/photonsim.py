@@ -381,7 +381,9 @@ def _with_darks_and_jitter(times, det: DetectorModel, duration_ns: float, rng):
     n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
     if n_dark:
         times = np.concatenate([times, rng.uniform(0.0, duration_ns, n_dark)])
-    return np.sort(times)
+    # jittered clicks are nearly sorted and the darks are one short run
+    # after them: the stable sort (timsort) merges runs in linear time
+    return np.sort(times, kind="stable")
 
 
 def _poisson_times(rate_hz: float, duration_ns: float, rng):

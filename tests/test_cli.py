@@ -3,11 +3,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+import oqlab
 from oqlab import cli, qcore
 from oqlab.contexts import context_table
 from oqlab.oq import MAX_NEGATIVITY, negativity, oq_distribution
@@ -318,6 +322,90 @@ class TestG2:
         assert code == 3
         assert flag in err
         assert not out.exists()
+
+
+def read_histogram(path):
+    """(tau_ns, counts) rows of a g2 CSV."""
+    rows = np.loadtxt(path, delimiter=",", comments="#", skiprows=4)
+    return rows[:, 0], rows[:, 1].astype(np.int64)
+
+
+class TestG2Chunks:
+    """g2 runs as fixed-length chunks: boundaries must not show."""
+
+    def test_no_emitter_pair_inside_lifetime_across_boundaries(self, tmp_path, capsys):
+        # 40 chunks; with no jitter and no darks any delay below the
+        # excited lifetime (4 ns) would come from a chunk boundary
+        out = str(tmp_path / "hist.csv")
+        code, _, _ = run_cli(["g2", "--source", "single-emitter", "--det", "ideal",
+                              "--duration", "2", "--seed", "3", "--out", out], capsys)
+        assert code == 0
+        tau, counts = read_histogram(out)
+        assert counts.sum() > 0
+        assert np.all(counts[np.abs(tau) < 4.0] == 0)
+
+    def test_heralded_source_stays_antibunched(self, tmp_path):
+        args = cli.build_parser().parse_args(
+            ["g2", "--source", "heralded-spdc", "--duration", "2", "--seed", "4",
+             "--out", str(tmp_path / "hist.csv")]
+        )
+        assert cli.cmd_g2(args)["g2_zero"] < 0.1
+
+    @pytest.mark.parametrize(
+        "duration,chunks",
+        # 3 * 0.05 rounds up to 0.15000000000000002, and divided by 0.05 to
+        # just above 3: it must make three chunks, not a fourth of length 0
+        [(0.3, 6), (0.7, 14), (0.71, 15), (0.05, 1), (0.25, 5), (1.0, 20), (0.01, 1),
+         (3 * 0.05, 3)],
+    )
+    def test_chunks_tile_the_duration(self, tmp_path, capsys, monkeypatch, duration, chunks):
+        lengths, seeds = [], []
+        real = cli.generate_click_streams
+
+        def recording(src, duration_s, det=None, seed=0):
+            lengths.append(duration_s)
+            seeds.append(seed)
+            return real(src, duration_s, det=det, seed=seed)
+
+        monkeypatch.setattr(cli, "generate_click_streams", recording)
+        code, _, _ = run_cli(["g2", "--source", "weak-coherent", "--duration", str(duration),
+                              "--seed", "9", "--out", str(tmp_path / "hist.csv")], capsys)
+        assert code == 0
+        assert len(lengths) == chunks
+        assert all(length > 0 for length in lengths)
+        assert all(length <= cli.G2_CHUNK_S + math.ulp(duration) for length in lengths)
+        assert abs(math.fsum(lengths) - duration) <= math.ulp(duration)
+        assert [s.spawn_key for s in seeds] == [(k,) for k in range(chunks)]
+
+    def test_peak_memory_does_not_grow_with_duration(self, tmp_path, capsys):
+        cfg = tmp_path / "wc.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 0.1\n")
+        out = str(tmp_path / "hist.csv")
+
+        def peak(duration):
+            tracemalloc.start()
+            try:
+                code = cli.main(["g2", "--source", str(cfg), "--duration", duration,
+                                 "--out", out])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak("0.05")  # a first call pays one-off lazy imports
+        short = peak("0.5")
+        long = peak("5")
+        capsys.readouterr()
+        assert long <= 1.25 * short
+
+    def test_module_runs_as_script(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oqlab.__file__))
+        proc = subprocess.run([sys.executable, "-m", "oqlab", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert "usage: oqlab" in proc.stdout
 
 
 class TestAnalyze:

@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oqlab.correlation import G2Histogram, dip_width, g2_zero, start_stop_histogram
+from oqlab.correlation import (
+    G2Histogram,
+    _StartStopAccumulator,
+    dip_width,
+    g2_zero,
+    start_stop_histogram,
+)
 from oqlab.photonsim import (
     ClickStream,
     DetectorModel,
@@ -56,6 +62,74 @@ class TestHistogramStructure:
         np.testing.assert_array_equal(hist.g2, 0.0)
         assert np.isnan(g2_zero(hist))
         assert dip_width(hist) == 0.0
+
+
+def jittered_chunks(lengths_ns, rate_per_ns, jitter_ns, rng):
+    """(start, length, a, b) chunks on one clock: each channel is uniform
+    clicks in [start, start + length) with Gaussian jitter, so clicks spill
+    across chunk boundaries both ways; b also echoes a third of a 1.2 ns
+    later, so the histogram has a peak as well as a flat part."""
+    chunks = []
+    starts = np.concatenate([[0.0], np.cumsum(lengths_ns)[:-1]])
+    for start, length in zip(starts, lengths_ns):
+        def draw():
+            n = rng.poisson(rate_per_ns * length)
+            return start + rng.uniform(0.0, length, n)
+        a = draw()
+        b = np.concatenate([draw(), a[: a.size // 3] + 1.2])
+        chunks.append((start, length, *(
+            np.sort(t + rng.normal(0.0, jitter_ns, t.size)) for t in (a, b))))
+    return chunks
+
+
+class TestAccumulator:
+    """The chunked start-stop accumulator against the one-shot histogram."""
+
+    @pytest.mark.parametrize(
+        "lengths_ns",
+        [
+            [5.0] * 400,  # far shorter than max_delay + guard
+            [40.0] * 50,  # just longer
+            [1000.0] * 5,
+            # mixed lengths, two of them 0 (empty chunks)
+            [700.0, 3.0, 0.0, 250.0, 35.0, 0.0, 1.5, 900.0, 60.0, 8.0],
+        ],
+    )
+    @pytest.mark.parametrize("jitter_ns", [0.0, 0.61, 3.0])
+    def test_counts_equal_whole_record(self, lengths_ns, jitter_ns):
+        rng = np.random.default_rng(len(lengths_ns) + int(10 * jitter_ns))
+        chunks = jittered_chunks(lengths_ns, 0.3, jitter_ns, rng)
+        acc = _StartStopAccumulator(0.5, 20.0, guard_ns=20.0 * jitter_ns + 1.0)
+        for start, length, a, b in chunks:
+            acc.add(a, b, end_ns=start + length)
+        hist = acc.histogram()
+
+        whole_a = np.sort(np.concatenate([c[2] for c in chunks]))
+        whole_b = np.sort(np.concatenate([c[3] for c in chunks]))
+        ref = start_stop_histogram(ClickStream(whole_a), ClickStream(whole_b), 0.5, 20.0)
+        assert ref.counts.sum() > 1000
+        np.testing.assert_array_equal(hist.counts, ref.counts)
+        np.testing.assert_array_equal(hist.tau_ns, ref.tau_ns)
+        np.testing.assert_array_equal(hist.g2, ref.g2)
+        assert hist.baseline == ref.baseline
+        assert hist.low_statistics == ref.low_statistics
+
+    @pytest.mark.parametrize("channel", [0, 1])
+    def test_click_before_tallied_range_raises(self, channel):
+        acc = _StartStopAccumulator(0.5, 20.0, guard_ns=1.0)
+        acc.add(np.array([10.0, 50.0, 90.0]), np.array([12.0, 95.0]), end_ns=100.0)
+        late = [np.array([120.0]), np.array([121.0])]
+        # 60 ns is before 100 - 1 ns, where this chunk's tally may reach
+        late[channel] = np.array([60.0, 120.0])
+        with pytest.raises(ValueError, match="before"):
+            acc.add(*late, end_ns=200.0)
+
+    def test_no_chunk_follows_the_histogram(self):
+        acc = _StartStopAccumulator(0.5, 20.0)
+        acc.add(np.array([1.0]), np.array([2.0]), end_ns=10.0)
+        acc.histogram()
+        with pytest.raises(ValueError, match="before"):
+            acc.add(np.array([1e12]), np.array([1e12]))
 
 
 class TestNormalization:
