@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 usage, 3 malformed or degenerate data, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -586,8 +587,18 @@ def _run_analyze(args, out):
     out.write(_json_report(payload))
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process.
+
+    parse_args keeps no state in the parser, so one instance serves every
+    call; build_parser() still returns a fresh one.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

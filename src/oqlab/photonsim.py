@@ -21,9 +21,16 @@ Imperfection model
   Poisson per detector (per integration window for counting runs, per
   pulse gate for pulsed post-selection runs).
 
-Photons in a counting run are independent given the systematic draw, so
-counts are sampled from the exact per-detector probabilities with a
-single multinomial; this is equivalent to routing photons one at a time.
+Every run is drawn from its exact distribution, not photon by photon. A
+counting run is one multinomial over the detectors, as photons are
+independent given the systematic draw. In a timing run each weak-coherent
+channel is, by the splitting and superposition theorems, an independent
+Poisson process at mean * pulse_rate * efficiency / 2 + dark_rate_hz, drawn
+as one Poisson count of sorted uniform times in [0, duration); Gaussian
+jitter would leave it Poisson apart from clicks spilling over the ends, so
+none is drawn. Emitter and SPDC emissions, which are not Poisson, each
+take one uniform draw as their branch-and-detection label, and their
+clicks carry explicit jitter and darks.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ class DetectorModel:
         transmitted port
     waveplate_angle_error_deg : operating error of the waveplate settings
     coincidence_window_ns : AND-gate coincidence window for timing runs
-    timing_jitter_ns : Gaussian detector jitter for timing runs
+    timing_jitter_ns : Gaussian detector jitter of emitter and SPDC timing runs
     integration_time_s : dark-count accumulation window of a counting run
     pulse_window_ns : detection gate per pulse for post-selected runs
     """
@@ -354,8 +361,8 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     Fires once per a-click that has a b-click within window_ns; the
     output time is the later of the two edges.
     """
-    if window_ns <= 0:
-        raise ValueError("window_ns must be positive")
+    if not (0.0 < window_ns < math.inf):
+        raise ValueError(f"window_ns must be finite and positive, got {window_ns}")
     ta, tb = a.times_ns, b.times_ns
     if ta.size == 0 or tb.size == 0:
         return ClickStream(np.empty(0), detector=f"{a.detector}&{b.detector}")
@@ -369,10 +376,11 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     return ClickStream(out, detector=f"{a.detector}&{b.detector}")
 
 
-def _thin(times, prob, rng):
-    if prob >= 1.0:
-        return times
-    return times[rng.random(times.size) < prob]
+def _categories(n: int, probs, rng):
+    """Exclusive masks of n draws, one uniform each: mask k has probability probs[k]."""
+    u = rng.random(n)
+    below = [u < c for c in np.cumsum(probs)]
+    return [below[0]] + [b ^ a for a, b in zip(below, below[1:])]
 
 
 def _with_darks_and_jitter(times, det: DetectorModel, duration_ns: float, rng):
@@ -400,29 +408,28 @@ def _renewal_times(dead_ns: float, rate_hz: float, duration_ns: float, rng):
     """
     mean_exp_ns = NS_PER_S / rate_hz
     expect = duration_ns / (dead_ns + mean_exp_ns)
-    times = np.cumsum(dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 1.2 + 100)))
+    gaps = rng.exponential(mean_exp_ns, size=int(expect * 1.2 + 100))
+    times = np.cumsum(np.add(gaps, dead_ns, out=gaps), out=gaps)
     while times.size and times[-1] < duration_ns:
         more = dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 0.2 + 100))
         times = np.concatenate([times, times[-1] + np.cumsum(more)])
-    return times[times < duration_ns]
+    return times[:np.searchsorted(times, duration_ns)]
 
 
 def generate_click_streams(src, duration_s: float, det: DetectorModel | None = None, seed=0):
     """Timed detection records of a source feeding a two-branch splitter.
 
-    Returns two ClickStream objects:
+    Returns two ClickStream objects, each drawn from its exact per-channel
+    distribution (module docstring) with branch efficiencies 0 and 1 of
+    the detector model and its dark rate:
 
-    * WeakCoherent: a Poisson photon stream (mean per pulse times pulse
-      rate) split 50:50.
-    * SingleEmitter: the renewal emission stream split 50:50.
-    * HeraldedSPDC: the two AND-gate outputs. Pair times carry at most
-      one pair per coincidence window, the herald opens a gate with the
-      source's herald efficiency, and the signal photon picks one branch;
-      each gate output is the coincidence of its signal branch with the
-      herald stream.
-
-    Detection applies per-branch efficiency (channels 0 and 1 of the
-    detector model), Gaussian timing jitter, and uniform dark counts.
+    * WeakCoherent: one Poisson process per channel on [0, duration).
+    * SingleEmitter: the renewal emission stream, each emission labelled
+      detected in branch 0, detected in branch 1, or lost.
+    * HeraldedSPDC: the AND-gate outputs of each signal branch with the
+      herald stream. Pairs come at most one per coincidence window, each
+      labelled unheralded, heralded with its signal detected in branch 0
+      or 1, or heralded with its signal lost.
     """
     if not (0.0 < duration_s < math.inf):
         raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
@@ -431,42 +438,34 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
     duration_ns = duration_s * NS_PER_S
 
     if isinstance(src, WeakCoherent):
-        rate = src.mean_photons_per_pulse * src.pulse_rate_hz
-        times = _poisson_times(rate, duration_ns, rng)
-        return _split_two_branches(times, det, duration_ns, rng)
+        branch_hz = src.mean_photons_per_pulse * src.pulse_rate_hz / 2
+        return [
+            ClickStream(_poisson_times(branch_hz * e + det.dark_rate_hz, duration_ns, rng), str(i))
+            for i, e in enumerate(det.efficiency[:2])
+        ]
 
     if isinstance(src, SingleEmitter):
         times = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
-        return _split_two_branches(times, det, duration_ns, rng)
+        branches = _categories(times.size, [e / 2 for e in det.efficiency[:2]], rng)
+        return [
+            ClickStream(_with_darks_and_jitter(times.compress(b), det, duration_ns, rng), str(i))
+            for i, b in enumerate(branches)
+        ]
 
     if isinstance(src, HeraldedSPDC):
         pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
-        heralded = _thin(pairs, src.herald_efficiency, rng)
-        idler = _with_darks_and_jitter(heralded, det, duration_ns, rng)
-        branch = rng.integers(0, 2, size=heralded.size)
+        h = src.herald_efficiency
+        probs = [1.0 - h, *(h * e / 2 for e in det.efficiency[:2])]
+        unheralded, *signal = _categories(pairs.size, probs, rng)
+        idler = _with_darks_and_jitter(pairs.compress(~unheralded), det, duration_ns, rng)
+        idler = ClickStream(idler, "i")
         outputs = []
         for i in (0, 1):
-            sig = _thin(heralded[branch == i], det.efficiency[i], rng)
-            sig = _with_darks_and_jitter(sig, det, duration_ns, rng)
-            gate = and_gate(
-                ClickStream(sig, detector=f"s{i}"),
-                ClickStream(idler, detector="i"),
-                det.coincidence_window_ns,
-            )
-            outputs.append(gate)
+            sig = _with_darks_and_jitter(pairs.compress(signal[i]), det, duration_ns, rng)
+            outputs.append(and_gate(ClickStream(sig, f"s{i}"), idler, det.coincidence_window_ns))
         return outputs
 
     raise TypeError(f"unsupported source model: {src!r}")
-
-
-def _split_two_branches(times, det: DetectorModel, duration_ns: float, rng):
-    branch = rng.integers(0, 2, size=times.size)
-    streams = []
-    for i in (0, 1):
-        t = _thin(times[branch == i], det.efficiency[i], rng)
-        t = _with_darks_and_jitter(t, det, duration_ns, rng)
-        streams.append(ClickStream(t, detector=str(i)))
-    return streams
 
 
 # ---------------------------------------------------------------------------

@@ -625,3 +625,37 @@ class TestExitCodes:
         assert code == 3
         assert fragment in err
         assert not out.exists()
+
+
+class TestParserCache:
+    def test_main_builds_one_parser(self):
+        assert cli._parser() is cli._parser()
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_interleaved_calls_match_fresh_parsers(self, tmp_path, capsys, monkeypatch):
+        def run_all(root):
+            root.mkdir()
+            argvs = [
+                ["g2", "--source", "heralded-spdc", "--duration", "0.05", "--seed", "3",
+                 "--out", str(root / "g2_spdc.csv")],
+                ["simulate", "--theta", "30", "--photons", "2000", "--seed", "4",
+                 "--out-dir", str(root / "sim")],
+                ["simulate", "--photons", "10"],
+                ["analyze", str(root / "sim" / "counts_11.csv"),
+                 str(root / "sim" / "counts_01.csv"), "--out", str(root / "report.json")],
+                ["g2", "--source", "weak-coherent", "--duration", "0.05", "--seed", "5",
+                 "--out", str(root / "g2_wc.csv")],
+                ["analyze", str(root / "missing.csv")],
+            ]
+            codes = [cli.main(argv) for argv in argvs]
+            capsys.readouterr()
+            files = {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+            return codes, files
+
+        cached = run_all(tmp_path / "cached")
+        monkeypatch.setattr(cli, "_parser", cli.build_parser)
+        fresh = run_all(tmp_path / "fresh")
+        assert cached[0] == [0, 0, 2, 0, 0, 4]
+        assert cached[0] == fresh[0]
+        assert len(cached[1]) == 8
+        assert cached[1] == fresh[1]

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
+from oqlab import cli
 from oqlab.correlation import (
     G2Histogram,
     _StartStopAccumulator,
@@ -10,6 +13,7 @@ from oqlab.correlation import (
     start_stop_histogram,
 )
 from oqlab.photonsim import (
+    NS_PER_S,
     ClickStream,
     DetectorModel,
     HeraldedSPDC,
@@ -224,3 +228,118 @@ class TestAntibunching:
         s0, s1 = generate_click_streams(src, 5.0, det=det, seed=67)
         hist = start_stop_histogram(s0, s1, bin_width_ns=0.5, max_delay_ns=20.0)
         assert abs(g2_zero(hist, window_ns=5.5) - 1.0) < 0.1
+
+
+# a weak-coherent source bright enough that a 0.2 s run fills every bin
+# with a few hundred counts, under two detectors: the bench model and one
+# whose branch losses and darks move the channel rates apart
+ORACLE_SOURCE = WeakCoherent(mean_photons_per_pulse=1.0)
+ORACLE_DETECTORS = {
+    "bench": DetectorModel(),
+    "lossy-dark": DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0), dark_rate_hz=2.0e5),
+}
+ORACLE_DURATION_S = 0.2
+ORACLE_SEEDS = range(6)
+
+
+def coherent_expected_counts(tau_ns, bin_width_ns, n_start, n_stop, det, src=ORACLE_SOURCE):
+    """Closed-form expected start-stop histogram of a weak-coherent source.
+
+    Channel i is a Poisson process at r_i = mean * pulse_rate *
+    efficiency[i] / 2 + dark rate, so the delay from a start click to the
+    next stop click is exponential at the stop rate r, and the bin [l, u)
+    expects N_start (e^{-r l} - e^{-r u}); the negative side swaps the
+    channels.
+    """
+    r_start, r_stop = (
+        (src.mean_photons_per_pulse * src.pulse_rate_hz * e / 2 + det.dark_rate_hz) / NS_PER_S
+        for e in det.efficiency[:2]
+    )
+    lo, hi = np.abs(tau_ns) - bin_width_ns / 2, np.abs(tau_ns) + bin_width_ns / 2
+    positive = tau_ns > 0
+    n = np.where(positive, n_start, n_stop)
+    r = np.where(positive, r_stop, r_start)
+    return n * (np.exp(-r * lo) - np.exp(-r * hi))
+
+
+def oracle_fit(counts, expected):
+    """(chi-square per bin, max |z|) of counts against their expectation."""
+    z = (counts - expected) / np.sqrt(expected)
+    return float(np.mean(z**2)), float(np.max(np.abs(z)))
+
+
+# 80 bins: chi2/dof has sd 0.16 per seed and 0.065 pooled over six seeds,
+# and 80 Gaussian bins reach |z| = 4.5 once in about 2,000 runs
+MAX_CHI2_DOF = 1.6
+MAX_POOLED_CHI2_DOF = 1.3
+MAX_ABS_Z = 4.5
+
+
+def assert_fits_oracle(fits):
+    chi2_dof, max_z = np.array(fits).T
+    assert np.all(chi2_dof < MAX_CHI2_DOF), fits
+    assert chi2_dof.mean() < MAX_POOLED_CHI2_DOF, fits
+    assert np.all(max_z < MAX_ABS_Z), fits
+
+
+def one_shot_fit(det, seed, generator_det=None):
+    """Oracle fit under det of a run drawn with generator_det (default det)."""
+    s0, s1 = generate_click_streams(
+        ORACLE_SOURCE, ORACLE_DURATION_S, det=generator_det or det, seed=seed
+    )
+    hist = start_stop_histogram(s0, s1)
+    expected = coherent_expected_counts(
+        hist.tau_ns, hist.bin_width_ns, s0.times_ns.size, s1.times_ns.size, det
+    )
+    return oracle_fit(hist.counts, expected)
+
+
+class TestCoherentOracle:
+    """Weak-coherent histograms bin by bin against their closed form."""
+
+    @pytest.mark.parametrize("detector", sorted(ORACLE_DETECTORS))
+    def test_one_shot_histogram(self, detector):
+        det = ORACLE_DETECTORS[detector]
+        assert_fits_oracle([one_shot_fit(det, seed) for seed in ORACLE_SEEDS])
+
+    @pytest.mark.parametrize("detector", sorted(ORACLE_DETECTORS))
+    def test_chunked_g2_command(self, detector, tmp_path, monkeypatch, capsys):
+        det = ORACLE_DETECTORS[detector]
+        src_cfg = tmp_path / "source.cfg"
+        src_cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 1.0\n")
+        det_cfg = tmp_path / "det.cfg"
+        efficiency = ",".join(map(str, det.efficiency))
+        det_cfg.write_text(f"efficiency = {efficiency}\ndark_rate_hz = {det.dark_rate_hz}\n")
+        clicks = np.zeros(2, dtype=np.int64)
+        real = cli.generate_click_streams
+
+        def counting(*args, **kwargs):
+            streams = real(*args, **kwargs)
+            clicks[:] += [s.times_ns.size for s in streams]
+            return streams
+
+        monkeypatch.setattr(cli, "generate_click_streams", counting)
+        out = tmp_path / "hist.csv"
+        fits = []
+        for seed in ORACLE_SEEDS:
+            clicks[:] = 0
+            code = cli.main(["g2", "--source", str(src_cfg), "--det", str(det_cfg),
+                             "--duration", str(ORACLE_DURATION_S), "--seed", str(seed),
+                             "--out", str(out)])
+            assert code == 0
+            rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=4)
+            expected = coherent_expected_counts(rows[:, 0], 0.5, clicks[0], clicks[1], det)
+            fits.append(oracle_fit(rows[:, 1], expected))
+        capsys.readouterr()
+        assert_fits_oracle(fits)
+
+    @pytest.mark.parametrize(
+        "fault", [{"dark_rate_hz": 0.0}, {"efficiency": (1.0, 1.0, 1.0, 1.0)}],
+        ids=["no-darks", "efficiency-ignored"],
+    )
+    def test_rejects_wrong_generators(self, fault):
+        det = ORACLE_DETECTORS["lossy-dark"]
+        wrong = dataclasses.replace(det, **fault)
+        for seed in ORACLE_SEEDS:
+            chi2_dof, max_z = one_shot_fit(det, seed, generator_det=wrong)
+            assert chi2_dof >= MAX_CHI2_DOF or max_z >= MAX_ABS_Z

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import time
 import tracemalloc
@@ -9,7 +10,9 @@ from scipy import stats
 
 from oqlab import qcore
 from oqlab.contexts import context_table, sequential_probs, single_probs
+from oqlab.correlation import start_stop_histogram
 from oqlab.photonsim import (
+    NS_PER_S,
     ClickStream,
     CountTable,
     DetectorModel,
@@ -17,6 +20,9 @@ from oqlab.photonsim import (
     SingleEmitter,
     WeakCoherent,
     _draw_misalignment,
+    _poisson_times,
+    _renewal_times,
+    _with_darks_and_jitter,
     and_gate,
     click_streams_to_csv,
     count_tables_from_csv,
@@ -414,11 +420,151 @@ class TestAndGate:
         assert and_gate(full, empty, 1.0).times_ns.size == 0
 
     def test_rejects_bad_window(self):
-        with pytest.raises(ValueError, match="window"):
-            and_gate(ClickStream(np.array([1.0])), ClickStream(np.array([1.0])), 0.0)
+        for window in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="window_ns"):
+                and_gate(ClickStream(np.array([1.0])), ClickStream(np.array([1.0])), window)
+
+
+def _thin(times, prob, rng):
+    if prob >= 1.0:
+        return times
+    return times[rng.random(times.size) < prob]
+
+
+def per_photon_click_streams(src, duration_s, det, seed, shared_branch=False):
+    """Reference for generate_click_streams that follows every photon.
+
+    A Poisson or renewal photon (or pair) stream, a fair coin per photon
+    for its branch, one efficiency coin per detected photon, Gaussian
+    jitter on every click, uniform darks and a re-sort; time and memory
+    grow with the photon number. shared_branch=True is a deliberate fault:
+    both channels are cut from the photons of branch 0.
+    """
+    rng = np.random.default_rng(seed)
+    duration_ns = duration_s * NS_PER_S
+    if isinstance(src, HeraldedSPDC):
+        pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
+        photons = _thin(pairs, src.herald_efficiency, rng)
+        idler = ClickStream(_with_darks_and_jitter(photons, det, duration_ns, rng), "i")
+    elif isinstance(src, WeakCoherent):
+        photons = _poisson_times(src.mean_photons_per_pulse * src.pulse_rate_hz, duration_ns, rng)
+    else:
+        photons = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
+    branch = rng.integers(0, 2, size=photons.size)
+    streams = []
+    for i in (0, 1):
+        t = _thin(photons[branch == (0 if shared_branch else i)], det.efficiency[i], rng)
+        t = _with_darks_and_jitter(t, det, duration_ns, rng)
+        if isinstance(src, HeraldedSPDC):
+            streams.append(and_gate(ClickStream(t, f"s{i}"), idler, det.coincidence_window_ns))
+        else:
+            streams.append(ClickStream(t, str(i)))
+    return streams
+
+
+# rates high enough that a short run fills the start-stop histogram
+REFERENCE_SOURCES = {
+    "coherent": (WeakCoherent(mean_photons_per_pulse=1.0), 0.05),
+    "emitter": (SingleEmitter(), 0.1),
+    "spdc": (HeraldedSPDC(pair_rate_hz=2.0e7), 0.02),
+}
+CLICK_DETECTORS = {
+    "ideal": DetectorModel.ideal(),
+    "bench": DetectorModel(),
+    "lossy-dark": DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0), dark_rate_hz=2.0e5),
+}
+CLICK_CASES = [(s, d) for s in sorted(REFERENCE_SOURCES) for d in sorted(CLICK_DETECTORS)]
+
+
+def _click_summary(streams):
+    """Per-channel click counts and the start-stop histogram counts."""
+    counts = np.array([s.times_ns.size for s in streams])
+    return counts, start_stop_histogram(*streams).counts
+
+
+@functools.cache
+def _reference_summary(source, detector):
+    src, duration = REFERENCE_SOURCES[source]
+    streams = per_photon_click_streams(src, duration, CLICK_DETECTORS[detector], seed=71)
+    return _click_summary(streams)
+
+
+def _disagreement(generator, source, detector):
+    """The checks a generator fails against the per-photon reference.
+
+    Click counts must agree per channel within 5 pooled two-sample sigma,
+    and the histograms must pass a two-sample chi-square test at p = 1e-3.
+    Each bin with any counts adds (a - b)^2 / (a + b), which given a + b
+    has mean 1 when both sides share one expectation.
+    """
+    src, duration = REFERENCE_SOURCES[source]
+    counts, hist = _click_summary(generator(src, duration, CLICK_DETECTORS[detector], seed=72))
+    ref_counts, ref_hist = _reference_summary(source, detector)
+    failed = []
+    if np.any(np.abs(counts - ref_counts) > 5 * np.sqrt(counts + ref_counts)):
+        failed.append("counts")
+    used = hist + ref_hist > 0
+    chi2 = np.sum((hist - ref_hist)[used] ** 2 / (hist + ref_hist)[used])
+    if stats.chi2.sf(chi2, used.sum()) < 1e-3:
+        failed.append("histogram")
+    return failed
+
+
+def _exact_generator(src, duration_s, det, seed):
+    return generate_click_streams(src, duration_s, det=det, seed=seed)
+
+
+def _no_darks(src, duration_s, det, seed):
+    det = dataclasses.replace(det, dark_rate_hz=0.0)
+    return generate_click_streams(src, duration_s, det=det, seed=seed)
+
+
+def _efficiency_ignored(src, duration_s, det, seed):
+    det = dataclasses.replace(det, efficiency=(1.0, 1.0, 1.0, 1.0))
+    return generate_click_streams(src, duration_s, det=det, seed=seed)
+
+
+def _shared_stream(src, duration_s, det, seed):
+    return per_photon_click_streams(src, duration_s, det, seed, shared_branch=True)
+
+
+def _emitter_without_dead_time(src, duration_s, det, seed):
+    if isinstance(src, SingleEmitter):
+        src = dataclasses.replace(src, excited_lifetime_ns=0.0)
+    return generate_click_streams(src, duration_s, det=det, seed=seed)
+
+
+# each deliberately wrong generator and the number of the nine cases it must
+# fail: every case where its fault shows. Darks and losses show in lossy-dark
+# only, dead time in the emitter cases only, and shared photons wherever
+# jitter or darks tell a photon's two copies apart (all but ideal); in the
+# ideal cases the start-stop histogram skips a copy at delay 0
+WRONG_GENERATORS = {
+    "no-darks": (_no_darks, 3),
+    "efficiency-ignored": (_efficiency_ignored, 3),
+    "shared-stream": (_shared_stream, 6),
+    "emitter-without-dead-time": (_emitter_without_dead_time, 3),
+}
 
 
 class TestClickStreams:
+    @pytest.mark.parametrize("source,detector", CLICK_CASES)
+    def test_matches_per_photon_reference(self, source, detector):
+        assert _disagreement(_exact_generator, source, detector) == []
+
+    @pytest.mark.parametrize("name", sorted(WRONG_GENERATORS))
+    def test_reference_check_rejects_wrong_generators(self, name):
+        generator, least = WRONG_GENERATORS[name]
+        failed = [case for case in CLICK_CASES if _disagreement(generator, *case)]
+        assert len(failed) >= least, failed
+
+    def test_weak_coherent_clicks_stay_in_the_run(self):
+        duration = 0.01
+        for stream in generate_click_streams(WeakCoherent(0.5), duration, seed=3):
+            assert stream.times_ns.size > 1000
+            assert stream.times_ns[0] >= 0.0
+            assert stream.times_ns[-1] < duration * NS_PER_S
+
     def test_deterministic_for_fixed_seed(self):
         for src in (WeakCoherent(), SingleEmitter(), HeraldedSPDC()):
             a0, a1 = generate_click_streams(src, 0.01, seed=8)
