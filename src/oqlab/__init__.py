@@ -30,7 +30,7 @@ from .contexts import (
     sequential_probs,
     single_probs,
 )
-from .correlation import G2Histogram, dip_width, g2_zero, start_stop_histogram
+from .correlation import G2Histogram, dip_width, g2_zero, g2_zero_error, start_stop_histogram
 from .oq import (
     MAX_NEGATIVITY,
     Quasiprobability,
@@ -95,6 +95,7 @@ __all__ = [
     "expected_dark_counts",
     "fidelity",
     "g2_zero",
+    "g2_zero_error",
     "generate_click_streams",
     "make_mixed_state",
     "make_pure_state",

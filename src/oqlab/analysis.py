@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contexts import SETUPS, ProbabilitySet, validate_setup
+from .contexts import SETUPS, ProbabilitySet, _split, validate_setup
 from .oq import _quasi_rows, oq_distribution
 from .photonsim import CountTable, count_tables_from_csv, count_tables_to_csv
 
@@ -176,24 +176,30 @@ def estimate_probs(rec: ExperimentRecord, mode: str = "lab") -> ProbabilitySet:
     if mode not in ("lab", "strict"):
         raise ValueError(f"mode must be 'lab' or 'strict', got {mode!r}")
     joint_cal = _calibrated(_require(rec, (1, 1)), rec.calibration)
-    p_joint = joint_cal / joint_cal.sum()
-
-    off_cal = _calibrated(_require(rec, (0, 1)), rec.calibration)
-    row = off_cal[0]
+    row = _calibrated(_require(rec, (0, 1)), rec.calibration)[0]
     if row.sum() <= 0:
         raise ValueError("setup (0, 1): no counts in the a1 = 0 row")
-    p_t2 = row / row.sum()
-
+    col = None
     if mode == "strict":
-        first_cal = _calibrated(_require(rec, (1, 0)), rec.calibration)
-        col = first_cal[:, 0]
+        col = _calibrated(_require(rec, (1, 0)), rec.calibration)[:, 0]
         if col.sum() <= 0:
             raise ValueError("setup (1, 0): no counts in the a2 = 0 column")
-        p_t1 = col / col.sum()
-    else:
-        p_t1 = p_joint.sum(axis=1)
+    p = _estimate_rows(joint_cal[None], row[None], None if col is None else col[None])
+    return ProbabilitySet(*_split(p[0]))
 
-    return ProbabilitySet(p_t1=p_t1, p_t2=p_t2, p_joint=p_joint)
+
+def _estimate_rows(joint, row, col=None) -> np.ndarray:
+    """estimate_probs of N records at once, without its checks.
+
+    joint holds the (N, 2, 2) calibrated (1,1) tables, row the (N, 2)
+    calibrated a1 = 0 rows of (0,1) and col, in strict mode, the (N, 2)
+    calibrated a2 = 0 columns of (1,0); each must have a positive sum.
+    Returns (N, 8) probability vectors in the _split layout.
+    """
+    p_joint = joint / joint.sum(axis=(1, 2), keepdims=True)
+    p_t2 = row / row.sum(axis=1, keepdims=True)
+    p_t1 = p_joint.sum(axis=2) if col is None else col / col.sum(axis=1, keepdims=True)
+    return np.concatenate((p_t1, p_t2, p_joint.reshape(-1, 4)), axis=1)
 
 
 def estimate_calibration(reference: CountTable) -> tuple:
@@ -269,15 +275,8 @@ def bootstrap_negativity_error(
     if np.count_nonzero(valid) < 2:
         raise ValueError("too few valid bootstrap resamples")
 
-    joint, row = joint[valid], row[valid]
-    p_joint = joint / joint.sum(axis=(1, 2), keepdims=True)
-    p_t2 = row / row.sum(axis=1, keepdims=True)
-    if col is None:
-        p_t1 = p_joint.sum(axis=2)
-    else:
-        col = col[valid]
-        p_t1 = col / col.sum(axis=1, keepdims=True)
-    _, neg, _, _ = _quasi_rows(np.concatenate((p_t1, p_t2, p_joint.reshape(-1, 4)), axis=1))
+    p = _estimate_rows(joint[valid], row[valid], None if col is None else col[valid])
+    _, neg, _, _ = _quasi_rows(p)
     return float(np.std(neg, ddof=1))
 
 

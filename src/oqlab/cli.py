@@ -24,23 +24,30 @@ import sys
 import numpy as np
 
 from . import qcore
-from .analysis import ExperimentRecord, analyze, dark_count_correction
+from .analysis import (
+    ExperimentRecord,
+    _estimate_rows,
+    analyze,
+    dark_count_correction,
+    estimate_probs,
+)
 from .contexts import SETUPS, _probabilities, context_table
-from .correlation import _StartStopAccumulator, g2_zero
-from .oq import _quasi_rows, oq_distribution
+from .correlation import _StartStopAccumulator, g2_zero, g2_zero_error
+from .oq import Quasiprobability, _quasi_rows, oq_distribution
 from .photonsim import (
     NS_PER_S,
     SCHEMA_VERSION,
+    CountTable,
     DetectorModel,
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
+    _weakfield_counts,
     count_tables_from_csv,
     count_tables_to_csv,
     expected_dark_counts,
     generate_click_streams,
     simulate_counts,
-    weakfield_run,
 )
 
 EXIT_OK = 0
@@ -230,14 +237,18 @@ def _quasi_columns(rho) -> np.ndarray:
     return np.column_stack((w.reshape(-1, 4), neg, nsit.max(axis=1), aot.max(axis=1)))
 
 
+def _pure_states(half_theta, phi) -> np.ndarray:
+    """make_pure_state(2 * half_theta, phi) for arrays of angles, (N, 2, 2)."""
+    amp = np.stack((np.cos(half_theta), np.exp(1j * phi) * np.sin(half_theta)), axis=1)
+    return amp[:, :, None] * amp.conj()[:, None, :]
+
+
 def _scan_rows_pure_grid(args):
     thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
     phis = np.arange(0.0, 90.0 + 1e-9, args.phi_step)
+    # the whole grid, theta the outer loop
     theta, phi = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    # make_pure_state for the whole grid, theta the outer loop
-    half = np.radians(theta) / 2
-    amp = np.stack((np.cos(half), np.exp(1j * np.radians(phi)) * np.sin(half)), axis=1)
-    rho = amp[:, :, None] * amp.conj()[:, None, :]
+    rho = _pure_states(np.radians(theta) / 2, np.radians(phi))
     header = "theta_deg,phi_deg," + _QUASI_HEADER
     return header, np.column_stack((theta, phi, _quasi_columns(rho)))
 
@@ -262,24 +273,57 @@ def _scan_rows_bloch_disk(args):
     return header, np.column_stack((theta, alpha, x, z, _quasi_columns(rho)))
 
 
+def _weak_field_batch(thetas_deg, means, pulses, det, seed_seqs):
+    """Weak-field scan points in one batch: runs of setups (1, 1) and (0, 1).
+
+    Point i is the pure state at thetas_deg[i] sent at mean photon number
+    means[i] (validated by the caller); seed_seqs[i] spawns the seeds of
+    its two runs. Each run draws from its own generator in the order
+    weakfield_run uses; the rest runs on the whole stack: the runs' cells,
+    dark subtraction with clamping, the lab-mode estimate and eq. (1) on
+    the raw, corrected and exact probabilities. A point that analyze
+    would reject goes through estimate_probs for its message, raw before
+    corrected, in grid order. Returns (raw negativity, corrected
+    _quasi_rows, exact negativity).
+    """
+    half = np.radians(np.asarray(thetas_deg, dtype=float)) / 2
+    rho = _pure_states(half, np.zeros_like(half))
+    seeds = [seq.spawn(2) for seq in seed_seqs]
+    joint, off = (
+        _weakfield_counts(rho, means, setup, pulses, det, [s[k] for s in seeds]).reshape(-1, 2, 2)
+        for k, setup in enumerate(((1, 1), (0, 1)))
+    )
+    dark = expected_dark_counts(det, pulses).reshape(2, 2)
+    runs = [(joint, off), (np.maximum(joint - dark, 0), np.maximum(off - dark, 0))]
+    # estimate_probs accepts a record when its (1, 1) table and the a1 = 0
+    # row of its (0, 1) table hold counts
+    ok = np.logical_and.reduce(
+        [(j.sum(axis=(1, 2)) > 0) & (o[:, 0].sum(axis=1) > 0) for j, o in runs]
+    )
+    if not ok.all():
+        i = np.argmin(ok)
+        for j, o in runs:
+            tables = {
+                setup: CountTable(setup=setup, counts=c[i], total=int(c[i].sum()))
+                for setup, c in (((1, 1), j), ((0, 1), o))
+            }
+            estimate_probs(ExperimentRecord(tables=tables))
+    (_, raw, _, _), corrected = (_quasi_rows(_estimate_rows(j, o[:, 0])) for j, o in runs)
+    _, exact, _, _ = _quasi_rows(_probabilities(rho))
+    return raw, corrected, exact
+
+
 def _weak_field_point(theta_deg, mean, pulses, det, seed_seq):
     """One weak-field scan point: runs of setups (1, 1) and (0, 1).
 
     Returns (uncorrected negativity, dark-corrected Quasiprobability,
-    exact negativity).
+    exact negativity); the one-point case of _weak_field_batch.
     """
-    theta = math.radians(theta_deg)
-    src = WeakCoherent(mean_photons_per_pulse=mean)
-    tables = {
-        setup: weakfield_run(theta, 0.0, src, setup, pulses, det=det, seed=seed)
-        for setup, seed in zip([(1, 1), (0, 1)], seed_seq.spawn(2))
-    }
-    rec = ExperimentRecord(tables=tables, theta_deg=theta_deg, source="weak-coherent")
-    q_raw, _ = analyze(rec, n_boot=0)
-    corrected = dark_count_correction(rec, expected_dark_counts(det, pulses))
-    q_corr, _ = analyze(corrected, n_boot=0)
-    exact = oq_distribution(context_table(qcore.make_pure_state(theta)))
-    return float(q_raw.negativity), q_corr, float(exact.negativity)
+    raw, (w, neg, nsit, aot), exact = _weak_field_batch(
+        [theta_deg], [mean], pulses, det, [seed_seq]
+    )
+    q_corr = Quasiprobability(w=w[0], negativity=float(neg[0]), nsit_dev=nsit[0], aot_dev=aot[0])
+    return float(raw[0]), q_corr, float(exact[0])
 
 
 def _scan_rows_weak_field(args):
@@ -291,13 +335,14 @@ def _scan_rows_weak_field(args):
         "theta_deg,mean_photons,w00,w01,w10,w11,"
         "negativity_exact,negativity_uncorrected,negativity_corrected"
     )
-    rows = []
-    for i, theta in enumerate(np.arange(0.0, 90.0 + 1e-9, args.theta_step)):
-        for j, mean in enumerate(means):
-            seed_seq = np.random.SeedSequence(args.seed, spawn_key=(i, j))
-            raw, q_corr, exact = _weak_field_point(float(theta), mean, args.pulses, det, seed_seq)
-            rows.append([theta, mean, *q_corr.w.ravel(), exact, raw, q_corr.negativity])
-    return header, np.array(rows, dtype=float)
+    thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
+    theta, mean = (g.ravel() for g in np.meshgrid(thetas, means, indexing="ij"))
+    seed_seqs = [
+        np.random.SeedSequence(args.seed, spawn_key=(i, j))
+        for i in range(len(thetas)) for j in range(len(means))
+    ]
+    raw, (w, corrected, _, _), exact = _weak_field_batch(theta, mean, args.pulses, det, seed_seqs)
+    return header, np.column_stack((theta, mean, w.reshape(-1, 4), exact, raw, corrected))
 
 
 def _require_positive(*flags):
@@ -401,6 +446,7 @@ def cmd_g2(args) -> dict:
     hist = acc.histogram()
     window = args.window if args.window is not None else det.coincidence_window_ns
     value = g2_zero(hist, window_ns=window)
+    error = g2_zero_error(hist, window_ns=window)
     lines = [
         f"# schema_version={SCHEMA_VERSION}",
         f"# baseline={_fmt(hist.baseline)}",
@@ -413,6 +459,7 @@ def cmd_g2(args) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "g2_zero": None if np.isnan(value) else float(value),
+        "g2_zero_error": None if np.isnan(error) else float(error),
         "window_ns": float(window),
         "low_statistics": bool(hist.low_statistics),
         "seed": args.seed,
@@ -578,7 +625,10 @@ def _run_g2(args, out):
     if payload["low_statistics"]:
         out.write("g2(0) undefined: histogram flagged low statistics\n")
     else:
-        out.write(f"g2(0) = {payload['g2_zero']:.4f} over |tau| <= {payload['window_ns'] / 2:g} ns\n")
+        out.write(
+            f"g2(0) = {payload['g2_zero']:.4f} ± {payload['g2_zero_error']:.4f} "
+            f"over |tau| <= {payload['window_ns'] / 2:g} ns\n"
+        )
     out.write(f"wrote {payload['out']}\n")
 
 

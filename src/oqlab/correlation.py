@@ -144,19 +144,40 @@ def start_stop_histogram(
     return acc.histogram()
 
 
-def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:
-    """Mean normalized coincidence level over |tau| <= window_ns / 2.
-
-    Returns nan for a histogram flagged low_statistics.
-    """
+def _window(hist: G2Histogram, window_ns: float) -> np.ndarray:
+    """Mask of the bins with |tau| <= window_ns / 2."""
     if not (0.0 < window_ns < math.inf):
         raise ValueError(f"window_ns must be finite and positive, got {window_ns}")
     sel = np.abs(hist.tau_ns) <= window_ns / 2 + 1e-9
     if not np.any(sel):
         raise ValueError("window_ns is narrower than one histogram bin")
+    return sel
+
+
+def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:
+    """Mean normalized coincidence level over |tau| <= window_ns / 2.
+
+    Returns nan for a histogram flagged low_statistics.
+    """
+    sel = _window(hist, window_ns)
     if hist.low_statistics:
         return float("nan")
     return float(hist.g2[sel].mean())
+
+
+def g2_zero_error(hist: G2Histogram, window_ns: float = 5.5) -> float:
+    """Poisson counting error of g2_zero, ignoring the baseline's own error.
+
+    g2_zero is the window's raw count n over baseline x bins, so its
+    error is sqrt(n) over the same. An empty window is given the error of
+    one count, as sqrt(0) = 0 would claim an exact zero. Returns nan for a
+    histogram flagged low_statistics.
+    """
+    sel = _window(hist, window_ns)
+    if hist.low_statistics:
+        return float("nan")
+    n = max(int(hist.counts[sel].sum()), 1)
+    return float(math.sqrt(n) / (hist.baseline * np.count_nonzero(sel)))
 
 
 def dip_width(hist: G2Histogram, threshold: float = 0.2) -> float:

@@ -21,6 +21,14 @@ Imperfection model
   Poisson per detector (per integration window for counting runs, per
   pulse gate for pulsed post-selection runs).
 
+Given the misalignment draw, the optics and detectors act on one photon
+as an effective POVM: four real symmetric operators E_k, one per
+detector, fold in the prepared-state rotation (as R^T E_k R), the rotated
+analysis bases, the leaks and the efficiencies, and a photon of state rho
+lands on detector k with probability Tr[E_k rho]. detection_probs builds
+them in closed form and applies them to one state or a whole stack with
+one matmul; the rest, 1 - sum_k Tr[E_k rho], is the photon lost.
+
 Every run is drawn from its exact distribution, not photon by photon. A
 counting run is one multinomial over the detectors, as photons are
 independent given the systematic draw. In a timing run each weak-coherent
@@ -223,56 +231,93 @@ def _draw_misalignment(det: DetectorModel, rng):
     return prep, (arms[0], arms[1])
 
 
-def _da_probs_rotated(rho, basis_rot: float) -> np.ndarray:
-    """Born probabilities in a D/A basis rotated by basis_rot radians."""
-    c = np.cos(np.pi / 4 + basis_rot)
-    s = np.sin(np.pi / 4 + basis_rot)
-    ket_d = np.array([c, s], dtype=complex)
-    ket_a = np.array([-s, c], dtype=complex)
-    pd = (ket_d.conj() @ rho @ ket_d).real
-    pa = (ket_a.conj() @ rho @ ket_a).real
-    return np.clip(np.array([pd, pa]), 0.0, None)
+_FIRST_OUTCOME = np.array([1.0, 0.0])
+
+
+def _effective_operators(setup, det: DetectorModel, prep, arms) -> np.ndarray:
+    """The four detectors' effective operators, flattened as (..., 4, 4).
+
+    Detector k = (a1, a2) counts a photon of the prepared state rho with
+    probability Tr[E_k rho]. Every E_k is real and symmetric, so it is
+    e0 I + ez sigma_z + ex sigma_x, built here in closed form, per arm a
+    and outcome o:
+
+    * analysis stage (n2 = 1): the splitter of arm a measures in the D/A
+      basis turned by arms[a] and routes basis ket b_i to outcome o with
+      probability flip[i, o], so A_{a,o} = sum_i flip[i, o] |b_i><b_i|;
+      with n2 = 0 every photon of an arm lands on o = 0, A_{a,o} = I or 0;
+    * first stage (n1 = 1): the photon collapses to H or V and reaches
+      arm a with probability flip[pol, a], so E_{a,o} = sum_pol
+      flip[pol, a] <pol|A_{a,o}|pol> |pol><pol|; with n1 = 0 every photon
+      reaches arm 0 uncollapsed, so E_{0,o} = A_{0,o} and E_{1,o} = 0;
+    * the efficiencies scale each E_k;
+    * the preparation plate turns the state, rho -> R rho R^T with R the
+      rotation by prep, so E_k becomes R^T E_k R, which turns (ez, ex)
+      by 2 * prep.
+
+    prep has shape (...) and arms (..., 2). Row i of the result follows
+    the flattened rho (rho00, rho01, rho10, rho11), column k the
+    detectors in D00, D01, D10, D11 order.
+    """
+    n1, n2 = setup
+    fr, ft = det.pbs_reflect_leak, det.pbs_transmit_leak
+    # with flip = [[1 - fr, fr], [ft, 1 - ft]], half the sum and half the
+    # difference of its rows: over o they give A's identity and Pauli
+    # parts, over a the first stage's
+    g = 1.0 - fr - ft
+    mean, half_diff = np.array([[1.0 - fr + ft, 1.0 + fr - ft], [g, -g]]) / 2.0
+    if n2 == 1:
+        # |D><D| - |A><A| = cos 2b sigma_z + sin 2b sigma_x at b = pi/4 +
+        # arms[a], so cos 2b = -sin 2 arms[a] and sin 2b = cos 2 arms[a]
+        turn = 2.0 * np.asarray(arms, dtype=float)[..., :, None]
+        a0, az, ax = mean, -half_diff * np.sin(turn), half_diff * np.cos(turn)
+    else:
+        a0, az, ax = _FIRST_OUTCOME, 0.0, 0.0
+    if n1 == 1:
+        # diagonal, with entries flip[H, a] <H|A|H> and flip[V, a] <V|A|V>
+        m, d = mean[:, None], half_diff[:, None]
+        e0, ez, ex = m * a0 + d * az, d * a0 + m * az, 0.0
+    else:
+        arm0 = _FIRST_OUTCOME[:, None]
+        e0, ez, ex = arm0 * a0, arm0 * az, arm0 * ax
+    eff = np.reshape(det.efficiency, (2, 2))
+    twice = 2.0 * np.asarray(prep, dtype=float)[..., None, None]
+    c, s = np.cos(twice), np.sin(twice)
+    e0, ez, ex = e0 * eff, (ez * c + ex * s) * eff, (ex * c - ez * s) * eff
+    # rows e0 + ez, ex, ex, e0 - ez, each flattened over (a, o); ex has the
+    # full shape
+    ops = np.concatenate((e0 + ez, ex, ex, e0 - ez), axis=-2)
+    return ops.reshape(ops.shape[:-2] + (4, 4))
 
 
 def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
-    """Exact per-detector landing probabilities for one run.
+    """Exact per-detector landing probabilities for one run or a stack.
 
-    Returns (probs, lost) where probs is the (2, 2) probability of a
-    photon being counted at detector D_{a1,a2} and lost the probability
-    of no count. misalignment is the (prep_rotation, arm_rotations)
-    tuple drawn once per run; None means perfectly aligned.
+    Returns (probs, lost) where probs is the (..., 2, 2) probability of a
+    photon being counted at detector D_{a1,a2} and lost the (...)
+    probability of no count. misalignment is the (prep_rotation,
+    arm_rotations) pair drawn once per run; None means perfectly
+    aligned. rho is one state or a (..., 2, 2) stack, prep_rotation a
+    scalar or a (...) array and arm_rotations a (..., 2) array; their
+    leading shapes broadcast.
+
+    The detector is an effective POVM: four operators E_k
+    (_effective_operators) fold in the rotated preparation, the rotated
+    analysis bases, the splitter leaks and the efficiencies, so probs is
+    Tr[E_k rho], one matmul of the flattened rho with round-off below
+    zero clipped.
     """
-    rho = qcore.validate_state(rho)
-    n1, n2 = validate_setup(setup)
-    prep_rot, arm_rots = misalignment if misalignment is not None else (0.0, (0.0, 0.0))
-    if prep_rot != 0.0:
-        rho = qcore.rotate_polarization(rho, prep_rot)
-
-    fr, ft = det.pbs_reflect_leak, det.pbs_transmit_leak
-    flip = np.array([[1.0 - fr, fr], [ft, 1.0 - ft]])
-
-    if n1 == 1:
-        p1 = np.clip(np.diag(rho).real, 0.0, None)
-        arm_pols = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
-        weights = p1[:, None] * flip
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim > 2 and rho.shape[-2:] == (2, 2):
+        qcore._validate_states(rho.reshape(-1, 2, 2))
     else:
-        arm_pols = (rho,)
-        weights = np.array([[1.0, 0.0]])
-
-    probs = np.zeros((2, 2))
-    if n2 == 1:
-        for pol, warm in zip(arm_pols, weights):
-            for arm in (0, 1):
-                if warm[arm] == 0.0:
-                    continue
-                pda = _da_probs_rotated(pol, arm_rots[arm])
-                probs[arm, :] += warm[arm] * (pda @ flip)
-    else:
-        probs[:, 0] = weights.sum(axis=0)
-
-    probs *= np.asarray(det.efficiency).reshape(2, 2)
-    lost = max(0.0, 1.0 - probs.sum())
-    return probs, lost
+        rho = qcore.validate_state(rho)
+    prep, arms = misalignment if misalignment is not None else (0.0, (0.0, 0.0))
+    ops = _effective_operators(validate_setup(setup), det, prep, arms)
+    # E_k is real and symmetric, so Tr[E_k rho] = sum_ij (E_k)_ij Re rho_ij
+    p = (rho.real.reshape(rho.shape[:-2] + (1, 4)) @ ops)[..., 0, :]
+    probs = np.maximum(p, 0.0).reshape(p.shape[:-1] + (2, 2))
+    return probs, np.maximum(0.0, 1.0 - probs.sum(axis=(-2, -1)))
 
 
 def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None, seed=0) -> CountTable:
@@ -308,6 +353,28 @@ def expected_dark_counts(det: DetectorModel, n_pulses: int) -> np.ndarray:
     return np.full(4, round(n_pulses * dark_click_prob(det)), dtype=np.int64)
 
 
+def _weakfield_counts(rho, means, setup, n_pulses: int, det: DetectorModel, seeds) -> np.ndarray:
+    """Single-click counts of N pulsed runs of one setup, as (N, 4) int64.
+
+    Run i sends states rho[i] at mean photon number means[i] (already
+    validated) and draws, from default_rng(seeds[i]), first its
+    misalignment and then its table, as weakfield_run does. Everything
+    between those draws runs on the whole stack: one detection_probs
+    call, then the idle and single-click cells as arrays.
+    """
+    if not 1 <= n_pulses < 2**63:
+        raise ValueError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    prep, arms = zip(*(_draw_misalignment(det, rng) for rng in rngs))
+    probs, _ = detection_probs(rho, setup, det, (np.array(prep), np.array(arms)))
+    idle = np.exp(-np.asarray(means)[:, None] * probs.reshape(-1, 4)) * (1.0 - dark_click_prob(det))
+    # row k of each run holds 1 - idle_k on the diagonal and idle_j elsewhere;
+    # products, not quotients, so a detector that always clicks gives exact zeros
+    single = np.where(np.eye(4, dtype=bool), 1.0 - idle[:, None, :], idle[:, None, :]).prod(axis=2)
+    pvals = np.column_stack((single, np.maximum(0.0, 1.0 - single.sum(axis=1))))
+    return np.array([rng.multinomial(int(n_pulses), p)[:4] for rng, p in zip(rngs, pvals)])
+
+
 def weakfield_run(
     theta: float,
     phi: float,
@@ -332,23 +399,16 @@ def weakfield_run(
     idle with probability q_k = exp(-mean * p_k) * (1 - p_dark),
     independently of the others, and the table is one multinomial draw
     over the cells (1 - q_k) * prod_{j != k} q_j plus a dropped cell.
-    Cost and memory do not depend on n_pulses.
+    Cost and memory do not depend on n_pulses. This is the one-run case
+    of _weakfield_counts, which the weak-field scan runs on all its
+    points at once.
     """
     if not isinstance(src, WeakCoherent):
         raise TypeError("weakfield_run requires a WeakCoherent source")
-    if not 1 <= n_pulses < 2**63:
-        raise ValueError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
     det = det if det is not None else DetectorModel()
-    rng = np.random.default_rng(seed)
-    mis = _draw_misalignment(det, rng)
-    probs, _ = detection_probs(qcore.make_pure_state(theta, phi), setup, det, mis)
-    idle = np.exp(-src.mean_photons_per_pulse * probs.ravel()) * (1.0 - dark_click_prob(det))
-    # row k holds 1 - idle_k on the diagonal and idle_j elsewhere; products,
-    # not quotients, so a detector that always clicks gives exact zeros
-    single = np.where(np.eye(4, dtype=bool), 1.0 - idle, idle).prod(axis=1)
-    draws = rng.multinomial(int(n_pulses), np.append(single, max(0.0, 1.0 - single.sum())))
-    counts = draws[:4].reshape(2, 2)
-    return CountTable(setup=setup, counts=counts, total=int(counts.sum()))
+    rho = qcore.make_pure_state(theta, phi)[None]
+    counts = _weakfield_counts(rho, [src.mean_photons_per_pulse], setup, n_pulses, det, [seed])
+    return CountTable(setup=setup, counts=counts[0].reshape(2, 2), total=int(counts.sum()))
 
 
 # ---------------------------------------------------------------------------

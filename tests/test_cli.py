@@ -15,7 +15,15 @@ import oqlab
 from oqlab import cli, qcore
 from oqlab.contexts import context_table
 from oqlab.oq import MAX_NEGATIVITY, negativity, oq_distribution
-from oqlab.photonsim import CountTable, count_tables_to_csv
+from oqlab.analysis import ExperimentRecord, analyze, dark_count_correction
+from oqlab.correlation import G2Histogram, g2_zero_error
+from oqlab.photonsim import (
+    CountTable,
+    WeakCoherent,
+    count_tables_to_csv,
+    expected_dark_counts,
+    weakfield_run,
+)
 
 
 def run_cli(argv, capsys):
@@ -168,6 +176,27 @@ class TestScanBatchMatchesScalar:
             np.testing.assert_allclose(cells, scalar_columns(rho), rtol=0, atol=1e-15)
 
 
+def per_run_weak_field_point(theta_deg, mean, pulses, det, seed_seq):
+    """Reference for cli._weak_field_point that analyses each point on its own.
+
+    Two weakfield_run tables, analyze on the raw record, then
+    dark_count_correction and analyze again, as the scan did point by
+    point before it ran as one batch.
+    """
+    theta = math.radians(theta_deg)
+    src = WeakCoherent(mean_photons_per_pulse=mean)
+    tables = {
+        setup: weakfield_run(theta, 0.0, src, setup, pulses, det=det, seed=seed)
+        for setup, seed in zip([(1, 1), (0, 1)], seed_seq.spawn(2))
+    }
+    rec = ExperimentRecord(tables=tables, theta_deg=theta_deg, source="weak-coherent")
+    q_raw, _ = analyze(rec, n_boot=0)
+    corrected = dark_count_correction(rec, expected_dark_counts(det, pulses))
+    q_corr, _ = analyze(corrected, n_boot=0)
+    exact = oq_distribution(context_table(qcore.make_pure_state(theta)))
+    return float(q_raw.negativity), q_corr, float(exact.negativity)
+
+
 class TestScanWeakField:
     def test_columns_and_self_consistency(self, tmp_path, capsys):
         out = str(tmp_path / "wf.csv")
@@ -206,6 +235,97 @@ class TestScanWeakField:
             )
             assert code == 0
         assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+
+    def test_rows_match_a_loop_of_points(self, tmp_path, capsys):
+        out = str(tmp_path / "wf.csv")
+        argv = ["scan", "--kind", "weak-field", "--theta-step", "15",
+                "--means", "0.001,0.006,0.1", "--pulses", "200000", "--det", "bench",
+                "--seed", "11", "--out", out]
+        assert run_cli(argv, capsys)[0] == 0
+        _, rows = parse_scan_csv(out)
+        det = cli.resolve_detector("bench")
+        expected = []
+        for i, theta in enumerate(np.arange(0.0, 90.0 + 1e-9, 15.0)):
+            for j, mean in enumerate([0.001, 0.006, 0.1]):
+                seq = np.random.SeedSequence(11, spawn_key=(i, j))
+                raw, corr, exact = cli._weak_field_point(float(theta), mean, 200_000, det, seq)
+                expected.append([theta, mean, *corr.w.ravel(), exact, raw, corr.negativity])
+        rows, expected = np.array(rows), np.array(expected)
+        assert rows.shape == expected.shape == (21, 9)
+        np.testing.assert_array_equal(rows[:, :2], expected[:, :2])
+        np.testing.assert_allclose(rows[:, 2:], expected[:, 2:], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("det_name", ["dark-only", "bench", "high-dark"])
+    def test_rows_match_the_per_run_pipeline(self, tmp_path, capsys, det_name):
+        # weakfield_run, analyze and dark_count_correction point by point
+        if det_name == "high-dark":
+            path = tmp_path / "det.cfg"
+            path.write_text("dark_rate_hz = 2e4\n")
+            det_name = str(path)
+        det = cli.resolve_detector(det_name)
+        out = str(tmp_path / "wf.csv")
+        argv = ["scan", "--kind", "weak-field", "--theta-step", "30", "--means", "0.006,0.1",
+                "--pulses", "100000", "--det", det_name, "--seed", "4", "--out", out]
+        assert run_cli(argv, capsys)[0] == 0
+        _, rows = parse_scan_csv(out)
+        expected = []
+        for i, theta in enumerate([0.0, 30.0, 60.0, 90.0]):
+            for j, mean in enumerate([0.006, 0.1]):
+                seq = np.random.SeedSequence(4, spawn_key=(i, j))
+                raw, corr, exact = per_run_weak_field_point(theta, mean, 100_000, det, seq)
+                expected.append([theta, mean, *corr.w.ravel(), exact, raw, corr.negativity])
+        np.testing.assert_allclose(np.array(rows), np.array(expected), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "dark_rate,pulses",
+        # in the reference: (1, 1) empty at the first point, at a later
+        # point, (0, 1) empty, no failure, an empty a1 = 0 row, no failure,
+        # and a raw record that passes with its dark-corrected one empty
+        [("1e3", 10), ("1e3", 20), ("1e3", 40), ("1e3", 80), ("1e5", 10), ("1e6", 20),
+         ("1e6", 40)],
+    )
+    def test_failures_name_the_first_failing_run(self, tmp_path, capsys, dark_rate, pulses):
+        # a point fails on its raw tables before its dark-corrected ones,
+        # and the first failing point in grid order names the failure
+        path = tmp_path / "det.cfg"
+        path.write_text("pbs_reflect_leak = 0\npbs_transmit_leak = 0\n"
+                        f"waveplate_angle_error_deg = 0\ndark_rate_hz = {dark_rate}\n")
+        det = cli.resolve_detector(str(path))
+        message = None
+        try:
+            for i, theta in enumerate([0.0, 45.0, 90.0]):
+                for j, mean in enumerate([0.05, 0.5]):
+                    seq = np.random.SeedSequence(2, spawn_key=(i, j))
+                    per_run_weak_field_point(theta, mean, pulses, det, seq)
+        except ValueError as exc:
+            message = str(exc)
+        code, _, err = run_cli(
+            ["scan", "--kind", "weak-field", "--theta-step", "45", "--means", "0.05,0.5",
+             "--pulses", str(pulses), "--det", str(path), "--seed", "2",
+             "--out", str(tmp_path / "wf.csv")],
+            capsys,
+        )
+        if message is None:
+            assert code == 0
+        else:
+            assert code == 3
+            assert err == f"error: {message}\n"
+
+    def test_single_pulse_leaves_no_counts(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["scan", "--kind", "weak-field", "--pulses", "1", "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert err == "error: setup (1, 1): table holds no counts\n"
+
+    def test_zero_pulses_is_data_error(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["scan", "--kind", "weak-field", "--pulses", "0", "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 3
+        assert err == "error: n_pulses must lie in [1, 2**63), got 0\n"
 
     def test_bad_means_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -292,6 +412,37 @@ class TestG2:
         assert lines[3] == "tau_ns,counts,g2"
         assert len(lines) == 4 + 80
 
+    def test_heralded_g2_zero_carries_its_counting_error(self, tmp_path, capsys):
+        # about two coincidences fall in the window of a 2 s heralded run
+        out = str(tmp_path / "hist.csv")
+        argv = ["g2", "--source", "heralded-spdc", "--duration", "2", "--seed", "5",
+                "--out", out]
+        payload = cli.cmd_g2(cli.build_parser().parse_args(argv))
+        tau, counts = read_histogram(out)
+        with open(out) as fh:
+            baseline = float(fh.read().splitlines()[1].split("=")[1])
+        window = np.abs(tau) <= payload["window_ns"] / 2 + 1e-9
+        scale = baseline * np.count_nonzero(window)
+        assert payload["g2_zero"] == pytest.approx(counts[window].sum() / scale, rel=1e-12)
+        expected = math.sqrt(max(counts[window].sum(), 1)) / scale
+        assert payload["g2_zero_error"] == pytest.approx(expected, rel=1e-12)
+        # a handful of counts: the error is a large fraction of the value
+        assert payload["g2_zero_error"] > 0.3 * payload["g2_zero"]
+
+        code, text, _ = run_cli(argv, capsys)
+        assert code == 0
+        assert text.splitlines()[0] == (
+            f"g2(0) = {payload['g2_zero']:.4f} ± {payload['g2_zero_error']:.4f} "
+            f"over |tau| <= 2.75 ns"
+        )
+
+    def test_empty_window_has_the_error_of_one_count(self):
+        tau = np.arange(-19.75, 20.0, 0.5)
+        counts = np.where(np.abs(tau) < 3.0, 0, 4)
+        hist = G2Histogram(tau_ns=tau, counts=counts, g2=counts / 4.0, bin_width_ns=0.5,
+                           baseline=4.0, low_statistics=False)
+        assert g2_zero_error(hist, window_ns=5.5) == pytest.approx(1.0 / (4.0 * 12))
+
     def test_low_statistics_prints_flag(self, tmp_path, capsys):
         out = str(tmp_path / "hist.csv")
         code, text, _ = run_cli(
@@ -301,6 +452,11 @@ class TestG2:
         )
         assert code == 0
         assert "low statistics" in text
+        args = cli.build_parser().parse_args(
+            ["g2", "--source", "weak-coherent", "--duration", "1e-5", "--seed", "1", "--out", out]
+        )
+        payload = cli.cmd_g2(args)
+        assert payload["g2_zero"] is None and payload["g2_zero_error"] is None
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
         a = str(tmp_path / "a.csv")

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 
 from oqlab import qcore
-from oqlab.contexts import context_table, sequential_probs, single_probs
+from oqlab.contexts import SETUPS, context_table, sequential_probs, single_probs
 from oqlab.correlation import start_stop_histogram
 from oqlab.photonsim import (
     NS_PER_S,
@@ -22,6 +22,7 @@ from oqlab.photonsim import (
     _draw_misalignment,
     _poisson_times,
     _renewal_times,
+    _weakfield_counts,
     _with_darks_and_jitter,
     and_gate,
     click_streams_to_csv,
@@ -34,6 +35,8 @@ from oqlab.photonsim import (
     simulate_counts,
     weakfield_run,
 )
+
+from helpers import random_density_matrix
 
 
 class TestDetectorModel:
@@ -83,6 +86,107 @@ class TestDetectorModel:
         arg = (1.0, value, 1.0, 1.0) if field == "efficiency" else value
         with pytest.raises(ValueError, match=field):
             DetectorModel(**{field: arg})
+
+
+def _da_probs_rotated(rho, basis_rot):
+    """Born probabilities in a D/A basis rotated by basis_rot radians."""
+    c = np.cos(np.pi / 4 + basis_rot)
+    s = np.sin(np.pi / 4 + basis_rot)
+    ket_d = np.array([c, s], dtype=complex)
+    ket_a = np.array([-s, c], dtype=complex)
+    pd = (ket_d.conj() @ rho @ ket_d).real
+    pa = (ket_a.conj() @ rho @ ket_a).real
+    return np.clip(np.array([pd, pa]), 0.0, None)
+
+
+def per_arm_detection_probs(rho, setup, det, misalignment=None):
+    """Reference for detection_probs that follows the photon arm by arm.
+
+    Rotates the state, collapses it at the first splitter, leaks it
+    between arms and outcomes, and measures each arm in its own rotated
+    basis, looping over arms and outcomes.
+    """
+    rho = qcore.validate_state(rho)
+    n1, n2 = setup
+    prep_rot, arm_rots = misalignment if misalignment is not None else (0.0, (0.0, 0.0))
+    if prep_rot != 0.0:
+        rho = qcore.rotate_polarization(rho, prep_rot)
+
+    fr, ft = det.pbs_reflect_leak, det.pbs_transmit_leak
+    flip = np.array([[1.0 - fr, fr], [ft, 1.0 - ft]])
+
+    if n1 == 1:
+        p1 = np.clip(np.diag(rho).real, 0.0, None)
+        arm_pols = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+        weights = p1[:, None] * flip
+    else:
+        arm_pols = (rho,)
+        weights = np.array([[1.0, 0.0]])
+
+    probs = np.zeros((2, 2))
+    if n2 == 1:
+        for pol, warm in zip(arm_pols, weights):
+            for arm in (0, 1):
+                if warm[arm] == 0.0:
+                    continue
+                pda = _da_probs_rotated(pol, arm_rots[arm])
+                probs[arm, :] += warm[arm] * (pda @ flip)
+    else:
+        probs[:, 0] = weights.sum(axis=0)
+
+    probs *= np.asarray(det.efficiency).reshape(2, 2)
+    lost = max(0.0, 1.0 - probs.sum())
+    return probs, lost
+
+
+REFERENCE_CASE_DETECTORS = {
+    "bench": DetectorModel(),
+    # leaks, efficiencies and plate errors far above the bench values, so
+    # every term of the model moves the probabilities visibly
+    "skewed": DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0), pbs_reflect_leak=0.3,
+                            pbs_transmit_leak=0.2, waveplate_angle_error_deg=20.0),
+}
+
+
+class TestDetectionProbsReference:
+    """The effective-operator detection_probs against the per-arm loop."""
+
+    @pytest.mark.parametrize("det_name", sorted(REFERENCE_CASE_DETECTORS))
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_matches_per_arm_reference(self, setup, det_name):
+        det = REFERENCE_CASE_DETECTORS[det_name]
+        rng = np.random.default_rng(sum(setup) + 10 * setup[0] + len(det_name))
+        rhos = np.stack([random_density_matrix(rng) for _ in range(200)])
+        draws = [_draw_misalignment(det, rng) for _ in range(200)]
+        ref = [per_arm_detection_probs(rho, setup, det, mis) for rho, mis in zip(rhos, draws)]
+        ref_probs = np.stack([p for p, _ in ref])
+        ref_lost = np.array([lost for _, lost in ref])
+
+        single = [detection_probs(rho, setup, det, mis) for rho, mis in zip(rhos, draws)]
+        np.testing.assert_allclose(np.stack([p for p, _ in single]), ref_probs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose([lost for _, lost in single], ref_lost, rtol=0, atol=1e-15)
+
+        prep = np.array([mis[0] for mis in draws])
+        arms = np.array([mis[1] for mis in draws])
+        probs, lost = detection_probs(rhos, setup, det, (prep, arms))
+        assert probs.shape == (200, 2, 2) and lost.shape == (200,)
+        np.testing.assert_allclose(probs, ref_probs, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(lost, ref_lost, rtol=0, atol=1e-15)
+
+    def test_aligned_stack_broadcasts_one_state_per_row(self):
+        rng = np.random.default_rng(3)
+        rhos = np.stack([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 2, 2)
+        probs, lost = detection_probs(rhos, (1, 1), DetectorModel())
+        assert probs.shape == (2, 3, 2, 2) and lost.shape == (2, 3)
+        for idx in np.ndindex(2, 3):
+            ref, ref_lost = per_arm_detection_probs(rhos[idx], (1, 1), DetectorModel())
+            np.testing.assert_allclose(probs[idx], ref, rtol=0, atol=1e-15)
+            assert lost[idx] == pytest.approx(ref_lost, abs=1e-15)
+
+    def test_stack_rejects_an_unphysical_state_by_name(self):
+        rhos = np.stack([qcore.make_pure_state(0.3), np.diag([1.5, -0.5]).astype(complex)])
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            detection_probs(rhos, (1, 1), DetectorModel())
 
 
 class TestDetectionProbs:
@@ -217,6 +321,110 @@ class TestSimulateCounts:
             simulate_counts(qcore.make_pure_state(0.0), (1, 1), 0)
 
 
+def _counting_sampler(probs_of):
+    """simulate_counts with its probabilities taken from probs_of.
+
+    Draws the misalignment first and the darks last, as simulate_counts
+    does, so a faithful probs_of reproduces it draw for draw.
+    """
+
+    def sample(rho, setup, n_photons, det, seed):
+        rng = np.random.default_rng(seed)
+        mis = _draw_misalignment(det, rng)
+        probs = probs_of(rho, setup, det, mis).ravel()
+        pvals = np.append(probs, max(0.0, 1.0 - probs.sum()))
+        counts = rng.multinomial(n_photons, pvals / pvals.sum())[:4]
+        dark_mean = det.dark_rate_hz * det.integration_time_s
+        if dark_mean > 0.0:
+            counts = counts + rng.poisson(dark_mean, size=4)
+        return CountTable(setup=setup, counts=counts.reshape(2, 2), total=int(counts.sum()))
+
+    return sample
+
+
+WRONG_COUNTING_SAMPLERS = {
+    "leak ignored": _counting_sampler(lambda rho, setup, det, mis: detection_probs(
+        rho, setup, dataclasses.replace(det, pbs_reflect_leak=0.0, pbs_transmit_leak=0.0), mis)[0]),
+    "efficiency ignored": _counting_sampler(lambda rho, setup, det, mis: detection_probs(
+        rho, setup, dataclasses.replace(det, efficiency=(1.0, 1.0, 1.0, 1.0)), mis)[0]),
+    "misalignment ignored": _counting_sampler(
+        lambda rho, setup, det, mis: detection_probs(rho, setup, det)[0]),
+    "D00 and D01 swapped": _counting_sampler(
+        lambda rho, setup, det, mis: detection_probs(rho, setup, det, mis)[0].ravel()[[1, 0, 2, 3]]
+    ),
+}
+
+EXACT_MEAN_DETECTORS = {
+    "ideal": DetectorModel.ideal(),
+    "bench": DetectorModel(),
+    "bench-efficiency": DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0)),
+}
+EXACT_MEAN_PHOTONS = 1_000_000
+
+
+def _exact_mean_failures(sampler):
+    """Cases (detector, setup) where a cell lies beyond 5 sigma of its exact mean.
+
+    The mean of cell k is n p_k + dark_mean, with p_k from detection_probs
+    at the misalignment the run's seed draws; the variance is the
+    multinomial n p_k (1 - p_k) plus the Poisson dark_mean.
+    """
+    rho = qcore.state_from_bloch(0.5, 0.2, 0.6)
+    n = EXACT_MEAN_PHOTONS
+    failed = []
+    for det_name, det in EXACT_MEAN_DETECTORS.items():
+        for i, setup in enumerate(SETUPS):
+            seed = 100 + i
+            mis = _draw_misalignment(det, np.random.default_rng(seed))
+            p, _ = detection_probs(rho, setup, det, mis)
+            dark_mean = det.dark_rate_hz * det.integration_time_s
+            sigma = np.sqrt(n * p * (1.0 - p) + dark_mean)
+            counts = sampler(rho, setup, n, det, seed).counts
+            if np.any(np.abs(counts - (n * p + dark_mean)) > 5.0 * sigma):
+                failed.append((det_name, setup))
+    return failed
+
+
+class TestExactMeans:
+    """simulate_counts against the exact multinomial mean of every cell."""
+
+    def test_every_cell_within_five_sigma(self):
+        assert _exact_mean_failures(simulate_counts) == []
+
+    def test_faithful_reimplementation_draws_the_same_tables(self):
+        sampler = _counting_sampler(
+            lambda rho, setup, det, mis: detection_probs(rho, setup, det, mis)[0]
+        )
+        rho = qcore.state_from_bloch(0.5, 0.2, 0.6)
+        for setup in SETUPS:
+            a = sampler(rho, setup, 1000, DetectorModel(), 5)
+            b = simulate_counts(rho, setup, 1000, DetectorModel(), 5)
+            np.testing.assert_array_equal(a.counts, b.counts)
+
+    @pytest.mark.parametrize(
+        "name,expected",
+        [
+            # the leaks act in every setup with a splitter in, on both
+            # nonideal detectors
+            ("leak ignored", [(d, s) for d in ("bench", "bench-efficiency") for s in SETUPS[1:]]),
+            ("efficiency ignored", [("bench-efficiency", s) for s in SETUPS]),
+            # the plate offsets turn nothing when both splitters are out, and
+            # the ideal detector has none; elsewhere these seeds' offsets
+            # are large enough to show (over 20 other seed sets, 4 to 6 of
+            # the 6 cases failed)
+            ("misalignment ignored",
+             [(d, s) for d in ("bench", "bench-efficiency") for s in SETUPS[1:]]),
+            # after the H/V collapse of setup (1, 1) the H arm splits evenly
+            # over D/A, so D00 and D01 share one mean there unless leaks or
+            # efficiencies tell them apart
+            ("D00 and D01 swapped",
+             [(d, s) for d in EXACT_MEAN_DETECTORS for s in SETUPS if (d, s) != ("ideal", (1, 1))]),
+        ],
+    )
+    def test_wrong_samplers_fail_where_their_fault_shows(self, name, expected):
+        assert _exact_mean_failures(WRONG_COUNTING_SAMPLERS[name]) == expected
+
+
 def per_pulse_weakfield_run(theta, phi, src, setup, n_pulses, det, seed):
     """Reference for weakfield_run that simulates every pulse.
 
@@ -276,6 +484,19 @@ class TestWeakFieldRun:
         pooled = (cells[0] + cells[1]) / (2 * n)
         sigma = np.sqrt(2 * n * pooled * (1 - pooled))
         assert np.all(np.abs(cells[0] - cells[1]) <= 5 * sigma)
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_stack_matches_one_run_at_a_time(self, setup):
+        det = DetectorModel(dark_rate_hz=2.0e5)
+        thetas = np.linspace(0.0, np.pi, 7)
+        means = np.array([0.001, 0.006, 0.1, 0.5, 2.0, 0.05, 0.3])
+        seeds = np.random.SeedSequence(8).spawn(7)
+        rho = np.stack([qcore.make_pure_state(t, 0.4) for t in thetas])
+        stacked = _weakfield_counts(rho, means, setup, 300_000, det, seeds)
+        for i in range(7):
+            one = weakfield_run(thetas[i], 0.4, WeakCoherent(means[i]), setup, 300_000, det=det,
+                                seed=seeds[i])
+            np.testing.assert_array_equal(stacked[i], one.counts.ravel())
 
     def test_certain_dark_clicks_keep_no_pulse(self):
         det = DetectorModel.ideal(dark_rate_hz=1.0e12)
