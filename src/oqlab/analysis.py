@@ -21,6 +21,7 @@ recorded alongside the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -74,6 +75,22 @@ class ExperimentRecord:
         object.__setattr__(self, "flags", tuple(self.flags))
 
 
+def _check_mode(mode):
+    if mode not in ("rss", "sum"):
+        raise ValueError(f"mode must be 'rss' or 'sum', got {mode!r}")
+
+
+def _components(components) -> tuple:
+    """Components as checked (name, relative_error, times_used) triples."""
+    comps = tuple((str(n), float(e), int(t)) for n, e, t in components)
+    for name, err, times in comps:
+        if not (0.0 <= err < 1.0):
+            raise ValueError(f"{name}: relative error must lie in [0, 1)")
+        if times < 0:
+            raise ValueError(f"{name}: times used must be nonnegative")
+    return comps
+
+
 @dataclass(frozen=True)
 class ErrorBudget:
     """Propagated error of one reconstructed quantity.
@@ -91,13 +108,14 @@ class ErrorBudget:
     systematic_error: float = 0.0
 
     def __post_init__(self):
-        comps = tuple((str(n), float(e), int(t)) for n, e, t in self.component_errors)
+        _check_mode(self.mode)
+        for label in ("total_error", "statistical_error", "systematic_error"):
+            value = getattr(self, label)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{label} must be finite and nonnegative, got {value!r}")
+        comps = _components(self.component_errors)
         object.__setattr__(self, "component_errors", comps)
         for name, err, times in comps:
-            if not (0.0 <= err < 1.0):
-                raise ValueError(f"{name}: relative error must lie in [0, 1)")
-            if times < 0:
-                raise ValueError(f"{name}: times used must be nonnegative")
             if self.total_error < err * np.sqrt(times) - 1e-12:
                 raise ValueError(f"total error smaller than the {name} contribution")
 
@@ -115,14 +133,8 @@ def error_budget(components, mode: str = "rss") -> ErrorBudget:
     sqrt(sum error_i^2 x times_i); mode "sum" reads it literally as
     sum_i sqrt(error_i^2 x times_i) = sum_i error_i sqrt(times_i).
     """
-    if mode not in ("rss", "sum"):
-        raise ValueError(f"mode must be 'rss' or 'sum', got {mode!r}")
-    comps = tuple((str(n), float(e), int(t)) for n, e, t in components)
-    for name, err, times in comps:
-        if not (0.0 <= err < 1.0):
-            raise ValueError(f"{name}: relative error must lie in [0, 1)")
-        if times < 0:
-            raise ValueError(f"{name}: times used must be nonnegative")
+    _check_mode(mode)
+    comps = _components(components)
     if mode == "sum":
         total = float(sum(err * np.sqrt(times) for _, err, times in comps))
     else:

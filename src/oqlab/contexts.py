@@ -132,24 +132,44 @@ class ProbabilitySet:
 
 
 def validate_probability_set(ps: ProbabilitySet, atol: float = 1e-9) -> ProbabilitySet:
-    """Check shapes, nonnegativity, and normalization of each block."""
+    """Check shapes, nonnegativity, and normalization of each block.
+
+    A fast stage tests all blocks at once on the eight entries as Python
+    floats (from one ``tolist``), which costs far less than numpy calls
+    on arrays this small. Only a set that fails it reaches the ordered
+    per-block checks, which name its first defect.
+    """
+    _checked_vector(ps, atol)
+    return ps
+
+
+def _checked_vector(ps: ProbabilitySet, atol: float) -> np.ndarray:
+    """_vector(ps), once the checks of validate_probability_set pass."""
     if ps.p_t1.shape != (2,) or ps.p_t2.shape != (2,) or ps.p_joint.shape != (2, 2):
         raise ValueError("probability set blocks have wrong shapes")
     flat = _vector(ps)
-    # All blocks at once. The minimum is NaN or -inf if any entry is, and
-    # NaN fails every comparison; with those excluded, a +inf entry makes
-    # its block sum infinite. So a non-finite set never passes here, and
-    # the per-block checks below then name the first failure.
-    if flat.min() >= -atol and np.abs(np.add.reduceat(flat, _BLOCK_STARTS) - 1.0).max() <= atol:
-        return ps
+    p0, p1, p2, p3, j0, j1, j2, j3 = flat.tolist()
+    # A NaN or infinite entry makes its block sum NaN or infinite, and NaN
+    # fails every comparison, so a non-finite set never passes here. The
+    # sums add in np.add.reduceat's order, as _validate_vectors does, so
+    # both accept the same sets.
+    if (
+        min(p0, p1, p2, p3, j0, j1, j2, j3) >= -atol
+        and abs(p0 + p1 - 1.0) <= atol
+        and abs(p2 + p3 - 1.0) <= atol
+        and abs(j0 + ((j1 + j2) + j3) - 1.0) <= atol
+    ):
+        return flat
     for name, block in (("p_t1", ps.p_t1), ("p_t2", ps.p_t2), ("p_joint", ps.p_joint)):
         if not np.isfinite(block).all():
             raise ValueError(f"{name} has non-finite entries")
         if block.min() < -atol:
             raise ValueError(f"{name} has negative entries")
-        if abs(block.sum() - 1.0) > atol:
-            raise ValueError(f"{name} does not sum to 1 (sum = {block.sum()!r})")
-    return ps
+        with np.errstate(over="ignore"):  # finite entries can sum to inf
+            total = block.sum()
+        if abs(total - 1.0) > atol:
+            raise ValueError(f"{name} does not sum to 1 (sum = {total!r})")
+    return flat
 
 
 def _validate_vectors(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
@@ -158,7 +178,7 @@ def _validate_vectors(p: np.ndarray, atol: float = 1e-9) -> np.ndarray:
     Rows follow the _split layout. On failure the first failing row goes
     through validate_probability_set, which names its defect.
     """
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         sums = np.add.reduceat(p, _BLOCK_STARTS, axis=1)
         ok = (p.min(axis=1) >= -atol) & (np.abs(sums - 1.0).max(axis=1) <= atol)
     if not ok.all():

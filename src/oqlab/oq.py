@@ -16,11 +16,12 @@ of measurement-selection context dependence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import ProbabilitySet, _split, _validate_vectors, _vector, validate_probability_set
+from .contexts import ProbabilitySet, _checked_vector, _split, _validate_vectors
 
 # Largest attainable negativity for projective qubit measurements in
 # mutually unbiased bases: (sqrt(2) - 1) / 4.
@@ -49,12 +50,33 @@ class Quasiprobability:
 
 
 def negativity(w) -> float:
-    """Half the summed absolute value of the negative components of w."""
-    w = np.asarray(w, dtype=float)
-    total = w.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"quasiprobability must sum to 1, got {total!r}")
-    return float(0.5 * (np.abs(w) - w).sum())
+    """Half the summed absolute value of the negative components of w.
+
+    Raises ValueError when w has a non-finite entry or does not sum to 1.
+    """
+    return _negativity(np.asarray(w, dtype=float).ravel().tolist())
+
+
+def _negativity(cells) -> float:
+    """negativity of w given as a list of Python floats in row-major order.
+
+    Both sums run left to right from 0, as numpy sums a table this small,
+    so the result is bit-identical to the numpy expression
+    0.5 * (abs(w) - w).sum().
+    """
+    total = 0.0
+    for c in cells:
+        total += c
+    if not abs(total - 1.0) <= 1e-9:
+        # a sum that is not finite comes from a non-finite entry, or from
+        # finite ones that overflow
+        if not all(map(math.isfinite, cells)):
+            raise ValueError("quasiprobability entries must be finite")
+        raise ValueError(f"quasiprobability must sum to 1, got {np.float64(total)!r}")
+    neg = 0.0
+    for c in cells:
+        neg += abs(c) - c
+    return 0.5 * neg
 
 
 def _eq1_matrix() -> np.ndarray:
@@ -78,15 +100,24 @@ _EQ1_MATRIX = _eq1_matrix()
 def oq_distribution(ps: ProbabilitySet, atol: float = 1e-9) -> Quasiprobability:
     """Quasiprobability of a probability bundle, with diagnostics.
 
+    The bundle goes through the checks of validate_probability_set, whose
+    Python-scalar fast stage passes a valid bundle without numpy calls,
+    and becomes one probability vector; one matmul on it gives w and both
+    deviations. The sum check and the negativity then run on the four
+    Python floats of w, bit-identical to the numpy expressions and
+    cheaper at this size.
+
     Raises ValueError when the bundle violates nonnegativity or
     normalization beyond `atol`.
     """
-    validate_probability_set(ps, atol=atol)
-    out = _vector(ps) @ _EQ1_MATRIX
+    out = _checked_vector(ps, atol) @ _EQ1_MATRIX
     # fresh arrays rather than views, so a kept result holds no spare base
     w = out[:4].reshape(2, 2).copy()
     return Quasiprobability(
-        w=w, negativity=negativity(w), nsit_dev=np.abs(out[6:]), aot_dev=np.abs(out[4:6])
+        w=w,
+        negativity=_negativity(out[:4].tolist()),
+        nsit_dev=np.abs(out[6:]),
+        aot_dev=np.abs(out[4:6]),
     )
 
 

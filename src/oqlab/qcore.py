@@ -34,6 +34,11 @@ _DET_FLOOR = EIGENVALUE_FLOOR * (1.0 - EIGENVALUE_FLOOR)
 def validate_state(rho) -> np.ndarray:
     """Check that rho is a physical density matrix and return it as complex.
 
+    A fast stage tests all three conditions at once on the four entries
+    as Python complex numbers (from one ``tolist``), which costs far less
+    than numpy calls on a 2x2 array. Only a matrix that fails it reaches
+    the ordered checks, which name its first defect.
+
     Raises
     ------
     ValueError
@@ -43,24 +48,36 @@ def validate_state(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (2, 2):
         raise ValueError(f"density matrix must be 2x2, got shape {rho.shape}")
-    # All checks at once. A non-finite entry makes `herm` NaN or infinite,
-    # and NaN fails every comparison, so such a matrix never passes here;
-    # the ordered checks below then name the first failure. Until then,
-    # arithmetic on non-finite or huge entries must not warn.
-    with np.errstate(invalid="ignore", over="ignore"):
-        herm = np.abs(rho - rho.conj().T).max()
-        tr = rho[0, 0] + rho[1, 1]
-        # 2x2 shortcut: with unit trace the lower eigenvalue is
-        # (1 - sqrt(1 - 4 det))/2, so it clears the floor exactly when the
-        # determinant does.
-        det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
-    if herm <= HERMITICITY_TOL and abs(tr - 1.0) <= TRACE_TOL and det >= _DET_FLOOR:
-        return rho
+    (a, b), (c, d) = rho.tolist()
+    # The terms are those of |rho - rho^H| entry by entry, the trace and
+    # the determinant. A non-finite entry makes one of them NaN or
+    # infinite, and NaN fails every comparison, so such a matrix never
+    # passes here. Python float arithmetic does not warn; only abs() of a
+    # huge complex can raise, and that matrix is not physical either.
+    # 2x2 shortcut: with unit trace the lower eigenvalue is
+    # (1 - sqrt(1 - 4 det))/2, so it clears the floor exactly when the
+    # determinant does.
+    try:
+        if (
+            2.0 * abs(a.imag) <= HERMITICITY_TOL
+            and 2.0 * abs(d.imag) <= HERMITICITY_TOL
+            and abs(b - c.conjugate()) <= HERMITICITY_TOL
+            and abs(a + d - 1.0) <= TRACE_TOL
+            and (a * d - b * c).real >= _DET_FLOOR
+        ):
+            return rho
+    except OverflowError:
+        pass
     if not np.isfinite(rho).all():
         raise ValueError("density matrix entries must be finite")
+    # finite entries can still be huge enough for these to overflow to inf
+    with np.errstate(over="ignore"):
+        herm = np.abs(rho - rho.conj().T).max()
+        tr = rho[0, 0] + rho[1, 1]
+        trace_off = abs(tr - 1.0)
     if herm > HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
-    if abs(tr - 1.0) > TRACE_TOL:
+    if trace_off > TRACE_TOL:
         raise ValueError(f"density matrix trace must be 1, got {tr}")
     raise ValueError("density matrix must be positive semidefinite")
 

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -267,8 +268,8 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
     names = ["counts_00.csv", "counts_01.csv", "counts_10.csv", "counts_11.csv",
              "report.json"]
     for name in names:
-        a = open(os.path.join(dirs[0], name), "rb").read()
-        b = open(os.path.join(dirs[1], name), "rb").read()
+        a = Path(os.path.join(dirs[0], name)).read_bytes()
+        b = Path(os.path.join(dirs[1], name)).read_bytes()
         assert a == b, name
 
     hists = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
@@ -281,7 +282,7 @@ def test_criterion_09_byte_identical_reruns(tmp_path, capsys):
         payload = cli.cmd_g2(args)
         payload.pop("out")
         payloads.append(payload)
-    assert open(hists[0], "rb").read() == open(hists[1], "rb").read()
+    assert Path(hists[0]).read_bytes() == Path(hists[1]).read_bytes()
     assert json.dumps(payloads[0], sort_keys=True) == json.dumps(payloads[1], sort_keys=True)
 
     elapsed = time.perf_counter() - t0

@@ -252,6 +252,22 @@ class TestErrorBudget:
         with pytest.raises(ValueError, match="contribution"):
             ErrorBudget(component_errors=(("apd", 0.05, 4),), total_error=0.05)
 
+    @pytest.mark.parametrize("field", ["total_error", "statistical_error", "systematic_error"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -0.1])
+    def test_rejects_bad_error_values(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
+            ErrorBudget(component_errors=(), **{"total_error": 0.0, field: value})
+
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ValueError, match="mode"):
+            ErrorBudget(component_errors=(), total_error=0.0, mode="quadrature")
+
+    def test_dataclass_checks_components_as_error_budget_does(self):
+        with pytest.raises(ValueError, match=r"\[0, 1\)"):
+            ErrorBudget(component_errors=(("x", np.nan, 1),), total_error=0.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            ErrorBudget(component_errors=(("x", 0.1, -1),), total_error=0.5)
+
     def test_combined_error_modes(self):
         budget = ErrorBudget(
             component_errors=(), total_error=0.0, mode="rss",

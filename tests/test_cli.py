@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ class TestScanPureGrid:
         for out in (a, b):
             run_cli(["scan", "--kind", "pure-grid", "--theta-step", "10", "--phi-step", "10",
                      "--out", out], capsys)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestScanBlochDisk:
@@ -234,7 +235,7 @@ class TestScanWeakField:
                 capsys,
             )
             assert code == 0
-        assert open(paths[0], "rb").read() == open(paths[1], "rb").read()
+        assert Path(paths[0]).read_bytes() == Path(paths[1]).read_bytes()
 
     def test_rows_match_a_loop_of_points(self, tmp_path, capsys):
         out = str(tmp_path / "wf.csv")
@@ -346,7 +347,7 @@ class TestSimulate:
             capsys,
         )
         assert code == 0
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(os.path.join(out_dir, "report.json")).read_text())
         assert 0.08 <= report["negativity"] <= 0.125
         assert report["seed"] == 7
         assert report["schema_version"] == 1
@@ -359,7 +360,7 @@ class TestSimulate:
         out_dir = str(tmp_path / "run")
         run_cli(["simulate", "--theta", "0", "--photons", "10000", "--det", "ideal",
                  "--seed", "3", "--out-dir", out_dir], capsys)
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(os.path.join(out_dir, "report.json")).read_text())
         assert report["negativity"] <= 0.01
 
     def test_reruns_are_byte_identical(self, tmp_path, capsys):
@@ -369,15 +370,15 @@ class TestSimulate:
                      "--out-dir", d], capsys)
         for name in ["counts_00.csv", "counts_01.csv", "counts_10.csv", "counts_11.csv",
                      "report.json"]:
-            a = open(os.path.join(dirs[0], name), "rb").read()
-            b = open(os.path.join(dirs[1], name), "rb").read()
+            a = Path(os.path.join(dirs[0], name)).read_bytes()
+            b = Path(os.path.join(dirs[1], name)).read_bytes()
             assert a == b, name
 
     def test_report_negativity_survives_reanalysis(self, tmp_path, capsys):
         out_dir = str(tmp_path / "run")
         run_cli(["simulate", "--theta", "45", "--photons", "10000", "--det", "ideal",
                  "--seed", "7", "--out-dir", out_dir], capsys)
-        report = json.loads(open(os.path.join(out_dir, "report.json")).read())
+        report = json.loads(Path(os.path.join(out_dir, "report.json")).read_text())
         args = cli.build_parser().parse_args(
             ["analyze", os.path.join(out_dir, "counts_11.csv"),
              os.path.join(out_dir, "counts_01.csv"), "--bootstrap", "0"]
@@ -464,7 +465,7 @@ class TestG2:
         for out in (a, b):
             run_cli(["g2", "--source", "single-emitter", "--duration", "0.2", "--seed", "6",
                      "--out", out], capsys)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     @pytest.mark.parametrize(
         "flag,value",
@@ -580,7 +581,7 @@ class TestAnalyze:
             capsys,
         )
         assert code == 0
-        assert json.loads(out) == json.loads(open(report_path).read())
+        assert json.loads(out) == json.loads(Path(report_path).read_text())
 
     def test_strict_mode_uses_first_only_table(self, tmp_path, capsys):
         out_dir = self.make_run(tmp_path, capsys)

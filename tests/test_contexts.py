@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from oqlab import contexts, qcore
 
-from helpers import random_density_matrix
+from helpers import SPECIAL_FLOATS, outcome, random_density_matrix
 
 
 class TestProjectors:
@@ -234,3 +235,85 @@ class TestContextTable:
         assert contexts.validate_setup((1, 0)) == (1, 0)
         with pytest.raises(ValueError):
             contexts.validate_setup((2, 0))
+
+
+def numpy_validate_probability_set(ps, atol):
+    """validate_probability_set's decision and messages, computed on numpy arrays."""
+    flat = contexts._vector(ps)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = np.add.reduceat(flat, contexts._BLOCK_STARTS)
+        if flat.min() >= -atol and np.abs(sums - 1.0).max() <= atol:
+            return ps
+        for name, block in (("p_t1", ps.p_t1), ("p_t2", ps.p_t2), ("p_joint", ps.p_joint)):
+            if not np.isfinite(block).all():
+                raise ValueError(f"{name} has non-finite entries")
+            if block.min() < -atol:
+                raise ValueError(f"{name} has negative entries")
+            if abs(block.sum() - 1.0) > atol:
+                raise ValueError(f"{name} does not sum to 1 (sum = {block.sum()!r})")
+    return ps
+
+
+@st.composite
+def adversarial_vectors(draw, atol):
+    """Valid sets, sets with one entry moved by 0.1x or 10x atol, or below
+    zero by as much in a block that still sums to 1, one special entry, or
+    arbitrary floats, as (8,) vectors in _split layout."""
+    kind = draw(st.sampled_from(["valid", "special", "shift", "negative", "raw"]))
+    if kind == "raw":
+        return np.array(draw(st.lists(st.floats(width=64), min_size=8, max_size=8)))
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    u, v = draw(unit), draw(unit)
+    joint = np.array([draw(unit) for _ in range(4)]) + 1e-3
+    p = np.concatenate(([u, 1.0 - u], [v, 1.0 - v], joint / joint.sum()))
+    i = draw(st.integers(0, 7))
+    if kind == "special":
+        p[i] = draw(st.sampled_from(SPECIAL_FLOATS))
+    elif kind == "shift":
+        p[i] += draw(st.sampled_from([-10.0, -0.1, 0.1, 10.0])) * atol
+    elif kind == "negative":
+        # entry i goes below zero, its block still sums to 1
+        block = (0, 1) if i < 2 else (2, 3) if i < 4 else (4, 5, 6, 7)
+        j = draw(st.sampled_from([k for k in block if k != i]))
+        shift = draw(st.sampled_from([0.1, 10.0])) * atol
+        p[j] += p[i] + shift
+        p[i] = -shift
+    return p
+
+
+@pytest.mark.filterwarnings("error")
+class TestScalarCheckParity:
+    """validate_probability_set runs on Python floats; the batched check and
+    the numpy form of the same conditions must agree with it on every input.
+    Any exception but ValueError fails, as does any warning."""
+
+    @pytest.mark.parametrize("atol", [1e-9, 1e-3])
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_matches_batched_and_numpy_checks(self, atol, data):
+        p = data.draw(adversarial_vectors(atol))
+        ps = contexts.ProbabilitySet(*contexts._split(p))
+        got = outcome(contexts.validate_probability_set, ps, atol)
+        assert got == outcome(contexts._validate_vectors, p[None], atol)
+        assert got == outcome(numpy_validate_probability_set, ps, atol)
+
+    @pytest.mark.parametrize("atol", [1e-9, 1e-3])
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [1e308, 1e308, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25],  # block sum overflows
+            [0.5, 0.5, 0.5, 0.5, 1e308, 1e308, -1e308, 0.25],
+            [0.5, 0.5, 0.5, 0.5, 1e154, -1e154, 0.5, 0.5],
+            [0.5, 0.5, 0.5, 0.5, np.inf, -np.inf, 0.5, 0.5],
+            [np.nan, 1.0, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25],
+            [1.0, np.nan, 0.5, 0.5, 0.25, 0.25, 0.25, 0.25],
+            [-0.0, 1.0, 1.0, -0.0, -0.0, 1.0, -0.0, -0.0],
+            [0.5, 0.5, 0.5, 0.5, 1e16, 1.0, -1e16, 0.0],
+        ],
+    )
+    def test_adversarial_cases(self, p, atol):
+        p = np.array(p)
+        ps = contexts.ProbabilitySet(*contexts._split(p))
+        got = outcome(contexts.validate_probability_set, ps, atol)
+        assert got == outcome(contexts._validate_vectors, p[None], atol)
+        assert got == outcome(numpy_validate_probability_set, ps, atol)

@@ -50,6 +50,35 @@ class TestNegativity:
             w = rng.dirichlet([0.5] * 4).reshape(2, 2)
             assert oq.negativity(w) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "w",
+        [
+            [[np.nan, 0.0], [0.0, 1.0]],
+            [[np.inf, -np.inf], [0.0, 1.0]],
+            [[np.inf, 0.0], [0.0, 1.0]],
+            [[0.5, 0.5], [-np.inf, 0.0]],
+        ],
+    )
+    def test_rejects_non_finite(self, w):
+        with pytest.raises(ValueError, match="finite"):
+            oq.negativity(w)
+
+    def test_overflowing_sum_is_named(self):
+        with pytest.raises(ValueError, match="sum to 1"):
+            oq.negativity([[1e308, 1e308], [0.0, 0.0]])
+
+    def test_bit_identical_to_numpy_expression(self):
+        rng = np.random.default_rng(31)
+        for i in range(1000):
+            if i % 2:
+                rho = random_density_matrix(rng)
+            else:
+                rho = qcore.make_pure_state(rng.uniform(0, np.pi), rng.uniform(0, 2 * np.pi))
+            q = oq.oq_distribution(contexts.context_table(rho))
+            assert q.negativity == float(0.5 * (np.abs(q.w) - q.w).sum())
+            assert oq.negativity(q.w) == q.negativity
+
 
 class TestOqDistribution:
     def test_depolarized(self):

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from oqlab import qcore
 
-from helpers import random_density_matrix
+from helpers import SPECIAL_FLOATS, outcome, random_density_matrix
 
 angles = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 
@@ -154,6 +154,100 @@ class TestValidation:
             stack = np.stack([qcore.IDENTITY / 2, rho, qcore.IDENTITY / 2]).astype(complex)
             with pytest.raises(ValueError, match=message):
                 qcore._validate_states(stack)
+
+
+def numpy_validate_state(rho):
+    """validate_state's decision and messages, computed on numpy arrays."""
+    rho = np.asarray(rho, dtype=complex)
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = np.abs(rho - rho.conj().T).max()
+        tr = rho[0, 0] + rho[1, 1]
+        trace_off = abs(tr - 1.0)
+        det = (rho[0, 0] * rho[1, 1] - rho[0, 1] * rho[1, 0]).real
+    if herm <= qcore.HERMITICITY_TOL and trace_off <= qcore.TRACE_TOL and det >= qcore._DET_FLOOR:
+        return rho
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix entries must be finite")
+    if herm > qcore.HERMITICITY_TOL:
+        raise ValueError("density matrix is not Hermitian")
+    if trace_off > qcore.TRACE_TOL:
+        raise ValueError(f"density matrix trace must be 1, got {tr}")
+    raise ValueError("density matrix must be positive semidefinite")
+
+
+@st.composite
+def adversarial_states(draw):
+    """Physical states; states off in trace, Hermiticity or determinant by
+    0.1x, 0.7x or 10x its tolerance; states with one special entry; and
+    arbitrary complex matrices."""
+    kind = draw(st.sampled_from(["physical", "special", "trace", "herm", "det", "raw"]))
+    if kind == "raw":
+        parts = draw(st.lists(st.floats(width=64), min_size=8, max_size=8))
+        rho = np.empty((2, 2), dtype=complex)
+        rho.real, rho.imag = np.reshape(parts[:4], (2, 2)), np.reshape(parts[4:], (2, 2))
+        return rho
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    x, y, z = draw(unit), draw(unit), draw(unit)
+    r = max(1.0, float(np.sqrt(x * x + y * y + z * z)))
+    rho = qcore.state_from_bloch(x / r, y / r, z / r)
+    # 0.7: an imaginary diagonal that fails Hermiticity (2|Im a|) but
+    # would pass the trace check on its own
+    scale = draw(st.sampled_from([-10.0, -0.7, -0.1, 0.1, 0.7, 10.0]))
+    if kind == "special":
+        i, j = draw(st.integers(0, 1)), draw(st.integers(0, 1))
+        value, entry = draw(st.sampled_from(SPECIAL_FLOATS)), rho[i, j]
+        rho[i, j] = complex(value, entry.imag) if draw(st.booleans()) else complex(entry.real, value)
+    elif kind == "trace":
+        rho[0, 0] += scale * qcore.TRACE_TOL
+    elif kind == "herm":
+        where = draw(st.sampled_from([(0, 0), (1, 1), (0, 1), (1, 0)]))
+        rho[where] += draw(st.sampled_from([1.0, 1j])) * scale * qcore.HERMITICITY_TOL
+    elif kind == "det":
+        # |b|^2 = a d - scale * |floor|, so det = scale * |floor| at unit trace
+        a = draw(st.floats(min_value=0.01, max_value=0.99))
+        phase = np.exp(1j * draw(st.floats(min_value=0.0, max_value=6.3)))
+        b = np.sqrt(a * (1.0 - a) - scale * abs(qcore.EIGENVALUE_FLOOR)) * phase
+        rho = np.array([[a, b], [np.conj(b), 1.0 - a]])
+    return rho
+
+
+@pytest.mark.filterwarnings("error")
+class TestScalarCheckParity:
+    """validate_state runs on Python scalars; the batched check and the
+    numpy form of the same conditions must agree with it on every input.
+    Any exception but ValueError (OverflowError, say) fails, as does any
+    warning."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(rho=adversarial_states())
+    def test_matches_batched_and_numpy_checks(self, rho):
+        got = outcome(qcore.validate_state, rho)
+        assert got == outcome(qcore._validate_states, rho[None])
+        assert got == outcome(numpy_validate_state, rho)
+
+    @pytest.mark.parametrize(
+        "rho",
+        [
+            np.array([[1e308, 1.5e308], [-1.5e308, 0.5]]),
+            np.array([[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]]),  # abs(b - conj c) overflows
+            np.array([[1e308 + 1e308j, 0.0], [0.0, 1e308 - 1e308j]]),
+            np.array([[1e154, 1e154], [1e154, 1e154]]),
+            np.array([[np.inf, 0.0], [0.0, -np.inf]]),
+            np.array([[0.5, np.nan], [np.nan, 0.5]]),
+            np.array([[0.5, complex(0.0, np.inf)], [complex(0.0, np.inf), 0.5]]),
+            np.array([[-0.0, 0.0], [-0.0, 1.0]]),
+            np.array([[1.0, -0.0], [0.0, -0.0]]),
+            np.diag([1.0 + 10 * qcore.TRACE_TOL, 0.0]),
+            np.array([[0.5 + 10j * qcore.HERMITICITY_TOL, 0.0], [0.0, 0.5]]),
+            np.array([[0.5, 0.0], [0.0, 0.5 + 0.7j * qcore.HERMITICITY_TOL]]),
+            np.diag([1.0 + 10e-12, -10e-12]),
+        ],
+    )
+    def test_adversarial_cases(self, rho):
+        rho = rho.astype(complex)
+        got = outcome(qcore.validate_state, rho)
+        assert got == outcome(qcore._validate_states, rho[None])
+        assert got == outcome(numpy_validate_state, rho)
 
 
 class TestWaveplates:
