@@ -415,14 +415,19 @@ def weakfield_run(
 # timing runs
 
 
+def _require_finite_positive(name: str, value: float):
+    """Reject a timing parameter that is not a finite number above 0."""
+    if not (0.0 < value < math.inf):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     """Coincidence output of an AND gate with the given window.
 
     Fires once per a-click that has a b-click within window_ns; the
     output time is the later of the two edges.
     """
-    if not (0.0 < window_ns < math.inf):
-        raise ValueError(f"window_ns must be finite and positive, got {window_ns}")
+    _require_finite_positive("window_ns", window_ns)
     ta, tb = a.times_ns, b.times_ns
     if ta.size == 0 or tb.size == 0:
         return ClickStream(np.empty(0), detector=f"{a.detector}&{b.detector}")
@@ -491,8 +496,7 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
       labelled unheralded, heralded with its signal detected in branch 0
       or 1, or heralded with its signal lost.
     """
-    if not (0.0 < duration_s < math.inf):
-        raise ValueError(f"duration_s must be finite and positive, got {duration_s}")
+    _require_finite_positive("duration_s", duration_s)
     det = det if det is not None else DetectorModel()
     rng = np.random.default_rng(seed)
     duration_ns = duration_s * NS_PER_S

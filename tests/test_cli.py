@@ -480,6 +480,24 @@ class TestG2:
         assert flag in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--max-delay", "1e12"], ["--bin-width", "1e-300"],
+         ["--bin-width", "1e-300", "--max-delay", "1e308"],
+         ["--bin-width", "1", "--max-delay", str(2**20 + 1)]],
+    )
+    def test_too_many_bins_is_data_error(self, tmp_path, capsys, monkeypatch, flags):
+        def no_clicks(*args, **kwargs):
+            raise AssertionError("clicks drawn before the histogram size was checked")
+
+        monkeypatch.setattr(cli, "generate_click_streams", no_clicks)
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--duration", "0.01", *flags, "--out", str(out)], capsys)
+        assert code == 3
+        assert "max_delay_ns / bin_width_ns" in err and str(2**20) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 def read_histogram(path):
     """(tau_ns, counts) rows of a g2 CSV."""

@@ -1,13 +1,18 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from oqlab import cli
+from oqlab import cli, correlation
 from oqlab.correlation import (
+    MAX_HALF_BINS,
     G2Histogram,
     _StartStopAccumulator,
+    _tally,
     dip_width,
     g2_zero,
     start_stop_histogram,
@@ -49,6 +54,15 @@ class TestHistogramStructure:
             start_stop_histogram(a, a, max_delay_ns=-1.0)
         with pytest.raises(ValueError, match="two bins"):
             start_stop_histogram(a, a, bin_width_ns=10.0, max_delay_ns=15.0)
+
+    def test_caps_the_bins_per_side(self):
+        acc = _StartStopAccumulator(1.0, float(MAX_HALF_BINS))
+        assert acc.histogram().counts.size == 2 * MAX_HALF_BINS
+        for bin_width, max_delay in [(1.0, MAX_HALF_BINS + 0.5), (0.5, 1e12),
+                                     (1e-300, 20.0), (1e-300, 1e308)]:
+            with pytest.raises(ValueError, match="max_delay_ns / bin_width_ns") as err:
+                _StartStopAccumulator(bin_width, max_delay)
+            assert str(MAX_HALF_BINS) in str(err.value)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("field", ["bin_width_ns", "max_delay_ns"])
@@ -134,6 +148,186 @@ class TestAccumulator:
         acc.histogram()
         with pytest.raises(ValueError, match="before"):
             acc.add(np.array([1e12]), np.array([1e12]))
+
+
+def forward_delays(a, b, max_delay_ns):
+    """Delay from each a-click to the next b-click, capped at max_delay_ns,
+    by one binary search per click: the reference for the merge tally."""
+    idx = np.searchsorted(b, a, side="right")
+    ok = idx < b.size
+    delays = b[idx[ok]] - a[ok]
+    return delays[delays <= max_delay_ns]
+
+
+def reference_delays(a, b, na, nb, max_delay_ns):
+    """The delays _tally must give, sorted: a[:na] to b, then b[:nb] to a negated."""
+    pos = forward_delays(a[:na], b, max_delay_ns)
+    neg = forward_delays(b[:nb], a, max_delay_ns)
+    return np.sort(np.concatenate([pos, -neg]))
+
+
+class ReferenceAccumulator(_StartStopAccumulator):
+    """The accumulator with each chunk tallied by two binary searches."""
+
+    def add(self, start_ns, stop_ns, end_ns=math.inf):
+        a = self._merge(self._held[0], start_ns)
+        b = self._merge(self._held[1], stop_ns)
+        self._horizon_ns = end_ns - self._guard_ns
+        cut = self._horizon_ns - self._max_delay_ns
+        na, nb = np.searchsorted(a, cut), np.searchsorted(b, cut)
+        pos = forward_delays(a[:na], b, self._max_delay_ns)
+        neg = forward_delays(b[:nb], a, self._max_delay_ns)
+        self._counts += np.histogram(np.concatenate([pos, -neg]), bins=self._edges)[0]
+        self._held = (a[na:].copy(), b[nb:].copy())
+
+
+def merge_ranks(first, second):
+    """Merged position less own rank of each click of first and of second,
+    in one stable merge that puts first's clicks first on ties."""
+    in_second = np.argsort(np.concatenate((first, second)), kind="stable") >= first.size
+    return (np.flatnonzero(~in_second) - np.arange(first.size),
+            np.flatnonzero(in_second) - np.arange(second.size))
+
+
+def wrong_next_clicks(start_first, stop_first):
+    """A _next_clicks that takes each side's indices from one merge with no
+    tie fix-up: the start clicks placed first on ties (the count of stop
+    clicks before them, searchsorted side "left") or last ("right"), and
+    likewise the stop clicks."""
+    def next_clicks(a, b, block_a, block_b):
+        sa, sb = a[block_a], b[block_b]
+        ia = merge_ranks(sa, sb)[0] if start_first else merge_ranks(sb, sa)[1]
+        ib = merge_ranks(sb, sa)[0] if stop_first else merge_ranks(sa, sb)[1]
+        return ia + block_b.start, ib + block_a.start
+    return next_clicks
+
+
+WRONG_MERGES = {
+    # a tie counted as delay 0 on both sides
+    "tie-as-zero": wrong_next_clicks(start_first=True, stop_first=True),
+    # start clicks with searchsorted side "left"
+    "start-side-left": wrong_next_clicks(start_first=True, stop_first=False),
+    # the right merge order without the stop-click tie fix-up
+    "no-tie-fixup": wrong_next_clicks(start_first=False, stop_first=True),
+}
+
+
+def tied_chunks(seed):
+    """jittered_chunks from -10 ns, rounded to a 0.25 ns grid: sorted chunk
+    feeds with clicks tied across the channels, repeated within one, before
+    0, and spilling across chunk boundaries."""
+    rng = np.random.default_rng(seed)
+    chunks = jittered_chunks([37.0, 0.0, 5.0, 180.0, 64.0, 2.5, 300.0], 0.8, 0.61, rng)
+    return [(start - 10.0, length, np.round(a * 4) / 4 - 10.0, np.round(b * 4) / 4 - 10.0)
+            for start, length, a, b in chunks]
+
+
+def assert_chunked_matches_reference(chunks, bin_width_ns=0.5, max_delay_ns=20.0, guard_ns=14.0):
+    """The accumulator and the reference, fed the same chunks, agree bin for bin."""
+    accs = [cls(bin_width_ns, max_delay_ns, guard_ns=guard_ns)
+            for cls in (_StartStopAccumulator, ReferenceAccumulator)]
+    for start, length, a, b in chunks:
+        for acc in accs:
+            acc.add(a, b, end_ns=start + length)
+    hist, ref = (acc.histogram() for acc in accs)
+    np.testing.assert_array_equal(hist.counts, ref.counts)
+    np.testing.assert_array_equal(hist.g2, ref.g2)
+    return int(ref.counts.sum())
+
+
+@st.composite
+def click_pair(draw, min_size=0, max_size=60):
+    """Two sorted channels on a 0.25 ns grid, from -5 ns on."""
+    grid = st.integers(-20, 160).map(lambda k: k * 0.25)
+    times = st.lists(grid, min_size=min_size, max_size=max_size)
+    return tuple(np.sort(np.array(draw(times), dtype=float)) for _ in range(2))
+
+
+class TestMergeTally:
+    """The merge tally against two binary searches per chunk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(pair=click_pair(min_size=1), cut=st.integers(-24, 170).map(lambda k: k * 0.25),
+           block=st.sampled_from([1, 2, 3, 5, 2**14]),
+           max_delay=st.sampled_from([0.5, 3.0, 20.0, 1e9]))
+    def test_delays_equal_binary_search(self, pair, cut, block, max_delay):
+        a, b = pair
+        na, nb = np.searchsorted(a, cut), np.searchsorted(b, cut)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlation, "MERGE_BLOCK", block)
+            got = np.sort(_tally(a, b, na, nb, max_delay))
+        np.testing.assert_array_equal(got, reference_delays(a, b, na, nb, max_delay))
+        assert not np.any(got == 0.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=click_pair(max_size=120),
+           cuts=st.lists(st.integers(-20, 170).map(lambda k: k * 0.25), max_size=6),
+           block=st.sampled_from([1, 4, 2**14]))
+    def test_chunked_feeds_equal_reference(self, pair, cuts, block):
+        # chunks split at grid times; a click on a split goes to the later chunk
+        a, b = pair
+        ends = sorted(set(cuts))
+        bounds = [-10.0, *ends, math.inf]
+        chunks = [
+            (lo, hi - lo, a[(a >= lo) & (a < hi)], b[(b >= lo) & (b < hi)])
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlation, "MERGE_BLOCK", block)
+            assert_chunked_matches_reference(chunks, bin_width_ns=0.25, max_delay_ns=6.0,
+                                             guard_ns=0.0)
+
+    @pytest.mark.parametrize("block", [7, 2**14])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_chunks_with_ties_equal_reference(self, seed, block, monkeypatch):
+        monkeypatch.setattr(correlation, "MERGE_BLOCK", block)
+        chunks = tied_chunks(seed)
+        a = np.concatenate([c[2] for c in chunks])
+        b = np.concatenate([c[3] for c in chunks])
+        # the streams have what the test is for
+        assert np.intersect1d(a, b).size > 20
+        assert np.unique(a).size < a.size and a.min() < 0.0
+        assert assert_chunked_matches_reference(chunks) > 200
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [([], []), ([], [1.0]), ([1.0], []), ([1.0], [1.0]), ([1.0], [2.0]),
+         ([2.0], [1.0]), ([-3.0, -3.0], [-3.0]), ([0.0, 0.0, 0.0], [0.0, 0.5, 0.5])],
+    )
+    def test_empty_and_one_click_channels(self, a, b):
+        # one chunk, as start_stop_histogram feeds it
+        a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+        assert_chunked_matches_reference([(0.0, math.inf, a, b)])
+
+    @pytest.mark.parametrize("merge", sorted(WRONG_MERGES))
+    def test_wrong_merges_fail(self, merge, monkeypatch):
+        monkeypatch.setattr(correlation, "_next_clicks", WRONG_MERGES[merge])
+        with pytest.raises(AssertionError):
+            assert_chunked_matches_reference(tied_chunks(0))
+
+    @pytest.mark.parametrize("held", [False, True], ids=["first-chunk", "with-held-clicks"])
+    def test_peak_memory_within_reference(self, held):
+        det = DetectorModel()
+        streams = [
+            generate_click_streams(SingleEmitter(), 0.05, det=det, seed=seed)
+            for seed in (1, 2)
+        ]
+        chunk_ns = 0.05 * NS_PER_S
+
+        def peak(cls):
+            acc = cls(0.5, 20.0, guard_ns=20.0 * det.timing_jitter_ns + 1.0)
+            if held:
+                acc.add(streams[0][0].times_ns, streams[0][1].times_ns, end_ns=chunk_ns)
+            a, b = (s.times_ns + held * chunk_ns for s in streams[1])
+            tracemalloc.start()
+            try:
+                acc.add(a, b, end_ns=(1 + held) * chunk_ns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert streams[1][0].times_ns.size > 40_000
+        assert peak(_StartStopAccumulator) <= 1.1 * peak(ReferenceAccumulator)
 
 
 class TestNormalization:

@@ -10,7 +10,7 @@ from scipy import stats
 
 from oqlab import qcore
 from oqlab.contexts import SETUPS, context_table, sequential_probs, single_probs
-from oqlab.correlation import start_stop_histogram
+from oqlab.correlation import _StartStopAccumulator, g2_zero, start_stop_histogram
 from oqlab.photonsim import (
     NS_PER_S,
     ClickStream,
@@ -644,6 +644,28 @@ class TestAndGate:
         for window in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="window_ns"):
                 and_gate(ClickStream(np.array([1.0])), ClickStream(np.array([1.0])), window)
+
+
+# every timing-layer entry point that takes a positive duration or width,
+# with the name its message gives
+TIMING_PARAMETERS = {
+    "and_gate": ("window_ns", lambda v: and_gate(ClickStream(np.array([1.0])),
+                                                 ClickStream(np.array([1.0])), v)),
+    "generate_click_streams": ("duration_s", lambda v: generate_click_streams(WeakCoherent(), v)),
+    "accumulator-bin-width": ("bin_width_ns", lambda v: _StartStopAccumulator(v, 20.0)),
+    "accumulator-max-delay": ("max_delay_ns", lambda v: _StartStopAccumulator(0.5, v)),
+    "g2_zero": ("window_ns", lambda v: g2_zero(start_stop_histogram(
+        ClickStream(np.array([1.0])), ClickStream(np.array([2.0]))), v)),
+}
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, -0.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("site", sorted(TIMING_PARAMETERS))
+def test_timing_parameters_share_one_message(site, value):
+    name, call = TIMING_PARAMETERS[site]
+    with pytest.raises(ValueError) as err:
+        call(value)
+    assert str(err.value) == f"{name} must be finite and positive, got {value}"
 
 
 def _thin(times, prob, rng):
