@@ -21,14 +21,13 @@ recorded alongside the result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .contexts import SETUPS, ProbabilitySet, _split, validate_setup
 from .oq import _quasi_rows, oq_distribution
-from .photonsim import CountTable, count_tables_from_csv, count_tables_to_csv
+from .photonsim import CountTable, _require_in_range, count_tables_from_csv, count_tables_to_csv
 
 COMPONENT_ERRORS = {
     "hwp": 0.011,
@@ -68,26 +67,29 @@ class ExperimentRecord:
             if req not in clean:
                 raise ValueError(f"record must contain setups {REQUIRED_SETUPS}, missing {req}")
         object.__setattr__(self, "tables", clean)
-        cal = tuple(float(c) for c in self.calibration)
-        if len(cal) != 4 or any(c <= 0 for c in cal):
+        cal = tuple(self.calibration)
+        if len(cal) != 4:
             raise ValueError("calibration must be four positive factors")
-        object.__setattr__(self, "calibration", cal)
+        for c in cal:
+            _require_in_range("calibration", c)
+        # no calibrated cell or table sum, resampled or not, exceeds this
+        if max(cal) * max(table.total for table in clean.values()) == float("inf"):
+            raise ValueError(f"calibration overflows the calibrated counts, got {cal}")
+        object.__setattr__(self, "calibration", tuple(float(c) for c in cal))
         object.__setattr__(self, "flags", tuple(self.flags))
 
 
-def _check_mode(mode):
-    if mode not in ("rss", "sum"):
-        raise ValueError(f"mode must be 'rss' or 'sum', got {mode!r}")
+def _check_mode(mode, choices=("rss", "sum")):
+    if mode not in choices:
+        raise ValueError(f"mode must be {' or '.join(map(repr, choices))}, got {mode!r}")
 
 
 def _components(components) -> tuple:
     """Components as checked (name, relative_error, times_used) triples."""
     comps = tuple((str(n), float(e), int(t)) for n, e, t in components)
     for name, err, times in comps:
-        if not (0.0 <= err < 1.0):
-            raise ValueError(f"{name}: relative error must lie in [0, 1)")
-        if times < 0:
-            raise ValueError(f"{name}: times used must be nonnegative")
+        _require_in_range(f"{name}: relative error", err, 1.0, zero_ok=True)
+        _require_in_range(f"{name}: times used", times, zero_ok=True)
     return comps
 
 
@@ -110,9 +112,7 @@ class ErrorBudget:
     def __post_init__(self):
         _check_mode(self.mode)
         for label in ("total_error", "statistical_error", "systematic_error"):
-            value = getattr(self, label)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{label} must be finite and nonnegative, got {value!r}")
+            _require_in_range(label, getattr(self, label), zero_ok=True)
         comps = _components(self.component_errors)
         object.__setattr__(self, "component_errors", comps)
         for name, err, times in comps:
@@ -185,8 +185,7 @@ def estimate_probs(rec: ExperimentRecord, mode: str = "lab") -> ProbabilitySet:
     probabilities always come from the a1 = 0 row of the (0,1) table,
     which is where photons land with the first splitter removed.
     """
-    if mode not in ("lab", "strict"):
-        raise ValueError(f"mode must be 'lab' or 'strict', got {mode!r}")
+    _check_mode(mode, ("lab", "strict"))
     joint_cal = _calibrated(_require(rec, (1, 1)), rec.calibration)
     row = _calibrated(_require(rec, (0, 1)), rec.calibration)[0]
     if row.sum() <= 0:
@@ -267,8 +266,7 @@ def bootstrap_negativity_error(
     """
     if n_boot < 2:
         raise ValueError("n_boot must be at least 2")
-    if mode not in ("lab", "strict"):
-        raise ValueError(f"mode must be 'lab' or 'strict', got {mode!r}")
+    _check_mode(mode, ("lab", "strict"))
     setups = REQUIRED_SETUPS + ((1, 0),) if mode == "strict" else REQUIRED_SETUPS
     tables = [rec.tables.get(setup) for setup in setups]
     if any(table is None or table.total <= 0 for table in tables):

@@ -10,11 +10,17 @@ weak-field scan point draws from its own seed, spawned from the master
 seed by its grid position.
 
 Exit codes: 0 success, 2 usage, 3 malformed or degenerate data, 4 I/O.
+A data error names an entry of a config file or count CSV as 'path: line
+N: <field> ...' and a flag as typed (the pulse, photon and bootstrap counts
+by their library names). Every number from a flag or config file passes
+photonsim's one range check, so NaN, infinities and values out of range,
+such as a non-finite --calibration factor, exit 3 and write nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -33,7 +39,7 @@ from .analysis import (
 )
 from .contexts import SETUPS, _probabilities, context_table
 from .correlation import _StartStopAccumulator, g2_zero, g2_zero_error
-from .oq import Quasiprobability, _quasi_rows, oq_distribution
+from .oq import _quasi_rows, oq_distribution
 from .photonsim import (
     NS_PER_S,
     SCHEMA_VERSION,
@@ -42,6 +48,7 @@ from .photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
+    _require_in_range,
     _weakfield_counts,
     count_tables_from_csv,
     count_tables_to_csv,
@@ -110,21 +117,26 @@ def load_config(path):
     return entries
 
 
+def _configured(path, entries, base, what: str):
+    """base with each config entry applied by its own dataclasses.replace,
+    so a bad value is reported as 'path: line N: <field> ...' (no field's
+    range depends on another's)."""
+    fields = {f.name for f in dataclasses.fields(base)}
+    for key, (value, lineno) in entries.items():
+        if key not in fields:
+            raise ValueError(f"{path}: line {lineno}: unknown {what} parameter '{key}'")
+        try:
+            base = dataclasses.replace(base, **{key: value})
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    return base
+
+
 def resolve_detector(name_or_path: str) -> DetectorModel:
     """Build a DetectorModel from a builtin name or a config file path."""
     if name_or_path in BUILTIN_DETECTORS:
         return BUILTIN_DETECTORS[name_or_path]()
-    entries = load_config(name_or_path)
-    valid = set(DetectorModel.__dataclass_fields__)
-    kwargs = {}
-    for key, (value, lineno) in entries.items():
-        if key not in valid:
-            raise ValueError(f"{name_or_path}: line {lineno}: unknown detector parameter '{key}'")
-        kwargs[key] = value
-    try:
-        return DetectorModel(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{name_or_path}: {exc}") from None
+    return _configured(name_or_path, load_config(name_or_path), DetectorModel(), "detector")
 
 
 def resolve_source(name_or_path: str):
@@ -140,17 +152,23 @@ def resolve_source(name_or_path: str):
             f"{name_or_path}: line {kind_line}: unknown source kind '{kind}' "
             f"(expected one of {sorted(SOURCE_KINDS)})"
         )
-    cls = SOURCE_KINDS[kind]
-    valid = set(cls.__dataclass_fields__)
-    kwargs = {}
-    for key, (value, lineno) in entries.items():
-        if key not in valid:
-            raise ValueError(f"{name_or_path}: line {lineno}: unknown {kind} parameter '{key}'")
-        kwargs[key] = value
+    return _configured(name_or_path, entries, SOURCE_KINDS[kind](), kind)
+
+
+def _flag_values(flag: str, text: str, convert=float, four=False, zero_ok=False) -> list:
+    """The comma-separated numbers of a flag, four of them if four, each
+    finite and above 0 (at least 0 with zero_ok); errors name the flag."""
+    parts = text.split(",")
+    if four and len(parts) != 4:
+        raise ValueError(f"{flag} must be four comma-separated values, got '{text}'")
     try:
-        return cls(**kwargs)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{name_or_path}: {exc}") from None
+        values = [convert(p) for p in parts]
+    except ValueError:
+        kind = "integers" if convert is int else "numbers"
+        raise ValueError(f"{flag} must be comma-separated {kind}, got '{text}'") from None
+    for value in values:
+        _require_in_range(flag, value, zero_ok=zero_ok)
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +235,6 @@ def _write_table(path, header: str, table, chunk: int = 1024):
 def cmd_predict(args) -> dict:
     theta = math.radians(args.theta)
     phi = math.radians(args.phi)
-    if not (math.isfinite(theta) and math.isfinite(phi)):
-        raise ValueError("theta and phi must be finite")
     q = oq_distribution(context_table(qcore.make_pure_state(theta, phi)))
     return _quasi_payload(q, args.theta, args.phi)
 
@@ -313,24 +329,9 @@ def _weak_field_batch(thetas_deg, means, pulses, det, seed_seqs):
     return raw, corrected, exact
 
 
-def _weak_field_point(theta_deg, mean, pulses, det, seed_seq):
-    """One weak-field scan point: runs of setups (1, 1) and (0, 1).
-
-    Returns (uncorrected negativity, dark-corrected Quasiprobability,
-    exact negativity); the one-point case of _weak_field_batch.
-    """
-    raw, (w, neg, nsit, aot), exact = _weak_field_batch(
-        [theta_deg], [mean], pulses, det, [seed_seq]
-    )
-    q_corr = Quasiprobability(w=w[0], negativity=float(neg[0]), nsit_dev=nsit[0], aot_dev=aot[0])
-    return float(raw[0]), q_corr, float(exact[0])
-
-
 def _scan_rows_weak_field(args):
     det = resolve_detector(args.det)
-    means = [float(m) for m in args.means.split(",")]
-    if not all(0.0 < m < math.inf for m in means):
-        raise ValueError("means must be finite positive numbers")
+    means = _flag_values("--means", args.means)
     header = (
         "theta_deg,mean_photons,w00,w01,w10,w11,"
         "negativity_exact,negativity_uncorrected,negativity_corrected"
@@ -345,17 +346,10 @@ def _scan_rows_weak_field(args):
     return header, np.column_stack((theta, mean, w.reshape(-1, 4), exact, raw, corrected))
 
 
-def _require_positive(*flags):
-    """Reject any (flag, value) pair whose value is not a finite number above 0."""
-    for flag, value in flags:
-        if not (0.0 < value < math.inf):
-            raise ValueError(f"{flag} must be a finite number above 0, got {value}")
-
-
 def cmd_scan(args) -> str:
-    _require_positive(("--theta-step", args.theta_step), ("--phi-step", args.phi_step))
-    if args.alpha_steps < 1:
-        raise ValueError(f"--alpha-steps must be at least 1, got {args.alpha_steps}")
+    _require_in_range("--theta-step", args.theta_step)
+    _require_in_range("--phi-step", args.phi_step)
+    _require_in_range("--alpha-steps", args.alpha_steps)
     builders = {
         "pure-grid": _scan_rows_pure_grid,
         "bloch-disk": _scan_rows_bloch_disk,
@@ -377,6 +371,11 @@ def cmd_simulate(args) -> dict:
         setup: simulate_counts(rho, setup, args.photons, det=det, seed=seed)
         for setup, seed in zip(SETUPS, seeds)
     }
+    rec = ExperimentRecord(
+        tables=tables, theta_deg=args.theta, phi_deg=args.phi, source="simulated"
+    )
+    # analysed before any file is written, so a run it rejects leaves none
+    q, budget = analyze(rec, error_mode=args.error_mode, seed=master.spawn(1)[0])
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {}
     for setup, table in tables.items():
@@ -384,11 +383,6 @@ def cmd_simulate(args) -> dict:
         path = os.path.join(args.out_dir, name)
         count_tables_to_csv([table], path)
         paths[setup] = path
-
-    rec = ExperimentRecord(
-        tables=tables, theta_deg=args.theta, phi_deg=args.phi, source="simulated"
-    )
-    q, budget = analyze(rec, error_mode=args.error_mode, seed=master.spawn(1)[0])
     payload = _quasi_payload(q, args.theta, args.phi)
     payload["seed"] = args.seed
     payload["n_photons"] = args.photons
@@ -417,20 +411,22 @@ def _g2_chunks(duration_s):
 
 
 def cmd_g2(args) -> dict:
-    # checked before the run, so a bad histogram flag costs no click streams
-    _require_positive(
-        ("--duration", args.duration),
-        ("--bin-width", args.bin_width),
-        ("--max-delay", args.max_delay),
-        *([("--window", args.window)] if args.window is not None else []),
-    )
+    # every flag is checked before the run, so a bad one costs no click streams
+    _require_in_range("--duration", args.duration)
+    if args.window is not None:
+        _require_in_range("--window", args.window)
     det = resolve_detector(args.det)
     src = resolve_source(args.source)
     # numpy's normal draws never leave about 14 sigma, so no jittered click
     # of a chunk lands more than 20 sigma + 1 ns before the chunk's start
-    acc = _StartStopAccumulator(
-        args.bin_width, args.max_delay, guard_ns=20.0 * det.timing_jitter_ns + 1.0
-    )
+    try:
+        acc = _StartStopAccumulator(
+            args.bin_width, args.max_delay, guard_ns=20.0 * det.timing_jitter_ns + 1.0
+        )
+    except ValueError as exc:
+        # the accumulator's checks of the histogram flags, under the flags' names
+        message = str(exc).replace("max_delay_ns", "--max-delay")
+        raise ValueError(message.replace("bin_width_ns", "--bin-width")) from None
     # each chunk restarts the source at its start, seeded by its index the
     # way the weak-field scan seeds each grid point
     for k, (start_s, length_s) in enumerate(_g2_chunks(args.duration)):
@@ -467,16 +463,6 @@ def cmd_g2(args) -> dict:
     }
 
 
-def _parse_four_ints(text: str, what: str):
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise ValueError(f"{what} must be four comma-separated values")
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise ValueError(f"{what} must be integers, got '{text}'") from None
-
-
 def cmd_analyze(args) -> dict:
     tables = {}
     for path in args.inputs:
@@ -484,18 +470,11 @@ def cmd_analyze(args) -> dict:
             if setup in tables:
                 raise ValueError(f"{path}: setup {setup} appears in more than one input")
             tables[setup] = table
-    calibration = (1.0, 1.0, 1.0, 1.0)
-    if args.calibration is not None:
-        parts = args.calibration.split(",")
-        if len(parts) != 4:
-            raise ValueError("calibration must be four comma-separated factors")
-        try:
-            calibration = tuple(float(p) for p in parts)
-        except ValueError:
-            raise ValueError(f"calibration must be numbers, got '{args.calibration}'") from None
+    calibration = _flag_values("--calibration", args.calibration, four=True)
     rec = ExperimentRecord(tables=tables, calibration=calibration, source="file")
     if args.dark_counts is not None:
-        rec = dark_count_correction(rec, _parse_four_ints(args.dark_counts, "dark counts"))
+        darks = _flag_values("--dark-counts", args.dark_counts, int, four=True, zero_ok=True)
+        rec = dark_count_correction(rec, darks)
     q, budget = analyze(
         rec, mode=args.mode, error_mode=args.error_mode, n_boot=args.bootstrap, seed=args.seed
     )
@@ -568,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["lab", "strict"], default="lab")
     p.add_argument("--dark-counts", default=None,
                    help="per-detector dark counts to subtract, four comma-separated integers")
-    p.add_argument("--calibration", default=None,
+    p.add_argument("--calibration", default="1,1,1,1",
                    help="per-detector calibration factors, four comma-separated numbers")
     p.add_argument("--error-mode", choices=["rss", "sum"], default="rss")
     p.add_argument("--bootstrap", type=int, default=200,
@@ -654,6 +633,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
+        if "seed" in args:
+            _require_in_range("--seed", args.seed, zero_ok=True)
         args.func(args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

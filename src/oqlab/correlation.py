@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photonsim import ClickStream, _require_finite_positive
+from .photonsim import ClickStream, _require_in_range
 
 TAIL_FRACTION = 0.8
 
@@ -151,8 +151,8 @@ class _StartStopAccumulator:
     """
 
     def __init__(self, bin_width_ns: float, max_delay_ns: float, guard_ns: float = 0.0):
-        _require_finite_positive("bin_width_ns", bin_width_ns)
-        _require_finite_positive("max_delay_ns", max_delay_ns)
+        _require_in_range("bin_width_ns", bin_width_ns)
+        _require_in_range("max_delay_ns", max_delay_ns)
         if max_delay_ns < 2 * bin_width_ns:
             raise ValueError("max_delay_ns must span at least two bins")
         if max_delay_ns / bin_width_ns > MAX_HALF_BINS:
@@ -234,7 +234,7 @@ def start_stop_histogram(
 
 def _window(hist: G2Histogram, window_ns: float) -> np.ndarray:
     """Mask of the bins with |tau| <= window_ns / 2."""
-    _require_finite_positive("window_ns", window_ns)
+    _require_in_range("window_ns", window_ns)
     sel = np.abs(hist.tau_ns) <= window_ns / 2 + 1e-9
     if not np.any(sel):
         raise ValueError("window_ns is narrower than one histogram bin")

@@ -58,6 +58,27 @@ NS_PER_S = 1.0e9
 # parameter bundles
 
 
+def _require_in_range(name: str, value, high: float = math.inf, *, zero_ok=False, high_ok=False):
+    """Reject a number from outside that is not finite and in range.
+
+    The range runs from 0 to high, each end excluded unless zero_ok or
+    high_ok. NaN, infinities and values that do not compare with numbers,
+    such as a string from a config file, fail with a message that names
+    name, value and the range.
+    """
+    try:
+        above = 0.0 <= value if zero_ok else 0.0 < value
+        if above and (value <= high if high_ok else value < high):
+            return
+    except TypeError:
+        pass
+    if high < math.inf:
+        rule = f"lie in {'[' if zero_ok else '('}0, {high:g}{']' if high_ok else ')'}"
+    else:
+        rule = f"be finite and {'nonnegative' if zero_ok else 'positive'}"
+    raise ValueError(f"{name} must {rule}, got {value}")
+
+
 @dataclass(frozen=True)
 class DetectorModel:
     """Optics and detection imperfections, defaults at the bench values.
@@ -87,25 +108,23 @@ class DetectorModel:
     pulse_window_ns: float = 125.0
 
     def __post_init__(self):
-        eff = tuple(float(e) for e in self.efficiency)
-        if len(eff) != 4 or any(not (0.0 < e <= 1.0) for e in eff):
-            raise ValueError("efficiency must be four values in (0, 1]")
-        object.__setattr__(self, "efficiency", eff)
+        eff = np.atleast_1d(self.efficiency)
+        if eff.shape != (4,):
+            raise ValueError(f"efficiency must be four values in (0, 1], got {self.efficiency}")
+        for e in eff:
+            _require_in_range("efficiency", e, 1.0, high_ok=True)
+        object.__setattr__(self, "efficiency", tuple(float(e) for e in eff))
         for name in ("pbs_reflect_leak", "pbs_transmit_leak"):
-            v = getattr(self, name)
-            if not (0.0 <= v < 0.5):
-                raise ValueError(f"{name} must lie in [0, 0.5), got {v}")
+            _require_in_range(name, getattr(self, name), 0.5, zero_ok=True)
         for name in (
             "dark_rate_hz",
             "waveplate_angle_error_deg",
             "timing_jitter_ns",
             "integration_time_s",
         ):
-            if not (0.0 <= getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be nonnegative")
+            _require_in_range(name, getattr(self, name), zero_ok=True)
         for name in ("coincidence_window_ns", "pulse_window_ns"):
-            if not (0.0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be positive")
+            _require_in_range(name, getattr(self, name))
 
     @classmethod
     def ideal(cls, **overrides) -> "DetectorModel":
@@ -129,8 +148,8 @@ class WeakCoherent:
     pulse_rate_hz: float = 3.8e6
 
     def __post_init__(self):
-        if not all(0.0 <= v < math.inf for v in (self.mean_photons_per_pulse, self.pulse_rate_hz)):
-            raise ValueError("weak coherent parameters must be nonnegative")
+        _require_in_range("mean_photons_per_pulse", self.mean_photons_per_pulse, zero_ok=True)
+        _require_in_range("pulse_rate_hz", self.pulse_rate_hz, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -147,10 +166,8 @@ class SingleEmitter:
     excitation_rate_hz: float = 2.0e6
 
     def __post_init__(self):
-        if not (0.0 <= self.excited_lifetime_ns < math.inf):
-            raise ValueError("excited_lifetime_ns must be finite and nonnegative")
-        if not (0.0 < self.excitation_rate_hz < math.inf):
-            raise ValueError("excitation_rate_hz must be finite and positive")
+        _require_in_range("excited_lifetime_ns", self.excited_lifetime_ns, zero_ok=True)
+        _require_in_range("excitation_rate_hz", self.excitation_rate_hz)
 
 
 @dataclass(frozen=True)
@@ -168,10 +185,10 @@ class HeraldedSPDC:
     herald_efficiency: float = 0.8
 
     def __post_init__(self):
-        if not (0.0 <= self.pair_rate_hz < math.inf):
-            raise ValueError("pair_rate_hz must be finite and nonnegative")
-        if not (0.0 <= self.herald_efficiency <= 1.0):
-            raise ValueError("herald_efficiency must lie in [0, 1]")
+        _require_in_range("pair_rate_hz", self.pair_rate_hz, zero_ok=True)
+        _require_in_range(
+            "herald_efficiency", self.herald_efficiency, 1.0, zero_ok=True, high_ok=True
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +344,8 @@ def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None
     the detector model; dark counts accumulate over the integration
     window. Reproducible for a fixed seed.
     """
-    if n_photons < 1:
-        raise ValueError("n_photons must be at least 1")
+    if not 1 <= n_photons < 2**63:
+        raise ValueError(f"n_photons must lie in [1, 2**63), got {n_photons}")
     det = det if det is not None else DetectorModel()
     rng = np.random.default_rng(seed)
     mis = _draw_misalignment(det, rng)
@@ -415,19 +432,13 @@ def weakfield_run(
 # timing runs
 
 
-def _require_finite_positive(name: str, value: float):
-    """Reject a timing parameter that is not a finite number above 0."""
-    if not (0.0 < value < math.inf):
-        raise ValueError(f"{name} must be finite and positive, got {value}")
-
-
 def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     """Coincidence output of an AND gate with the given window.
 
     Fires once per a-click that has a b-click within window_ns; the
     output time is the later of the two edges.
     """
-    _require_finite_positive("window_ns", window_ns)
+    _require_in_range("window_ns", window_ns)
     ta, tb = a.times_ns, b.times_ns
     if ta.size == 0 or tb.size == 0:
         return ClickStream(np.empty(0), detector=f"{a.detector}&{b.detector}")
@@ -474,10 +485,13 @@ def _renewal_times(dead_ns: float, rate_hz: float, duration_ns: float, rng):
     mean_exp_ns = NS_PER_S / rate_hz
     expect = duration_ns / (dead_ns + mean_exp_ns)
     gaps = rng.exponential(mean_exp_ns, size=int(expect * 1.2 + 100))
-    times = np.cumsum(np.add(gaps, dead_ns, out=gaps), out=gaps)
-    while times.size and times[-1] < duration_ns:
-        more = dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 0.2 + 100))
-        times = np.concatenate([times, times[-1] + np.cumsum(more)])
+    # with a dead time near the float limit the times add up to inf, which
+    # is past duration_ns like any other late time
+    with np.errstate(over="ignore"):
+        times = np.cumsum(np.add(gaps, dead_ns, out=gaps), out=gaps)
+        while times.size and times[-1] < duration_ns:
+            more = dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 0.2 + 100))
+            times = np.concatenate([times, times[-1] + np.cumsum(more)])
     return times[:np.searchsorted(times, duration_ns)]
 
 
@@ -496,7 +510,7 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
       labelled unheralded, heralded with its signal detected in branch 0
       or 1, or heralded with its signal lost.
     """
-    _require_finite_positive("duration_s", duration_s)
+    _require_in_range("duration_s", duration_s)
     det = det if det is not None else DetectorModel()
     rng = np.random.default_rng(seed)
     duration_ns = duration_s * NS_PER_S
@@ -557,7 +571,7 @@ def count_tables_from_csv(path):
 
     Raises ValueError with the offending line number on malformed rows.
     """
-    acc: dict[tuple, np.ndarray] = {}
+    acc: dict[tuple, list] = {}
     seen_header = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -582,14 +596,18 @@ def count_tables_from_csv(path):
                 raise ValueError(f"{path}: line {lineno}: setup or outcome bits out of range")
             if value < 0:
                 raise ValueError(f"{path}: line {lineno}: negative count")
-            acc.setdefault((n1, n2), np.zeros((2, 2), dtype=np.int64))[a1, a2] += value
+            # Python ints, so a sum beyond int64 is caught, not wrapped
+            cells = acc.setdefault((n1, n2), [0, 0, 0, 0])
+            cells[2 * a1 + a2] += value
+            if sum(cells) >= 2**63:
+                raise ValueError(f"{path}: line {lineno}: setup {(n1, n2)} counts reach 2**63")
     if not seen_header:
         raise ValueError(f"{path}: line 1: empty file, expected header '{COUNT_CSV_HEADER}'")
     if not acc:
         raise ValueError(f"{path}: no data rows found")
     return {
-        setup: CountTable(setup=setup, counts=counts, total=int(counts.sum()))
-        for setup, counts in sorted(acc.items())
+        setup: CountTable(setup=setup, counts=np.reshape(cells, (2, 2)), total=sum(cells))
+        for setup, cells in sorted(acc.items())
     }
 
 

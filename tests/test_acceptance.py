@@ -206,22 +206,23 @@ def test_criterion_07_weak_field_dark_count_correction():
     det = DetectorModel.ideal(dark_rate_hz=1.0e3)
     pulses = 1_000_000
 
-    raw, corr, _ = cli._weak_field_point(
-        45.0, 6e-3, pulses, det, np.random.SeedSequence(20, spawn_key=(0,))
-    )
-    assert corr.negativity > raw
-
-    for i, theta in enumerate([44.0, 45.0]):
-        raw, _, _ = cli._weak_field_point(
-            theta, 0.1, pulses, det, np.random.SeedSequence(21, spawn_key=(i,))
+    def points(thetas, mean, seed):
+        # (raw, dark-corrected, exact) negativity per theta, point i seeded
+        # by spawn key (i,)
+        seqs = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(len(thetas))]
+        raw, (_, corr, _, _), exact = cli._weak_field_batch(
+            thetas, [mean] * len(thetas), pulses, det, seqs
         )
-        assert raw >= 0.09
+        return raw, corr, exact
 
-    for i, theta in enumerate([0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0]):
-        _, corr, exact = cli._weak_field_point(
-            theta, 6e-3, pulses, det, np.random.SeedSequence(22, spawn_key=(i,))
-        )
-        assert abs(corr.negativity - exact) <= 0.02
+    raw, corr, _ = points([45.0], 6e-3, 20)
+    assert corr[0] > raw[0]
+
+    raw, _, _ = points([44.0, 45.0], 0.1, 21)
+    assert np.all(raw >= 0.09)
+
+    _, corr, exact = points([0.0, 15.0, 30.0, 45.0, 60.0, 75.0, 90.0], 6e-3, 22)
+    assert np.all(np.abs(corr - exact) <= 0.02)
 
     elapsed = time.perf_counter() - t0
     assert elapsed < budget

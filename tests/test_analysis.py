@@ -86,6 +86,12 @@ class TestExperimentRecord:
             ExperimentRecord(tables=tables, calibration=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError, match="calibration"):
             ExperimentRecord(tables=tables, calibration=(1.0, 0.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="calibration overflows the calibrated counts"):
+            ExperimentRecord(tables=tables, calibration=(1.0, 1e308, 1.0, 1.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            message = f"calibration must be finite and positive, got {bad}"
+            with pytest.raises(ValueError, match=message):
+                ExperimentRecord(tables=tables, calibration=(1.0, 1.0, bad, 1.0))
 
 
 class TestEstimateProbs:

@@ -1,16 +1,22 @@
 """Command-line interface: argument handling, file formats, exit codes."""
 
+import contextlib
+import dataclasses
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oqlab
 from oqlab import cli, qcore
@@ -178,7 +184,7 @@ class TestScanBatchMatchesScalar:
 
 
 def per_run_weak_field_point(theta_deg, mean, pulses, det, seed_seq):
-    """Reference for cli._weak_field_point that analyses each point on its own.
+    """Reference for one point of cli._weak_field_batch, analysed on its own.
 
     Two weakfield_run tables, analyze on the raw record, then
     dark_count_correction and analyze again, as the scan did point by
@@ -249,8 +255,10 @@ class TestScanWeakField:
         for i, theta in enumerate(np.arange(0.0, 90.0 + 1e-9, 15.0)):
             for j, mean in enumerate([0.001, 0.006, 0.1]):
                 seq = np.random.SeedSequence(11, spawn_key=(i, j))
-                raw, corr, exact = cli._weak_field_point(float(theta), mean, 200_000, det, seq)
-                expected.append([theta, mean, *corr.w.ravel(), exact, raw, corr.negativity])
+                raw, (w, corr, _, _), exact = cli._weak_field_batch(
+                    [float(theta)], [mean], 200_000, det, [seq]
+                )
+                expected.append([theta, mean, *w[0].ravel(), exact[0], raw[0], corr[0]])
         rows, expected = np.array(rows), np.array(expected)
         assert rows.shape == expected.shape == (21, 9)
         np.testing.assert_array_equal(rows[:, :2], expected[:, :2])
@@ -386,6 +394,17 @@ class TestSimulate:
         payload = cli.cmd_analyze(args)
         assert payload["negativity"] == pytest.approx(report["negativity"], abs=1e-9)
 
+    def test_rejected_run_writes_no_file(self, tmp_path, capsys):
+        # no dark counts and photons all but certainly lost: the (1, 1)
+        # table is empty, which the analysis rejects
+        det = tmp_path / "det.cfg"
+        det.write_text("dark_rate_hz = 0\nefficiency = 1e-9, 1e-9, 1e-9, 1e-9\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(["simulate", "--theta", "45", "--photons", "10", "--det", str(det),
+                                "--out-dir", str(out_dir)], capsys)
+        assert (code, err) == (3, "error: setup (1, 1): table holds no counts\n")
+        assert not out_dir.exists()
+
     def test_out_dir_collision_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
@@ -480,6 +499,13 @@ class TestG2:
         assert flag in err
         assert not out.exists()
 
+    def test_too_few_bins_names_the_flags(self, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--bin-width", "10", "--max-delay", "15",
+                                "--out", str(out)], capsys)
+        assert (code, err) == (3, "error: --max-delay must span at least two bins\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags",
         [["--max-delay", "1e12"], ["--bin-width", "1e-300"],
@@ -494,7 +520,7 @@ class TestG2:
         out = tmp_path / "hist.csv"
         code, _, err = run_cli(["g2", "--duration", "0.01", *flags, "--out", str(out)], capsys)
         assert code == 3
-        assert "max_delay_ns / bin_width_ns" in err and str(2**20) in err
+        assert "--max-delay / --bin-width" in err and str(2**20) in err
         assert "Traceback" not in err
         assert not out.exists()
 
@@ -633,6 +659,25 @@ class TestAnalyze:
         assert "four" in err
         code, _, err = run_cli(["analyze", *inputs, "--dark-counts", "1,2,3,x"], capsys)
         assert code == 3
+        assert err == "error: --dark-counts must be comma-separated integers, got '1,2,3,x'\n"
+        code, _, err = run_cli(["analyze", *inputs, "--dark-counts=1,-2,3,4"], capsys)
+        assert code == 3
+        assert err == "error: --dark-counts must be finite and nonnegative, got -2\n"
+
+    @pytest.mark.parametrize("calibration", ["nan,1,1,1", "1,inf,1,1", "1,1,1,0"])
+    def test_calibration_must_be_finite_and_positive(self, tmp_path, capsys, calibration):
+        out_dir = self.make_run(tmp_path, capsys)
+        inputs = [os.path.join(out_dir, "counts_11.csv"), os.path.join(out_dir, "counts_01.csv")]
+        report = tmp_path / "report.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                ["analyze", *inputs, "--calibration", calibration, "--out", str(report)], capsys
+            )
+        assert (code, out) == (3, "")
+        bad = next(v for v in calibration.split(",") if v != "1")
+        assert err == f"error: --calibration must be finite and positive, got {float(bad)}\n"
+        assert not report.exists()
 
     def test_duplicate_setup_across_files_is_data_error(self, tmp_path, capsys):
         out_dir = self.make_run(tmp_path, capsys)
@@ -657,6 +702,20 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", str(bad)], capsys)
         assert code == 3
         assert "line 3" in err
+
+
+# a detector config line and the message its error ends with
+DETECTOR_CONFIG_ERRORS = {
+    "dark_rate_hz = nan": "dark_rate_hz must be finite and nonnegative, got nan",
+    "dark_rate_hz = inf": "dark_rate_hz must be finite and nonnegative, got inf",
+    "dark_rate_hz = abc": "dark_rate_hz must be finite and nonnegative, got abc",
+    "efficiency = 1": "efficiency must be four values in (0, 1], got 1.0",
+    "timing_jitter_ns = abc": "timing_jitter_ns must be finite and nonnegative, got abc",
+    "pulse_window_ns = 1,2": "pulse_window_ns must be finite and positive, got (1.0, 2.0)",
+    "pbs_reflect_leak = 0.5": "pbs_reflect_leak must lie in [0, 0.5), got 0.5",
+    "efficiency = 1, 1, 1": "efficiency must be four values in (0, 1], got (1.0, 1.0, 1.0)",
+    "efficiency = 1, 1, nan, 1": "efficiency must lie in (0, 1], got nan",
+}
 
 
 class TestConfigs:
@@ -730,26 +789,40 @@ class TestConfigs:
             ("mean_photons_per_pulse = 0.05\n", "missing required key 'kind'"),
             ("kind = laser\n", "unknown source kind"),
             ("kind = single-emitter\npair_rate_hz = 1\n", "unknown single-emitter parameter"),
+            ("kind = single-emitter\nexcited_lifetime_ns = 1,2\n",
+             "src.cfg: line 2: excited_lifetime_ns must be finite and nonnegative, got (1.0, 2.0)"),
+            ("kind = weak-coherent\n\nmean_photons_per_pulse = nan\n",
+             "src.cfg: line 3: mean_photons_per_pulse must be finite and nonnegative, got nan"),
+            ("kind = single-emitter\nexcitation_rate_hz = abc\n",
+             "src.cfg: line 2: excitation_rate_hz must be finite and positive, got abc"),
+            ("kind = heralded-spdc\nherald_efficiency = 2\n",
+             "src.cfg: line 2: herald_efficiency must lie in [0, 1], got 2.0"),
         ],
     )
-    def test_source_config_errors(self, tmp_path, content, fragment):
+    def test_source_config_errors(self, tmp_path, capsys, content, fragment):
         path = tmp_path / "src.cfg"
         path.write_text(content)
-        with pytest.raises(ValueError, match=fragment):
+        with pytest.raises(ValueError, match=re.escape(fragment)):
             cli.resolve_source(str(path))
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(
+            ["g2", "--source", str(path), "--duration", "0.01", "--out", str(out)], capsys
+        )
+        assert code == 3
+        assert fragment in err
+        assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "line", ["dark_rate_hz = nan", "dark_rate_hz = inf", "dark_rate_hz = abc", "efficiency = 1"]
-    )
+    @pytest.mark.parametrize("line", list(DETECTOR_CONFIG_ERRORS))
     def test_detector_config_unusable_value_is_data_error(self, tmp_path, capsys, line):
+        # a comment and a blank line first, so the bad entry is on line 3
         path = tmp_path / "det.cfg"
-        path.write_text(line + "\n")
+        path.write_text("# detector\n\n" + line + "\n")
         out = tmp_path / "wf.csv"
         code, _, err = run_cli(
             ["scan", "--kind", "weak-field", "--det", str(path), "--out", str(out)], capsys
         )
         assert code == 3
-        assert "det.cfg" in err
+        assert err == f"error: {path}: line 3: {DETECTOR_CONFIG_ERRORS[line]}\n"
         assert not out.exists()
 
 
@@ -802,6 +875,19 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", [
+        ["scan", "--kind", "pure-grid", "--out", "{out}"],
+        ["simulate", "--theta", "45", "--out-dir", "{out}"],
+        ["g2", "--duration", "0.001", "--out", "{out}"],
+    ])
+    def test_negative_seed_is_named(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        argv = [str(out) if a == "{out}" else a for a in command]
+        code, _, err = run_cli([*argv, "--seed=-1"], capsys)
+        assert (code, err) == (3, "error: --seed must be finite and nonnegative, got -1\n")
+        assert not out.exists()
+
+
 class TestParserCache:
     def test_main_builds_one_parser(self):
         assert cli._parser() is cli._parser()
@@ -834,3 +920,140 @@ class TestParserCache:
         assert cached[0] == fresh[0]
         assert len(cached[1]) == 8
         assert cached[1] == fresh[1]
+
+
+# Flag and config values that break naive parsing or range checks; each
+# command also draws small valid values. Values that ask for unbounded work
+# (steps below 1, durations above 0.01 s, more than 10^4 photons, pulses or
+# resamples, source means and rates that ask for more than about 10^5
+# clicks) are left out, so a run stays cheap. An integer flag's 1e308 is a
+# usage error; a rate or mean of 1e308 fails numpy's size checks before
+# anything is allocated, or meets a dead time that caps the draws.
+DEGENERATE = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1,2", "1e308"]
+
+
+def flag_values(*valid, exclude=()):
+    # a valid value three times in four, so that most runs get past parsing
+    degenerate = [v for v in DEGENERATE if v not in exclude]
+    return st.sampled_from(list(valid) * (3 * len(degenerate) // len(valid)) + degenerate)
+
+
+def optional(flag, values):
+    return st.one_of(st.just([]), values.map(lambda v: [flag, v]))
+
+
+def config_text(keys, valid):
+    # key = value lines, with an occasional comment, blank or malformed line
+    line = st.one_of(
+        st.tuples(st.sampled_from(keys), flag_values(*valid)).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+        st.sampled_from(["# note", "", "nonsense"]),
+    )
+    return st.lists(line, max_size=4).map(lambda lines: "".join(f"{x}\n" for x in lines))
+
+
+DETECTOR_FIELDS = [f.name for f in dataclasses.fields(cli.DetectorModel)]
+SOURCE_FIELDS = sorted(
+    {f.name for cls in cli.SOURCE_KINDS.values() for f in dataclasses.fields(cls)}
+)
+SEEDS = optional("--seed", flag_values("7"))
+
+detector_choice = st.one_of(
+    st.sampled_from(["ideal", "bench", "dark-only"] * 2 + ["missing.cfg"]),
+    config_text(DETECTOR_FIELDS, ["0.5", "1", "5", "1,1,1,1"]).map(lambda text: ("det.cfg", text)),
+)
+source_choice = st.one_of(
+    st.sampled_from([*cli.SOURCE_KINDS, "missing.cfg"]),
+    st.tuples(
+        st.sampled_from(["", *(f"kind = {k}\n" for k in [*cli.SOURCE_KINDS, "laser"])]),
+        config_text(SOURCE_FIELDS, ["0.5", "1", "4", "100"]),
+    ).map(lambda kt: ("src.cfg", kt[0] + kt[1])),
+)
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, files): argv with {in} and {out} for the example's input and
+    output directories, and the input files to write first."""
+    files = {}
+
+    def named(choice):
+        if isinstance(choice, tuple):
+            name, text = choice
+            files[name] = text
+            return "{in}/" + name
+        return "{in}/" + choice if choice.endswith(".cfg") else choice
+
+    command = draw(st.sampled_from(["predict", "scan", "simulate", "g2", "analyze"]))
+    if command == "predict":
+        argv = ["predict", "--theta", draw(flag_values("45", "30")),
+                *draw(optional("--phi", flag_values("10"))),
+                *draw(st.sampled_from([[], ["--json"]]))]
+    elif command == "scan":
+        argv = ["scan", "--kind", draw(st.sampled_from(["pure-grid", "bloch-disk", "weak-field"])),
+                "--theta-step", draw(flag_values("30", "90")),
+                "--phi-step", draw(flag_values("45", "90")),
+                *draw(optional("--alpha-steps", flag_values("1", "3"))),
+                *draw(optional("--means", flag_values("0.006", "0.1,0.5"))),
+                "--pulses", draw(flag_values("10", "1000")),
+                "--det", named(draw(detector_choice)), *draw(SEEDS), "--out", "{out}/scan.csv"]
+    elif command == "simulate":
+        argv = ["simulate", "--theta", draw(flag_values("45")),
+                *draw(optional("--phi", flag_values("10"))),
+                "--photons", draw(flag_values("1", "100", "10000")),
+                "--det", named(draw(detector_choice)), *draw(SEEDS),
+                *draw(optional("--error-mode", st.sampled_from(["rss", "sum", "abc"]))),
+                "--out-dir", "{out}/sim"]
+    elif command == "g2":
+        argv = ["g2", "--source", named(draw(source_choice)), "--det", named(draw(detector_choice)),
+                "--duration", draw(flag_values("0.0005", "0.001", exclude=["1e308"])),
+                *draw(optional("--bin-width", flag_values("0.5", "1"))),
+                *draw(optional("--max-delay", flag_values("20", "5.5"))),
+                *draw(optional("--window", flag_values("5.5", "2"))),
+                *draw(SEEDS), "--out", "{out}/hist.csv"]
+    else:
+        # lab mode needs 11 and 01; the (1, 0) table is strict mode's third
+        setups = draw(st.sampled_from([["11", "01"], ["11", "01", "10"], ["11", "01", "00"],
+                                       ["11"], ["11", "01", "11"]]))
+        counts = draw(st.lists(st.integers(0, 30), min_size=4 * len(setups),
+                               max_size=4 * len(setups)))
+        # now and then one cell negative, near the int64 limit or past it
+        odd = draw(st.sampled_from([None] * 6 + [-1, 2**62, 10**30]))
+        if odd is not None:
+            counts[draw(st.integers(0, len(counts) - 1))] = odd
+        rows = [f"{s[0]},{s[1]},{k // 2},{k % 2},{counts[4 * i + k]}"
+                for i, s in enumerate(setups) for k in range(4)]
+        files["counts.csv"] = "n1,n2,a1,a2,counts\n" + "".join(f"{r}\n" for r in rows)
+        four = st.lists(flag_values("1", "0.5", "2"), min_size=4, max_size=4).map(",".join)
+        argv = ["analyze", "{in}/counts.csv",
+                *draw(st.sampled_from([[], [], [], ["{in}/missing.csv"]])),
+                *draw(optional("--mode", st.sampled_from(["lab", "strict"]))),
+                *draw(optional("--dark-counts", st.one_of(flag_values("0,0,0,0"), four))),
+                *draw(optional("--calibration", st.one_of(flag_values("1,1,1,1"), four))),
+                *draw(optional("--bootstrap", flag_values("2", "50"))),
+                *draw(optional("--error-mode", st.sampled_from(["rss", "sum"]))),
+                *draw(SEEDS), *draw(st.sampled_from([[], ["--out", "{out}/report.json"]]))]
+    return argv, files
+
+
+class TestFuzzedContract:
+    """Any argv and config text: a documented exit code, never a traceback,
+    and no output file from a run that exits 3."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(call=cli_calls())
+    def test_exit_codes_and_outputs(self, call):
+        argv, files = call
+        with tempfile.TemporaryDirectory() as root:
+            inputs, outputs = Path(root, "in"), Path(root, "out")
+            inputs.mkdir()
+            outputs.mkdir()
+            for name, text in files.items():
+                (inputs / name).write_text(text)
+            argv = [a.replace("{in}", str(inputs)).replace("{out}", str(outputs)) for a in argv]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2, 3, 4), (argv, files, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+            if code == 3:
+                assert not [p for p in outputs.rglob("*") if p.is_file()], (argv, files)

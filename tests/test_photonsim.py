@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import math
+import re
 import time
 import tracemalloc
 
@@ -320,6 +321,12 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match="n_photons"):
             simulate_counts(qcore.make_pure_state(0.0), (1, 1), 0)
 
+    @pytest.mark.parametrize("n", [0, -1, 2**63, 10**30])
+    def test_rejects_photon_count_out_of_range(self, n):
+        message = f"n_photons must lie in [1, 2**63), got {n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_counts(qcore.make_pure_state(0.0), (1, 1), n)
+
 
 def _counting_sampler(probs_of):
     """simulate_counts with its probabilities taken from probs_of.
@@ -560,7 +567,7 @@ class TestWeakFieldRun:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("field", ["mean_photons_per_pulse", "pulse_rate_hz"])
     def test_rejects_non_finite_source(self, field, value):
-        with pytest.raises(ValueError, match="weak coherent"):
+        with pytest.raises(ValueError, match=f"{field} must be finite and nonnegative"):
             WeakCoherent(**{field: value})
 
     def test_rejects_wrong_source_type(self):
@@ -933,6 +940,10 @@ class TestCsvRoundTrip:
             ("n1,n2,a1,a2,counts\n1,1,0,0,xyz\n", "non-integer"),
             ("n1,n2,a1,a2,counts\n3,1,0,0,5\n", "out of range"),
             ("n1,n2,a1,a2,counts\n1,1,0,0,-2\n", "negative"),
+            ("n1,n2,a1,a2,counts\n1,1,0,0,10000000000000000000\n",
+             r"line 2: setup \(1, 1\) counts reach 2\*\*63"),
+            ("n1,n2,a1,a2,counts\n1,1,0,0,4611686018427387904\n1,1,1,1,4611686018427387904\n",
+             r"line 3: setup \(1, 1\) counts reach 2\*\*63"),
             ("n1,n2,a1,a2,counts\n# only comments\n", "no data rows"),
         ],
     )
