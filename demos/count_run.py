@@ -57,7 +57,7 @@ def main(argv=None):
               f"D00={c[0, 0]:5d}  D01={c[0, 1]:5d}  D10={c[1, 0]:5d}  D11={c[1, 1]:5d}")
 
     rec = ExperimentRecord(tables=tables, theta_deg=args.theta, source="simulated")
-    q, budget = analyze(rec, seed=args.seed)
+    q, budget = analyze(rec)
     exact = oq_distribution(context_table(rho))
     expected = model_expectation(rho, det, args.photons)
 

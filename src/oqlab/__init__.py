@@ -20,6 +20,7 @@ from .analysis import (
     error_budget,
     estimate_calibration,
     estimate_probs,
+    negativity_standard_error,
     record_from_csv,
     record_to_csv,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "make_pure_state",
     "negativity",
     "negativity_region",
+    "negativity_standard_error",
     "oq_closed_form",
     "oq_distribution",
     "prep_angles",

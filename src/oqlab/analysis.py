@@ -12,21 +12,28 @@ efficiency references measured with a diagonally polarized input, where
 all four detectors nominally see the same flux), then normalized by the
 table's own total, never by a nominal constant.
 
-Error model: each optical component contributes a relative error and is
-counted once per traversal of the detection path. The total follows
-sum_i sqrt(error_i^2 x times_i), read either as a root-sum-square or as
-a literal sum of the rooted terms; both are implemented and the mode is
-recorded alongside the result.
+Error model: the statistical error of the negativity is its standard
+error under the multinomial covariance of each table the mode reads,
+carried through the linear estimate and eq. (1) by the delta method
+(negativity_standard_error; exact, no resampling). A multinomial
+bootstrap of the same tables (bootstrap_negativity_error) is kept as
+its oracle and on request. The systematic error: each optical component
+contributes a relative error and is counted once per traversal of the
+detection path. The total follows sum_i sqrt(error_i^2 x times_i), read
+either as a root-sum-square or as a literal sum of the rooted terms; both
+are implemented and the mode is recorded alongside the result.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from operator import mul
 
 import numpy as np
 
 from .contexts import SETUPS, ProbabilitySet, _split, validate_setup
-from .oq import _quasi_rows, oq_distribution
+from .oq import _EQ1_MATRIX, _quasi_rows, oq_distribution
 from .photonsim import CountTable, _require_in_range, count_tables_from_csv, count_tables_to_csv
 
 COMPONENT_ERRORS = {
@@ -37,6 +44,11 @@ COMPONENT_ERRORS = {
 }
 
 REQUIRED_SETUPS = ((1, 1), (0, 1))
+
+# A table the mode reads with fewer counts than this gives an unreliable
+# statistical error (one count gives 0 under any method); analyze reports
+# flag such a record "low_counts".
+LOW_COUNTS = 20
 
 
 @dataclass(frozen=True)
@@ -250,6 +262,94 @@ def dark_count_correction(rec: ExperimentRecord, dark_counts) -> ExperimentRecor
     return replace(rec, tables=tables, flags=flags)
 
 
+def _read_setups(mode: str) -> tuple:
+    """The tables a mode reads: (1,1) and (0,1), plus (1,0) in strict mode."""
+    _check_mode(mode, ("lab", "strict"))
+    return REQUIRED_SETUPS + ((1, 0),) if mode == "strict" else REQUIRED_SETUPS
+
+
+def reads_low_counts(rec: ExperimentRecord, mode: str = "lab") -> bool:
+    """Whether a table the mode reads holds fewer than LOW_COUNTS counts."""
+    return any(
+        setup in rec.tables and rec.tables[setup].total < LOW_COUNTS
+        for setup in _read_setups(mode)
+    )
+
+
+# the cells of each table that the estimate reads (row-major indices), and
+# the part of the table they form
+_READ_CELLS = {
+    (1, 1): ((0, 1, 2, 3), "the table"),
+    (0, 1): ((0, 1), "the a1 = 0 row"),
+    (1, 0): ((0, 2), "the a2 = 0 column"),
+}
+
+# eq. (1) as Python floats: column k holds the derivatives of w_k (row-major)
+# in the probabilities, p in the _split layout
+_W_COLUMNS = _EQ1_MATRIX[:, :4].T.tolist()
+
+
+def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float:
+    """Standard error of the negativity from the exact multinomial covariance.
+
+    Each table the mode reads is one multinomial draw at its own total N,
+    with observed frequencies f, and the tables are independent, so their
+    variances add. The estimate reads a table through its calibrated,
+    normalised cells q = c*f / (c.f), taken over the cells it uses: all
+    four of (1,1), whose a2-marginal is also p_t1 in lab mode, the a1 = 0
+    row of (0,1) and, in strict mode, the a2 = 0 column of (1,0). With g
+    the gradient of the negativity in q, from eq. (1), the delta method
+    gives per table
+
+        Var = (sum_i f_i h_i^2 - (sum_i f_i h_i)^2) / N,
+        h_i = c_i (g_i - g.q) / (c.f)   (0 on cells the estimate skips).
+
+    The negativity has a kink where a cell of w crosses 0. Any two cells
+    of w sum to a probability (a row or column sum, or pj00 + pj11 and
+    pj01 + pj10), so at most one cell is negative, and g is that of minus
+    the smallest cell, the one analyze's systematic budget follows. Where
+    no cell is negative this still gives the error of that cell, so a
+    zero negativity at the edge of the classical region does not get an
+    error of 0 from the kink alone. A table with all its counts in one
+    cell still gives 0; reads_low_counts flags such records.
+
+    Deterministic (no resampling, no seed) and computed on Python floats.
+    Raises ValueError where estimate_probs would.
+    """
+    cal = rec.calibration
+    reads = []
+    for setup in _read_setups(mode):
+        table = _require(rec, setup)
+        cells, part = _READ_CELLS[setup]
+        n = table.counts.ravel().tolist()
+        norm = 0.0
+        for i in cells:
+            norm += cal[i] * n[i]
+        if norm <= 0:
+            raise ValueError(f"setup {setup}: no counts in {part}")
+        reads.append((n, table.total, cells, norm, [cal[i] * n[i] / norm for i in cells]))
+    joint, row, *first = (q for *_, q in reads)
+    p_t1 = first[0] if first else [joint[0] + joint[1], joint[2] + joint[3]]
+    p = p_t1 + row + joint
+    w = [sum(map(mul, p, col)) for col in _W_COLUMNS]
+    # d negativity / d p: any two cells of w sum to a probability, so at
+    # most one is negative, and it is the smallest
+    grad = [-d for d in _W_COLUMNS[min(range(4), key=w.__getitem__)]]
+    g_joint = grad[4:] if first else [grad[4 + i] + grad[i // 2] for i in range(4)]
+    var = 0.0
+    for (n, total, cells, norm, q), g in zip(reads, (g_joint, grad[2:4], grad[0:2])):
+        gq = sum(map(mul, g, q))
+        fh = fh2 = 0.0  # sums of f_i h_i and f_i h_i^2
+        for i, gi in zip(cells, g):
+            f = n[i] / total
+            h = cal[i] * (gi - gq) * total / norm
+            fh += f * h
+            fh2 += f * h * h
+        var += (fh2 - fh * fh) / total
+    # rounding can leave the zero variance of a one-cell table a hair below 0
+    return math.sqrt(max(var, 0.0))
+
+
 def bootstrap_negativity_error(
     rec: ExperimentRecord, mode: str = "lab", n_boot: int = 200, seed=0
 ) -> float:
@@ -266,9 +366,7 @@ def bootstrap_negativity_error(
     """
     if n_boot < 2:
         raise ValueError("n_boot must be at least 2")
-    _check_mode(mode, ("lab", "strict"))
-    setups = REQUIRED_SETUPS + ((1, 0),) if mode == "strict" else REQUIRED_SETUPS
-    tables = [rec.tables.get(setup) for setup in setups]
+    tables = [rec.tables.get(setup) for setup in _read_setups(mode)]
     if any(table is None or table.total <= 0 for table in tables):
         raise ValueError("too few valid bootstrap resamples")
     rng = np.random.default_rng(seed)
@@ -294,22 +392,28 @@ def analyze(
     rec: ExperimentRecord,
     mode: str = "lab",
     error_mode: str = "rss",
-    n_boot: int = 200,
+    n_boot: int | None = None,
     seed=0,
 ):
     """Full reconstruction: quasiprobability plus an error budget.
 
     The systematic budget follows the detection path of the most
     negative cell (the one carrying the negativity) and scales with the
-    negativity itself; the statistical part comes from bootstrap
-    resampling of the count tables. Returns (Quasiprobability,
-    ErrorBudget).
+    negativity itself. The statistical part is negativity_standard_error
+    when n_boot is None, bootstrap_negativity_error(rec, mode, n_boot,
+    seed) when n_boot is set, and 0 when n_boot is 0; seed is read only
+    by the bootstrap. Returns (Quasiprobability, ErrorBudget).
     """
     ps = estimate_probs(rec, mode)
     q = oq_distribution(ps)
     a1, a2 = np.unravel_index(np.argmin(q.w), (2, 2))
     budget = error_budget(path_components(int(a1), int(a2)), error_mode)
-    statistical = bootstrap_negativity_error(rec, mode, n_boot, seed) if n_boot else 0.0
+    if n_boot is None:
+        statistical = negativity_standard_error(rec, mode)
+    elif n_boot:
+        statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
+    else:
+        statistical = 0.0
     return q, replace(
         budget,
         statistical_error=statistical,

@@ -36,6 +36,7 @@ from .analysis import (
     analyze,
     dark_count_correction,
     estimate_probs,
+    reads_low_counts,
 )
 from .contexts import SETUPS, _probabilities, context_table
 from .correlation import _StartStopAccumulator, g2_zero, g2_zero_error
@@ -209,6 +210,13 @@ def _budget_payload(budget) -> dict:
     }
 
 
+def _error_method(n_boot) -> str:
+    """How analyze(..., n_boot=n_boot) takes the statistical error."""
+    if n_boot is None:
+        return "delta"
+    return "bootstrap" if n_boot else "none"
+
+
 def _write_text(path, text: str):
     with open(path, "w") as fh:
         fh.write(text)
@@ -365,8 +373,7 @@ def cmd_simulate(args) -> dict:
     theta = math.radians(args.theta)
     phi = math.radians(args.phi)
     rho = qcore.make_pure_state(theta, phi)
-    master = np.random.SeedSequence(args.seed)
-    seeds = master.spawn(len(SETUPS))
+    seeds = np.random.SeedSequence(args.seed).spawn(len(SETUPS))
     tables = {
         setup: simulate_counts(rho, setup, args.photons, det=det, seed=seed)
         for setup, seed in zip(SETUPS, seeds)
@@ -375,7 +382,7 @@ def cmd_simulate(args) -> dict:
         tables=tables, theta_deg=args.theta, phi_deg=args.phi, source="simulated"
     )
     # analysed before any file is written, so a run it rejects leaves none
-    q, budget = analyze(rec, error_mode=args.error_mode, seed=master.spawn(1)[0])
+    q, budget = analyze(rec, error_mode=args.error_mode)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {}
     for setup, table in tables.items():
@@ -387,6 +394,7 @@ def cmd_simulate(args) -> dict:
     payload["seed"] = args.seed
     payload["n_photons"] = args.photons
     payload["error"] = _budget_payload(budget)
+    payload["error_method"] = _error_method(None)
     report_path = os.path.join(args.out_dir, "report.json")
     _write_text(report_path, _json_report(payload))
     payload["files"] = sorted(os.path.basename(p) for p in paths.values()) + ["report.json"]
@@ -481,9 +489,10 @@ def cmd_analyze(args) -> dict:
     payload = _quasi_payload(q)
     payload["mode"] = args.mode
     payload["error"] = _budget_payload(budget)
+    payload["error_method"] = _error_method(args.bootstrap)
     payload["flags"] = list(rec.flags)
-    if args.out:
-        _write_text(args.out, _json_report(payload))
+    if reads_low_counts(rec, args.mode):
+        payload["flags"].append("low_counts")
     return payload
 
 
@@ -550,9 +559,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibration", default="1,1,1,1",
                    help="per-detector calibration factors, four comma-separated numbers")
     p.add_argument("--error-mode", choices=["rss", "sum"], default="rss")
-    p.add_argument("--bootstrap", type=int, default=200,
-                   help="bootstrap resamples for the statistical error (0 disables)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bootstrap", type=int, default=None,
+                   help="take the statistical error from this many bootstrap resamples "
+                        "instead of the exact multinomial covariance (0 disables it)")
+    p.add_argument("--seed", type=int, default=0, help="bootstrap seed (read with --bootstrap)")
     p.add_argument("--out", default=None, help="also write the JSON report to this path")
     p.set_defaults(func=_run_analyze)
 
@@ -612,8 +622,11 @@ def _run_g2(args, out):
 
 
 def _run_analyze(args, out):
-    payload = cmd_analyze(args)
-    out.write(_json_report(payload))
+    # encoded once for both the --out file and stdout
+    text = _json_report(cmd_analyze(args))
+    if args.out:
+        _write_text(args.out, text)
+    out.write(text)
 
 
 @functools.cache

@@ -1,11 +1,14 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oqlab import qcore
+from oqlab import analysis
 from oqlab.analysis import (
     COMPONENT_ERRORS,
+    LOW_COUNTS,
     ErrorBudget,
     ExperimentRecord,
     analyze,
@@ -14,11 +17,13 @@ from oqlab.analysis import (
     error_budget,
     estimate_calibration,
     estimate_probs,
+    negativity_standard_error,
     path_components,
+    reads_low_counts,
     record_from_csv,
     record_to_csv,
 )
-from oqlab.contexts import context_table
+from oqlab.contexts import ProbabilitySet, context_table
 from oqlab.oq import MAX_NEGATIVITY, oq_distribution
 from oqlab.photonsim import CountTable, DetectorModel, simulate_counts
 
@@ -516,6 +521,155 @@ class TestBootstrap:
     def test_rejects_tiny_resample_count(self):
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_negativity_error(bench_record(45), n_boot=1)
+
+
+def delta_method_reference(rec, mode="lab", step=1e-6):
+    """The delta-method standard error by finite differences and explicit covariances.
+
+    Differentiates minus the smallest cell of w, estimated from calibrated
+    frequencies the way estimate_probs does and passed through
+    oq_distribution, by central differences in each read table's
+    frequencies f, and contracts that gradient with the table's
+    multinomial covariance (diag(f) - f f^T) / N. Empty cells carry no
+    variance, so they are not perturbed.
+    """
+    setups = [(1, 1), (0, 1)] + ([(1, 0)] if mode == "strict" else [])
+    cal = np.reshape(rec.calibration, (2, 2))
+    freqs = [rec.tables[s].counts / rec.tables[s].total for s in setups]
+
+    def w_of(fs):
+        joint, off, *first = [f * cal for f in fs]
+        p_joint = joint / joint.sum()
+        p_t1 = first[0][:, 0] / first[0][:, 0].sum() if first else p_joint.sum(axis=1)
+        p_t2 = off[0] / off[0].sum()
+        return oq_distribution(ProbabilitySet(p_t1, p_t2, p_joint)).w.ravel()
+
+    k = np.argmin(w_of(freqs))
+    var = 0.0
+    for t, setup in enumerate(setups):
+        f = freqs[t].ravel()
+        grad = np.zeros(4)
+        for i in np.flatnonzero(f):
+            up = [x.copy() for x in freqs]
+            down = [x.copy() for x in freqs]
+            up[t].flat[i] += step
+            down[t].flat[i] -= step
+            grad[i] = -(w_of(up)[k] - w_of(down)[k]) / (2 * step)
+        var += grad @ ((np.diag(f) - np.outer(f, f)) / rec.tables[setup].total) @ grad
+    return float(np.sqrt(var))
+
+
+CALIBRATION = (1.0, 1.1, 0.9, 1.05)
+
+
+def rounded_record(theta_deg, n):
+    """Tables of n counts each, rounded from the exact probabilities at theta.
+
+    Holds (1,1), (0,1) and (1,0), calibrated by CALIBRATION.
+    """
+    table = context_table(qcore.make_pure_state(np.radians(theta_deg)))
+    cells = {
+        (1, 1): table.p_joint,
+        (0, 1): [table.p_t2, [0.0, 0.0]],
+        (1, 0): np.column_stack([table.p_t1, [0.0, 0.0]]),
+    }
+    return ExperimentRecord(
+        tables={s: tab(s, np.rint(np.asarray(p) * n)) for s, p in cells.items()},
+        calibration=CALIBRATION,
+    )
+
+
+class TestStandardError:
+    @pytest.mark.parametrize("mode", ["lab", "strict"])
+    @pytest.mark.parametrize("theta", [30, 45, 60, 120])
+    @pytest.mark.parametrize("n", [100, 10_000])
+    def test_matches_a_long_bootstrap(self, mode, theta, n):
+        # 5000 resamples pin the bootstrap spread to about 1%
+        rec = rounded_record(theta, n)
+        boot = bootstrap_negativity_error(rec, mode, n_boot=5000, seed=0)
+        assert negativity_standard_error(rec, mode) == pytest.approx(boot, rel=0.03)
+
+    @pytest.mark.parametrize(
+        "make,mode",
+        [
+            (lambda: bench_record(0), "lab"),
+            (lambda: bench_record(45), "lab"),
+            (lambda: bench_record(90), "lab"),
+            (lambda: replace(bench_record(45), calibration=CALIBRATION), "lab"),
+            (strict_bench_record, "strict"),
+            (lambda: replace(strict_bench_record(), calibration=CALIBRATION), "strict"),
+            (lambda: exact_record(RATIONAL_STATE, n=2_000, with_first=True), "strict"),
+            # on the diamond edge: no cell negative, the smallest is 0
+            (lambda: exact_record(qcore.state_from_bloch(0.5, 0.0, 0.5), n=2_000), "lab"),
+            # strays in the a1 = 1 row of (0,1), which the estimate skips
+            (lambda: ExperimentRecord(
+                tables={(1, 1): tab((1, 1), [[415, 426], [79, 80]]),
+                        (0, 1): tab((0, 1), [[847, 153], [60, 40]])},
+                calibration=CALIBRATION), "lab"),
+        ],
+        ids=["bench0", "bench45", "bench90", "bench45-calibrated", "bench45-strict",
+             "bench45-strict-calibrated", "exact-strict", "diamond-edge", "row-strays"],
+    )
+    def test_matches_finite_difference_reference(self, make, mode):
+        rec = make()
+        value = negativity_standard_error(rec, mode)
+        assert value > 0
+        assert value == pytest.approx(delta_method_reference(rec, mode), rel=1e-7)
+
+    def test_one_count_per_table_gives_zero_and_is_flagged(self):
+        rec = ExperimentRecord(tables={(1, 1): tab((1, 1), [[0, 0], [0, 1]]),
+                                       (0, 1): tab((0, 1), [[1, 0], [0, 0]])})
+        q, budget = analyze(rec)
+        assert q.negativity == 0.5 > MAX_NEGATIVITY
+        assert budget.statistical_error == 0.0
+        assert reads_low_counts(rec)
+
+    def test_low_counts_threshold_on_the_tables_read(self):
+        big = tab((1, 1), [[400, 400], [100, 100]])
+        for n, flagged in ((LOW_COUNTS - 1, True), (LOW_COUNTS, False)):
+            row = tab((0, 1), [[n - 1, 1], [0, 0]])
+            assert reads_low_counts(ExperimentRecord(tables={(1, 1): big, (0, 1): row})) is flagged
+        rec = ExperimentRecord(tables={(1, 1): big, (0, 1): tab((0, 1), [[800, 200], [0, 0]]),
+                                       (1, 0): tab((1, 0), [[3, 0], [2, 0]])})
+        assert not reads_low_counts(rec, "lab")
+        assert reads_low_counts(rec, "strict")
+
+    @pytest.mark.parametrize("mode", ["lab", "strict"])
+    def test_rejects_what_estimate_probs_rejects(self, mode):
+        recs = [
+            ExperimentRecord(tables={(1, 1): tab((1, 1), [[5, 5], [5, 5]]),
+                                     (0, 1): tab((0, 1), [[0, 0], [3, 4]])}),
+            replace(bench_record(45), tables={**bench_record(45).tables,
+                                              (1, 0): tab((1, 0), [[0, 7], [0, 2]])}),
+            ExperimentRecord(tables={(1, 1): tab((1, 1), [[0, 0], [0, 0]]),
+                                     (0, 1): tab((0, 1), [[3, 0], [0, 0]])}),
+        ]
+        for rec in recs:
+            try:
+                estimate_probs(rec, mode)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    negativity_standard_error(rec, mode)
+            else:
+                assert negativity_standard_error(rec, mode) > 0
+
+    def test_default_analyze_uses_it_whatever_the_seed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default error must not resample")
+
+        monkeypatch.setattr(analysis, "bootstrap_negativity_error", refuse)
+        for rec, mode in ((bench_record(45), "lab"), (strict_bench_record(), "strict")):
+            expected = negativity_standard_error(rec, mode)
+            for seed in (0, 1, 12345):
+                _, budget = analyze(rec, mode, seed=seed)
+                assert budget.statistical_error == expected
+
+    def test_bootstrap_on_request(self):
+        rec = bench_record(45)
+        _, budget = analyze(rec, n_boot=300, seed=4)
+        assert budget.statistical_error == bootstrap_negativity_error(rec, n_boot=300, seed=4)
+        _, budget = analyze(rec, n_boot=0)
+        assert budget.statistical_error == 0.0
 
 
 class TestCsvGlue:

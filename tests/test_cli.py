@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oqlab
-from oqlab import cli, qcore
+from oqlab import analysis, cli, qcore
 from oqlab.contexts import context_table
 from oqlab.oq import MAX_NEGATIVITY, negativity, oq_distribution
 from oqlab.analysis import ExperimentRecord, analyze, dark_count_correction
@@ -616,9 +616,17 @@ class TestAnalyze:
                  "--seed", "7", "--out-dir", out_dir], capsys)
         return out_dir
 
-    def test_json_report_written_to_file(self, tmp_path, capsys):
+    def test_json_report_written_to_file(self, tmp_path, capsys, monkeypatch):
         out_dir = self.make_run(tmp_path, capsys)
         report_path = str(tmp_path / "report.json")
+        encoded = []
+        encode = cli._json_report
+
+        def counting_encode(payload):
+            encoded.append(payload)
+            return encode(payload)
+
+        monkeypatch.setattr(cli, "_json_report", counting_encode)
         code, out, _ = run_cli(
             ["analyze", os.path.join(out_dir, "counts_11.csv"),
              os.path.join(out_dir, "counts_01.csv"), "--out", report_path],
@@ -626,6 +634,73 @@ class TestAnalyze:
         )
         assert code == 0
         assert json.loads(out) == json.loads(Path(report_path).read_text())
+        # one encoding serves both: the same bytes
+        assert out == Path(report_path).read_text()
+        assert len(encoded) == 1
+
+    def test_error_method_is_reported(self, tmp_path, capsys):
+        out_dir = self.make_run(tmp_path, capsys)
+        report = json.loads(Path(out_dir, "report.json").read_text())
+        assert report["error_method"] == "delta"
+        inputs = [os.path.join(out_dir, "counts_11.csv"), os.path.join(out_dir, "counts_01.csv")]
+        for extra, method in (([], "delta"), (["--bootstrap", "0"], "none"),
+                              (["--bootstrap", "50"], "bootstrap")):
+            code, out, _ = run_cli(["analyze", *inputs, *extra], capsys)
+            assert code == 0
+            payload = json.loads(out)
+            assert payload["error_method"] == method
+            assert set(payload["error"]) == {"statistical", "systematic", "total", "mode"}
+            assert (payload["error"]["statistical"] == 0.0) == (method == "none")
+
+    def test_default_error_never_resamples(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default error must not resample")
+
+        monkeypatch.setattr(analysis, "bootstrap_negativity_error", refuse)
+        out_dir = self.make_run(tmp_path, capsys)
+        inputs = [os.path.join(out_dir, f"counts_{n1}{n2}.csv") for n1 in (0, 1) for n2 in (0, 1)]
+        for mode in ("lab", "strict"):
+            code, out, _ = run_cli(["analyze", *inputs, "--mode", mode, "--seed", "9"], capsys)
+            assert code == 0
+            assert json.loads(out)["error"]["statistical"] > 0
+
+    @pytest.mark.parametrize(
+        "extra,statistical,total",
+        [
+            ([], 0.0037041143683435107, 0.00976207413661507),
+            (["counts_00.csv", "counts_10.csv", "--mode", "strict",
+              "--calibration", "1,1.1,0.9,1.05"], 0.0035667263461008725, 0.010225023079997172),
+        ],
+        ids=["lab", "strict-calibrated"],
+    )
+    def test_bootstrap_flag_gives_the_earlier_default(self, tmp_path, capsys, extra,
+                                                      statistical, total):
+        # the values analyze printed at --seed 3 when 200 resamples were
+        # its default
+        out_dir = self.make_run(tmp_path, capsys)
+        inputs = [os.path.join(out_dir, name) if name.endswith(".csv") else name
+                  for name in ["counts_11.csv", "counts_01.csv", *extra]]
+        code, out, _ = run_cli(["analyze", *inputs, "--bootstrap", "200", "--seed", "3"], capsys)
+        assert code == 0
+        error = json.loads(out)["error"]
+        assert (error["statistical"], error["total"]) == (statistical, total)
+
+    def test_one_count_record_is_flagged(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        count_tables_to_csv([CountTable(setup=(1, 1), counts=[[0, 0], [0, 1]], total=1),
+                             CountTable(setup=(0, 1), counts=[[1, 0], [0, 0]], total=1)],
+                            str(path))
+        code, out, _ = run_cli(["analyze", str(path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["negativity"] == 0.5 > MAX_NEGATIVITY
+        assert payload["error"]["statistical"] == 0.0
+        assert payload["flags"] == ["low_counts"]
+        # a run of 10^4 photons reads no small table
+        out_dir = self.make_run(tmp_path, capsys)
+        _, out, _ = run_cli(["analyze", os.path.join(out_dir, "counts_11.csv"),
+                             os.path.join(out_dir, "counts_01.csv")], capsys)
+        assert json.loads(out)["flags"] == []
 
     def test_strict_mode_uses_first_only_table(self, tmp_path, capsys):
         out_dir = self.make_run(tmp_path, capsys)
