@@ -395,6 +395,7 @@ def cmd_simulate(args) -> dict:
     payload["n_photons"] = args.photons
     payload["error"] = _budget_payload(budget)
     payload["error_method"] = _error_method(None)
+    payload["flags"] = ["low_counts"] if reads_low_counts(rec, "lab") else []
     report_path = os.path.join(args.out_dir, "report.json")
     _write_text(report_path, _json_report(payload))
     payload["files"] = sorted(os.path.basename(p) for p in paths.values()) + ["report.json"]

@@ -112,6 +112,18 @@ def sequential_probs(rho) -> np.ndarray:
     return _split(_probabilities(qcore.validate_state(rho)))[2]
 
 
+def _trusted(cls, *values):
+    """cls(*values) without __post_init__, for values already in its form.
+
+    Fields are set one by one in order, as __init__ sets them, so that
+    instances keep CPython's key-sharing dicts (a __dict__.update() breaks them).
+    """
+    obj = object.__new__(cls)
+    for name, value in zip(cls.__dataclass_fields__, values):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class ProbabilitySet:
     """The probability bundle feeding the quasiprobability formula.
@@ -119,11 +131,15 @@ class ProbabilitySet:
     p_t1 : outcome probabilities of the first measurement alone
     p_t2 : outcome probabilities of the second measurement alone
     p_joint : (2, 2) joint probabilities of the sequential run
+
+    context_table's results skip __post_init__ and keep their kernel
+    vector, of which their blocks are views, as _flat.
     """
 
     p_t1: np.ndarray
     p_t2: np.ndarray
     p_joint: np.ndarray
+    _flat = None  # not a field
 
     def __post_init__(self):
         object.__setattr__(self, "p_t1", np.asarray(self.p_t1, dtype=float))
@@ -147,7 +163,10 @@ def _checked_vector(ps: ProbabilitySet, atol: float) -> np.ndarray:
     """_vector(ps), once the checks of validate_probability_set pass."""
     if ps.p_t1.shape != (2,) or ps.p_t2.shape != (2,) or ps.p_joint.shape != (2, 2):
         raise ValueError("probability set blocks have wrong shapes")
-    flat = _vector(ps)
+    # the kept kernel vector, unless a copy or pickle gave the blocks their own
+    flat = getattr(ps, "_flat", None)
+    if flat is None or not (ps.p_t1.base is ps.p_t2.base is ps.p_joint.base is flat):
+        flat = _vector(ps)
     p0, p1, p2, p3, j0, j1, j2, j3 = flat.tolist()
     # A NaN or infinite entry makes its block sum NaN or infinite, and NaN
     # fails every comparison, so a non-finite set never passes here. The
@@ -190,7 +209,9 @@ def context_table(rho) -> ProbabilitySet:
     """Exact single and sequential probabilities for one input state.
 
     The state is validated once here; the three probability blocks are
-    then slices of one kernel call.
+    then views of one kernel vector, which the result keeps.
     """
-    p_t1, p_t2, p_joint = _split(_probabilities(qcore.validate_state(rho)))
-    return ProbabilitySet(p_t1=p_t1, p_t2=p_t2, p_joint=p_joint)
+    flat = _probabilities(qcore.validate_state(rho))
+    ps = _trusted(ProbabilitySet, *_split(flat))
+    object.__setattr__(ps, "_flat", flat)
+    return ps

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contexts import ProbabilitySet, _checked_vector, _split, _validate_vectors
+from .contexts import ProbabilitySet, _checked_vector, _split, _trusted, _validate_vectors
 
 # Largest attainable negativity for projective qubit measurements in
 # mutually unbiased bases: (sqrt(2) - 1) / 4.
@@ -36,6 +36,8 @@ class Quasiprobability:
     negativity : half the summed absolute value of the negative part of w
     nsit_dev : per-outcome deviation |p_t2(a2) - joint marginal|
     aot_dev : per-outcome deviation |p_t1(a1) - joint marginal|
+
+    oq_distribution's results skip __post_init__.
     """
 
     w: np.ndarray
@@ -113,11 +115,8 @@ def oq_distribution(ps: ProbabilitySet, atol: float = 1e-9) -> Quasiprobability:
     out = _checked_vector(ps, atol) @ _EQ1_MATRIX
     # fresh arrays rather than views, so a kept result holds no spare base
     w = out[:4].reshape(2, 2).copy()
-    return Quasiprobability(
-        w=w,
-        negativity=_negativity(out[:4].tolist()),
-        nsit_dev=np.abs(out[6:]),
-        aot_dev=np.abs(out[4:6]),
+    return _trusted(
+        Quasiprobability, w, _negativity(out[:4].tolist()), np.abs(out[6:]), np.abs(out[4:6])
     )
 
 

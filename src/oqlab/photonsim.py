@@ -49,7 +49,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qcore
-from .contexts import validate_setup
+from .contexts import _trusted, validate_setup
 
 NS_PER_S = 1.0e9
 
@@ -116,13 +116,13 @@ class DetectorModel:
         object.__setattr__(self, "efficiency", tuple(float(e) for e in eff))
         for name in ("pbs_reflect_leak", "pbs_transmit_leak"):
             _require_in_range(name, getattr(self, name), 0.5, zero_ok=True)
-        for name in (
-            "dark_rate_hz",
-            "waveplate_angle_error_deg",
-            "timing_jitter_ns",
-            "integration_time_s",
-        ):
-            _require_in_range(name, getattr(self, name), zero_ok=True)
+        _require_in_range("waveplate_angle_error_deg", self.waveplate_angle_error_deg, zero_ok=True)
+        # caps far beyond any detector keep the dark mean of a counting run
+        # below numpy's Poisson limit (9.2e18) and jittered click times
+        # finite, so generated click streams need no check
+        for name, high in (("dark_rate_hz", 1e12), ("timing_jitter_ns", 1e9),
+                           ("integration_time_s", 1e6)):
+            _require_in_range(name, getattr(self, name), high, zero_ok=True, high_ok=True)
         for name in ("coincidence_window_ns", "pulse_window_ns"):
             _require_in_range(name, getattr(self, name))
 
@@ -202,6 +202,8 @@ class CountTable:
     counts is indexed [a1, a2] following the detector labels D_{a1,a2};
     with the first splitter out (n1 = 0) real photons land on row a1 = 0
     and any row-1 entries are dark or leakage strays.
+
+    simulate_counts's results skip __post_init__.
     """
 
     setup: tuple
@@ -221,7 +223,10 @@ class CountTable:
 
 @dataclass(frozen=True)
 class ClickStream:
-    """Sorted detection times (ns) of one detector channel."""
+    """Sorted detection times (ns) of one detector channel.
+
+    The results of generate_click_streams and and_gate skip __post_init__.
+    """
 
     times_ns: np.ndarray
     detector: str = "0"
@@ -357,7 +362,7 @@ def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None
     dark_mean = det.dark_rate_hz * det.integration_time_s
     if dark_mean > 0.0:
         counts = counts + rng.poisson(dark_mean, size=4).reshape(2, 2)
-    return CountTable(setup=setup, counts=counts, total=int(counts.sum()))
+    return _trusted(CountTable, validate_setup(setup), counts, int(counts.sum()))
 
 
 def dark_click_prob(det: DetectorModel) -> float:
@@ -441,7 +446,7 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     _require_in_range("window_ns", window_ns)
     ta, tb = a.times_ns, b.times_ns
     if ta.size == 0 or tb.size == 0:
-        return ClickStream(np.empty(0), detector=f"{a.detector}&{b.detector}")
+        return _trusted(ClickStream, np.empty(0), f"{a.detector}&{b.detector}")
     idx = np.searchsorted(tb, ta)
     lo = np.clip(idx - 1, 0, tb.size - 1)
     hi = np.clip(idx, 0, tb.size - 1)
@@ -449,7 +454,7 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     nearest = tb[pick]
     fired = np.abs(nearest - ta) <= window_ns
     out = np.sort(np.maximum(ta[fired], nearest[fired]))
-    return ClickStream(out, detector=f"{a.detector}&{b.detector}")
+    return _trusted(ClickStream, out, f"{a.detector}&{b.detector}")
 
 
 def _categories(n: int, probs, rng):
@@ -517,18 +522,19 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
 
     if isinstance(src, WeakCoherent):
         branch_hz = src.mean_photons_per_pulse * src.pulse_rate_hz / 2
+        rates = [branch_hz * e + det.dark_rate_hz for e in det.efficiency[:2]]
         return [
-            ClickStream(_poisson_times(branch_hz * e + det.dark_rate_hz, duration_ns, rng), str(i))
-            for i, e in enumerate(det.efficiency[:2])
+            _trusted(ClickStream, _poisson_times(rate, duration_ns, rng), str(i))
+            for i, rate in enumerate(rates)
         ]
 
     if isinstance(src, SingleEmitter):
         times = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
         branches = _categories(times.size, [e / 2 for e in det.efficiency[:2]], rng)
-        return [
-            ClickStream(_with_darks_and_jitter(times.compress(b), det, duration_ns, rng), str(i))
-            for i, b in enumerate(branches)
+        clicks = [
+            _with_darks_and_jitter(times.compress(b), det, duration_ns, rng) for b in branches
         ]
+        return [_trusted(ClickStream, t, str(i)) for i, t in enumerate(clicks)]
 
     if isinstance(src, HeraldedSPDC):
         pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
@@ -536,11 +542,12 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
         probs = [1.0 - h, *(h * e / 2 for e in det.efficiency[:2])]
         unheralded, *signal = _categories(pairs.size, probs, rng)
         idler = _with_darks_and_jitter(pairs.compress(~unheralded), det, duration_ns, rng)
-        idler = ClickStream(idler, "i")
+        idler = _trusted(ClickStream, idler, "i")
         outputs = []
         for i in (0, 1):
             sig = _with_darks_and_jitter(pairs.compress(signal[i]), det, duration_ns, rng)
-            outputs.append(and_gate(ClickStream(sig, f"s{i}"), idler, det.coincidence_window_ns))
+            sig = _trusted(ClickStream, sig, f"s{i}")
+            outputs.append(and_gate(sig, idler, det.coincidence_window_ns))
         return outputs
 
     raise TypeError(f"unsupported source model: {src!r}")
@@ -550,7 +557,6 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
 # serialization
 
 COUNT_CSV_HEADER = "n1,n2,a1,a2,counts"
-CLICK_CSV_HEADER = "time_ns,detector"
 SCHEMA_VERSION = 1
 
 
@@ -609,17 +615,3 @@ def count_tables_from_csv(path):
         setup: CountTable(setup=setup, counts=np.reshape(cells, (2, 2)), total=sum(cells))
         for setup, cells in sorted(acc.items())
     }
-
-
-def click_streams_to_csv(streams, path):
-    """Write click streams as a merged CSV time_ns,detector ordered by time."""
-    times = np.concatenate([s.times_ns for s in streams]) if streams else np.empty(0)
-    labels = np.concatenate(
-        [np.full(s.times_ns.size, s.detector, dtype=object) for s in streams]
-    ) if streams else np.empty(0, dtype=object)
-    order = np.argsort(times, kind="stable")
-    lines = [f"# schema_version={SCHEMA_VERSION}", CLICK_CSV_HEADER]
-    for t, lab in zip(times[order], labels[order]):
-        lines.append(f"{float(t)!r},{lab}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

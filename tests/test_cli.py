@@ -405,6 +405,20 @@ class TestSimulate:
         assert (code, err) == (3, "error: setup (1, 1): table holds no counts\n")
         assert not out_dir.exists()
 
+    def test_low_count_run_is_flagged(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        code, out, _ = run_cli(["simulate", "--theta", "45", "--photons", "3", "--det", "ideal",
+                                "--seed", "1", "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        # three photons per table: a negativity above the physical maximum
+        assert report["negativity"] > MAX_NEGATIVITY
+        assert report["flags"] == ["low_counts"]
+        big_dir = tmp_path / "big"
+        run_cli(["simulate", "--theta", "45", "--photons", "10000", "--det", "ideal",
+                 "--seed", "1", "--out-dir", str(big_dir)], capsys)
+        assert json.loads((big_dir / "report.json").read_text())["flags"] == []
+
     def test_out_dir_collision_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
@@ -781,11 +795,14 @@ class TestAnalyze:
 
 # a detector config line and the message its error ends with
 DETECTOR_CONFIG_ERRORS = {
-    "dark_rate_hz = nan": "dark_rate_hz must be finite and nonnegative, got nan",
-    "dark_rate_hz = inf": "dark_rate_hz must be finite and nonnegative, got inf",
-    "dark_rate_hz = abc": "dark_rate_hz must be finite and nonnegative, got abc",
+    "dark_rate_hz = nan": "dark_rate_hz must lie in [0, 1e+12], got nan",
+    "dark_rate_hz = inf": "dark_rate_hz must lie in [0, 1e+12], got inf",
+    "dark_rate_hz = abc": "dark_rate_hz must lie in [0, 1e+12], got abc",
+    "dark_rate_hz = 1e308": "dark_rate_hz must lie in [0, 1e+12], got 1e+308",
     "efficiency = 1": "efficiency must be four values in (0, 1], got 1.0",
-    "timing_jitter_ns = abc": "timing_jitter_ns must be finite and nonnegative, got abc",
+    "timing_jitter_ns = abc": "timing_jitter_ns must lie in [0, 1e+09], got abc",
+    "timing_jitter_ns = 1e308": "timing_jitter_ns must lie in [0, 1e+09], got 1e+308",
+    "integration_time_s = 1e308": "integration_time_s must lie in [0, 1e+06], got 1e+308",
     "pulse_window_ns = 1,2": "pulse_window_ns must be finite and positive, got (1.0, 2.0)",
     "pbs_reflect_leak = 0.5": "pbs_reflect_leak must lie in [0, 0.5), got 0.5",
     "efficiency = 1, 1, 1": "efficiency must be four values in (0, 1], got (1.0, 1.0, 1.0)",
@@ -898,6 +915,25 @@ class TestConfigs:
         )
         assert code == 3
         assert err == f"error: {path}: line 3: {DETECTOR_CONFIG_ERRORS[line]}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line,command",
+        [
+            # each on the command whose draws the value would overflow
+            ("dark_rate_hz = 1e308", ["simulate", "--theta", "45", "--photons", "100"]),
+            ("integration_time_s = 1e308", ["simulate", "--theta", "45", "--photons", "100"]),
+            ("timing_jitter_ns = 1e308",
+             ["g2", "--source", "single-emitter", "--duration", "0.001"]),
+        ],
+    )
+    def test_absurd_detector_value_names_its_line(self, tmp_path, capsys, line, command):
+        path = tmp_path / "det.cfg"
+        path.write_text("# detector\n\n" + line + "\n")
+        out = tmp_path / "out"
+        target = ["--out-dir", str(out)] if command[0] == "simulate" else ["--out", str(out)]
+        code, _, err = run_cli([*command, "--det", str(path), *target], capsys)
+        assert (code, err) == (3, f"error: {path}: line 3: {DETECTOR_CONFIG_ERRORS[line]}\n")
         assert not out.exists()
 
 

@@ -26,7 +26,6 @@ from oqlab.photonsim import (
     _weakfield_counts,
     _with_darks_and_jitter,
     and_gate,
-    click_streams_to_csv,
     count_tables_from_csv,
     count_tables_to_csv,
     dark_click_prob,
@@ -958,18 +957,3 @@ class TestCsvRoundTrip:
         path.write_text("# schema_version=1\nn1,n2,a1,a2,counts\n1,1,0,0,5\n1,1,9,0,5\n")
         with pytest.raises(ValueError, match="line 4"):
             count_tables_from_csv(path)
-
-    def test_click_streams_csv_is_time_ordered(self, tmp_path):
-        streams = [
-            ClickStream(np.array([1.0, 5.0]), detector="0"),
-            ClickStream(np.array([2.5]), detector="1"),
-        ]
-        path = tmp_path / "clicks.csv"
-        click_streams_to_csv(streams, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# schema_version=1"
-        assert lines[1] == "time_ns,detector"
-        times = [float(line.split(",")[0]) for line in lines[2:]]
-        dets = [line.split(",")[1] for line in lines[2:]]
-        assert times == [1.0, 2.5, 5.0]
-        assert dets == ["0", "1", "0"]
