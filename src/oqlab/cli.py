@@ -49,6 +49,7 @@ from .photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
+    _click_rate_bound_hz,
     _require_in_range,
     _weakfield_counts,
     count_tables_from_csv,
@@ -222,18 +223,17 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
-def _write_table(path, header: str, table, chunk: int = 1024):
-    """Write a scan CSV: schema line, header, then one row per table row.
+def _write_table(path, header: str, blocks):
+    """Write a scan CSV: schema line, header, then the rows of each block.
 
-    Rows are formatted and written `chunk` at a time, so no text of the
-    whole table is ever held. tolist() yields Python floats, whose repr
-    is _fmt.
+    Each (n, k) block is formatted and written as it arrives, so no text
+    or table of the whole scan is ever held. tolist() yields Python
+    floats, whose repr is _fmt.
     """
     with open(path, "w") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n{header}\n")
-        for start in range(0, len(table), chunk):
-            rows = table[start:start + chunk].tolist()
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+        for block in blocks:
+            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +248,30 @@ def cmd_predict(args) -> dict:
 
 
 _QUASI_HEADER = "w00,w01,w10,w11,negativity,nsit_dev,aot_dev"
+
+
+# the pure-grid and bloch-disk scans compute and write at most this many
+# rows at a time, so their memory is set by one block, not by the grid
+SCAN_BLOCK = 1024
+
+
+def _block_bounds(n: int) -> list:
+    """Bounds of nearly equal blocks that tile range(n) in order.
+
+    Blocks hold at most SCAN_BLOCK rows and, for n >= 2, at least two: a
+    one-row block would run eq. (1) as a matrix-vector product, whose
+    last bits can differ from the matrix product of larger blocks. Only
+    at SCAN_BLOCK = 2 and odd n does that leave one block of three rows.
+    """
+    k = max(1, min(-(-n // SCAN_BLOCK), n // 2))
+    return [n * i // k for i in range(k + 1)]
+
+
+def _row_blocks(n: int):
+    """The row indices of each _block_bounds block, as arrays."""
+    bounds = _block_bounds(n)
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield np.arange(lo, hi)
 
 
 def _quasi_columns(rho) -> np.ndarray:
@@ -270,11 +294,16 @@ def _pure_states(half_theta, phi) -> np.ndarray:
 def _scan_rows_pure_grid(args):
     thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
     phis = np.arange(0.0, 90.0 + 1e-9, args.phi_step)
-    # the whole grid, theta the outer loop
-    theta, phi = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-    rho = _pure_states(np.radians(theta) / 2, np.radians(phi))
-    header = "theta_deg,phi_deg," + _QUASI_HEADER
-    return header, np.column_stack((theta, phi, _quasi_columns(rho)))
+
+    def blocks():
+        # row i is (thetas[i // len(phis)], phis[i % len(phis)]): theta
+        # the outer loop
+        for idx in _row_blocks(len(thetas) * len(phis)):
+            theta, phi = thetas[idx // len(phis)], phis[idx % len(phis)]
+            rho = _pure_states(np.radians(theta) / 2, np.radians(phi))
+            yield np.column_stack((theta, phi, _quasi_columns(rho)))
+
+    return "theta_deg,phi_deg," + _QUASI_HEADER, blocks()
 
 
 def _scan_rows_bloch_disk(args):
@@ -284,17 +313,22 @@ def _scan_rows_bloch_disk(args):
     # make_mixed_state(t1, t1 + pi, alpha) for every (theta, alpha), theta
     # the outer loop: the two pure branches per theta, then the weights
     t1 = [math.radians(theta) for theta in thetas]
-    first = np.stack([qcore.make_pure_state(t) for t in t1])[:, None]
-    second = np.stack([qcore.make_pure_state(t + math.pi) for t in t1])[:, None]
-    w1 = ((1.0 + alphas) / 2.0)[None, :, None, None]
-    w2 = ((1.0 - alphas) / 2.0)[None, :, None, None]
-    rho = (w1 * first + w2 * second).reshape(-1, 2, 2)
-    # x and z as bloch_vector computes them, so these columns keep their bytes
-    x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
-    z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
-    theta, alpha = (g.ravel() for g in np.meshgrid(thetas, alphas, indexing="ij"))
-    header = "theta1_deg,alpha,x,z," + _QUASI_HEADER
-    return header, np.column_stack((theta, alpha, x, z, _quasi_columns(rho)))
+    first = np.stack([qcore.make_pure_state(t) for t in t1])
+    second = np.stack([qcore.make_pure_state(t + math.pi) for t in t1])
+    w1 = ((1.0 + alphas) / 2.0)[:, None, None]
+    w2 = ((1.0 - alphas) / 2.0)[:, None, None]
+
+    def blocks():
+        for idx in _row_blocks(len(thetas) * len(alphas)):
+            i, j = idx // len(alphas), idx % len(alphas)
+            rho = w1[j] * first[i] + w2[j] * second[i]
+            # x and z as bloch_vector computes them, so these columns keep
+            # their bytes
+            x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
+            z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
+            yield np.column_stack((thetas[i], alphas[j], x, z, _quasi_columns(rho)))
+
+    return "theta1_deg,alpha,x,z," + _QUASI_HEADER, blocks()
 
 
 def _weak_field_batch(thetas_deg, means, pulses, det, seed_seqs):
@@ -351,7 +385,8 @@ def _scan_rows_weak_field(args):
         for i in range(len(thetas)) for j in range(len(means))
     ]
     raw, (w, corrected, _, _), exact = _weak_field_batch(theta, mean, args.pulses, det, seed_seqs)
-    return header, np.column_stack((theta, mean, w.reshape(-1, 4), exact, raw, corrected))
+    # one block: every point is drawn and checked before the file opens
+    return header, [np.column_stack((theta, mean, w.reshape(-1, 4), exact, raw, corrected))]
 
 
 def cmd_scan(args) -> str:
@@ -363,8 +398,10 @@ def cmd_scan(args) -> str:
         "bloch-disk": _scan_rows_bloch_disk,
         "weak-field": _scan_rows_weak_field,
     }
-    header, table = builders[args.kind](args)
-    _write_table(args.out, header, table)
+    # a builder runs every check that can reject its scan before it
+    # returns; the rows it yields are computed as the file is written
+    header, blocks = builders[args.kind](args)
+    _write_table(args.out, header, blocks)
     return args.out
 
 
@@ -402,21 +439,41 @@ def cmd_simulate(args) -> dict:
     return payload
 
 
-# g2 simulates its run as independent chunks of this length in seconds
-# (the last one shorter), so peak memory is set by one chunk, not by
-# --duration
+# g2 simulates its run as independent chunks (the last one shorter) of at
+# most G2_CHUNK_S seconds and G2_CHUNK_CLICKS clicks per channel, so peak
+# memory is set by one chunk, not by --duration or the source's rate.
+# Every built-in source (the single emitter, near 2 MHz of emissions, is
+# the fastest) keeps G2_CHUNK_S.
 G2_CHUNK_S = 0.05
+G2_CHUNK_CLICKS = 2**17
 
 
-def _g2_chunks(duration_s):
+def _g2_chunks(duration_s, chunk_s):
     """(start, length) in seconds of the chunks that tile [0, duration_s)."""
-    n = max(1, math.ceil(duration_s / G2_CHUNK_S))
-    while n > 1 and (n - 1) * G2_CHUNK_S >= duration_s:
+    n = max(1, math.ceil(duration_s / chunk_s))
+    while n > 1 and (n - 1) * chunk_s >= duration_s:
         n -= 1
     for k in range(n - 1):
-        yield k * G2_CHUNK_S, G2_CHUNK_S
-    start = (n - 1) * G2_CHUNK_S
+        yield k * chunk_s, chunk_s
+    start = (n - 1) * chunk_s
     yield start, duration_s - start
+
+
+def _g2_chunk_s(src, det, span_ns: float) -> float:
+    """Chunk length for a source: G2_CHUNK_S, or the time the source takes
+    to reach G2_CHUNK_CLICKS clicks per channel if that is shorter. A
+    chunk must outlast the span_ns a click waits for its delays."""
+    rate_hz = _click_rate_bound_hz(src, det)
+    if rate_hz * G2_CHUNK_S <= G2_CHUNK_CLICKS:
+        return G2_CHUNK_S
+    chunk_s = G2_CHUNK_CLICKS / rate_hz
+    if chunk_s * NS_PER_S < span_ns:
+        raise ValueError(
+            f"source clicks at up to {rate_hz:.4g} Hz per channel, so chunks of "
+            f"{G2_CHUNK_CLICKS} clicks last {chunk_s * NS_PER_S:.4g} ns, shorter than the "
+            f"{span_ns:.4g} ns of --max-delay plus the jitter guard"
+        )
+    return chunk_s
 
 
 def cmd_g2(args) -> dict:
@@ -428,17 +485,17 @@ def cmd_g2(args) -> dict:
     src = resolve_source(args.source)
     # numpy's normal draws never leave about 14 sigma, so no jittered click
     # of a chunk lands more than 20 sigma + 1 ns before the chunk's start
+    guard_ns = 20.0 * det.timing_jitter_ns + 1.0
     try:
-        acc = _StartStopAccumulator(
-            args.bin_width, args.max_delay, guard_ns=20.0 * det.timing_jitter_ns + 1.0
-        )
+        acc = _StartStopAccumulator(args.bin_width, args.max_delay, guard_ns=guard_ns)
     except ValueError as exc:
         # the accumulator's checks of the histogram flags, under the flags' names
         message = str(exc).replace("max_delay_ns", "--max-delay")
         raise ValueError(message.replace("bin_width_ns", "--bin-width")) from None
+    chunk_s = _g2_chunk_s(src, det, args.max_delay + guard_ns)
     # each chunk restarts the source at its start, seeded by its index the
     # way the weak-field scan seeds each grid point
-    for k, (start_s, length_s) in enumerate(_g2_chunks(args.duration)):
+    for k, (start_s, length_s) in enumerate(_g2_chunks(args.duration, chunk_s)):
         seed = np.random.SeedSequence(args.seed, spawn_key=(k,))
         streams = generate_click_streams(src, length_s, det=det, seed=seed)
         offset_ns = start_s * NS_PER_S
@@ -589,6 +646,8 @@ def _print_quasi_text(payload: dict, stream):
             f"(statistical {err['statistical']:.6f}, systematic {err['systematic']:.6f}, "
             f"{err['mode']})\n"
         )
+    if payload.get("flags"):
+        stream.write(f"flags = {', '.join(payload['flags'])}\n")
 
 
 def _run_predict(args, out):

@@ -487,6 +487,8 @@ def _renewal_times(dead_ns: float, rate_hz: float, duration_ns: float, rng):
     renewal process whose gaps are dead_ns plus an exponential wait, so
     the times can be drawn directly.
     """
+    if rate_hz == 0.0:
+        return np.empty(0)
     mean_exp_ns = NS_PER_S / rate_hz
     expect = duration_ns / (dead_ns + mean_exp_ns)
     gaps = rng.exponential(mean_exp_ns, size=int(expect * 1.2 + 100))
@@ -498,6 +500,30 @@ def _renewal_times(dead_ns: float, rate_hz: float, duration_ns: float, rng):
             more = dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 0.2 + 100))
             times = np.concatenate([times, times[-1] + np.cumsum(more)])
     return times[:np.searchsorted(times, duration_ns)]
+
+
+def _renewal_rate_hz(dead_ns: float, rate_hz: float) -> float:
+    """Mean event rate of _renewal_times: one event per dead_ns plus 1 / rate_hz."""
+    return rate_hz / (1.0 + rate_hz * dead_ns / NS_PER_S)
+
+
+def _click_rate_bound_hz(src, det: DetectorModel) -> float:
+    """An upper bound on the mean rate in Hz of either channel's clicks in
+    generate_click_streams, and of the emissions the clicks are drawn from.
+
+    A weak-coherent channel is its own Poisson rate; an emitter or SPDC
+    channel holds at most every emission, or every pair, plus its darks.
+    """
+    if isinstance(src, WeakCoherent):
+        branch_hz = src.mean_photons_per_pulse * src.pulse_rate_hz / 2
+        return branch_hz * max(det.efficiency[:2]) + det.dark_rate_hz
+    if isinstance(src, SingleEmitter):
+        emissions = _renewal_rate_hz(src.excited_lifetime_ns, src.excitation_rate_hz)
+    elif isinstance(src, HeraldedSPDC):
+        emissions = _renewal_rate_hz(det.coincidence_window_ns, src.pair_rate_hz)
+    else:
+        raise TypeError(f"unsupported source model: {src!r}")
+    return emissions + det.dark_rate_hz
 
 
 def generate_click_streams(src, duration_s: float, det: DetectorModel | None = None, seed=0):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -181,6 +182,130 @@ class TestScanBatchMatchesScalar:
             bx, _, bz = qcore.bloch_vector(rho)
             assert (x, z) == (bx, bz)
             np.testing.assert_allclose(cells, scalar_columns(rho), rtol=0, atol=1e-15)
+
+    def test_scalar_and_batched_kernels_agree_to_rounding(self):
+        # predict runs eq. (1) as (8,) @ _EQ1_MATRIX, a matrix-vector
+        # product, and a scan as (N, 8) @ _EQ1_MATRIX, a matrix product; on
+        # this grid w differs in the last bit in 6,655 of 8,281 rows and the
+        # negativity in 3,413, so the two agree to rounding, not bit for bit
+        thetas = np.arange(0.0, 90.0 + 1e-9, 1.0)
+        theta, phi = (g.ravel() for g in np.meshgrid(thetas, thetas, indexing="ij"))
+        batched = cli._quasi_columns(cli._pure_states(np.radians(theta) / 2, np.radians(phi)))
+        scalar = np.array([
+            scalar_columns(qcore.make_pure_state(math.radians(t), math.radians(p)))
+            for t, p in zip(theta, phi)
+        ])
+        assert np.abs(batched[:, :4] - scalar[:, :4]).max() <= 2.3e-16
+        assert np.abs(batched[:, 4] - scalar[:, 4]).max() <= 5.6e-17
+
+
+@functools.cache
+def whole_table_scan(kind, theta_step, second):
+    """CSV bytes of a pure-grid or bloch-disk scan built as one table.
+
+    The reference for the streamed scans: the whole grid as one state
+    stack, one cli._quasi_columns call, then every row. second is the
+    phi step of a pure grid or the alpha steps of a disk.
+    """
+    if kind == "pure-grid":
+        thetas = np.arange(0.0, 90.0 + 1e-9, theta_step)
+        phis = np.arange(0.0, 90.0 + 1e-9, second)
+        theta, phi = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
+        rho = cli._pure_states(np.radians(theta) / 2, np.radians(phi))
+        header = "theta_deg,phi_deg,"
+        table = np.column_stack((theta, phi, cli._quasi_columns(rho)))
+    else:
+        thetas = np.arange(0.0, 180.0 + 1e-9, theta_step)
+        alphas = np.clip(np.arange(-1.0, 1.0 + 1e-9, 1.0 / second), -1.0, 1.0)
+        theta, alpha = (g.ravel() for g in np.meshgrid(thetas, alphas, indexing="ij"))
+        first = np.stack([qcore.make_pure_state(math.radians(t)) for t in theta])
+        other = np.stack([qcore.make_pure_state(math.radians(t) + math.pi) for t in theta])
+        rho = ((1.0 + alpha) / 2.0)[:, None, None] * first
+        rho = rho + ((1.0 - alpha) / 2.0)[:, None, None] * other
+        x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
+        z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
+        header = "theta1_deg,alpha,x,z,"
+        table = np.column_stack((theta, alpha, x, z, cli._quasi_columns(rho)))
+    rows = "".join(",".join(map(repr, row)) + "\n" for row in table.tolist())
+    return f"# schema_version=1\n{header}{cli._QUASI_HEADER}\n{rows}".encode()
+
+
+SCAN_GRIDS = [
+    # default, odd and one-row grids; the smallest disk has three rows
+    ("pure-grid", 1.0, 1.0),
+    ("pure-grid", 1.3, 1.7),
+    ("pure-grid", 100.0, 100.0),
+    ("bloch-disk", 1.0, 30),
+    ("bloch-disk", 2.9, 37),
+    ("bloch-disk", 200.0, 1),
+]
+
+
+def scan_argv(kind, theta_step, second, out):
+    flag = "--phi-step" if kind == "pure-grid" else "--alpha-steps"
+    return ["scan", "--kind", kind, "--theta-step", str(theta_step), flag, str(second),
+            "--out", str(out)]
+
+
+class TestScanBlocks:
+    """pure-grid and bloch-disk scans stream their rows in blocks."""
+
+    @pytest.mark.parametrize("block", [2, 3, 7, 1024])
+    @pytest.mark.parametrize("kind,theta_step,second", SCAN_GRIDS)
+    def test_bytes_match_the_whole_table(self, tmp_path, capsys, monkeypatch, block, kind,
+                                         theta_step, second):
+        monkeypatch.setattr(cli, "SCAN_BLOCK", block)
+        out = tmp_path / "scan.csv"
+        code, _, _ = run_cli(scan_argv(kind, theta_step, second, out), capsys)
+        assert code == 0
+        assert out.read_bytes() == whole_table_scan(kind, theta_step, second)
+
+    @pytest.mark.parametrize("block", [7, 1024])
+    def test_blocks_are_even_and_never_one_row(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "SCAN_BLOCK", block)
+        for n in range(1, 5001):
+            bounds = cli._block_bounds(n)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert sizes.max() <= block and sizes.max() - sizes.min() <= 1
+            assert n == 1 or sizes.min() >= 2
+
+    @pytest.mark.parametrize("block", [2, 3])
+    def test_tiny_blocks_still_hold_two_rows(self, monkeypatch, block):
+        monkeypatch.setattr(cli, "SCAN_BLOCK", block)
+        for n in range(2, 300):
+            sizes = np.diff(cli._block_bounds(n))
+            # at 2 rows a block, an odd n needs one block of three
+            assert sizes.min() >= 2 and sizes.max() <= 3
+
+    def test_row_blocks_tile_the_rows(self, monkeypatch):
+        monkeypatch.setattr(cli, "SCAN_BLOCK", 7)
+        for n in (1, 2, 15, 100):
+            np.testing.assert_array_equal(np.concatenate(list(cli._row_blocks(n))), np.arange(n))
+
+    @pytest.mark.parametrize(
+        "kind,coarse,fine",
+        [("pure-grid", (1.0, 1.0), (0.5, 0.5)), ("bloch-disk", (1.0, 30), (0.5, 60))],
+    )
+    def test_peak_memory_does_not_grow_with_the_grid(self, tmp_path, capsys, kind, coarse,
+                                                      fine):
+        out = tmp_path / "scan.csv"
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                code = cli.main(scan_argv(kind, *grid, out))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak((30.0, 2))  # a first call pays one-off lazy imports
+        short = peak(coarse)
+        long = peak(fine)
+        capsys.readouterr()
+        assert long <= 1.25 * short
 
 
 def per_run_weak_field_point(theta_deg, mean, pulses, det, seed_seq):
@@ -419,6 +544,25 @@ class TestSimulate:
                  "--seed", "1", "--out-dir", str(big_dir)], capsys)
         assert json.loads((big_dir / "report.json").read_text())["flags"] == []
 
+    def test_text_output_prints_its_flags(self, tmp_path, capsys):
+        outputs = {}
+        for photons in ("3", "10000"):
+            out_dir = tmp_path / photons
+            code, out, _ = run_cli(["simulate", "--theta", "45", "--photons", photons,
+                                    "--det", "ideal", "--seed", "1", "--out-dir", str(out_dir)],
+                                   capsys)
+            assert code == 0
+            outputs[photons] = out.splitlines()
+        low, high = outputs["3"], outputs["10000"]
+        # one line after the error line, and only when the report has flags
+        assert low[7].startswith("error = ") and low[8] == "flags = low_counts"
+        assert len(low) == len(high) + 1
+        assert not any(line.startswith("flags") for line in high)
+        def shape(lines):
+            return [re.sub(r"[-+]?\d[\d.e+-]*", "#", line) for line in lines]
+
+        assert shape(low[:8] + low[9:]) == shape(high)
+
     def test_out_dir_collision_is_io_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocked"
         blocker.write_text("not a directory")
@@ -613,6 +757,74 @@ class TestG2Chunks:
         long = peak("5")
         capsys.readouterr()
         assert long <= 1.25 * short
+
+    def test_fast_source_peak_memory_does_not_grow_with_duration(self, tmp_path, capsys):
+        # about 1.9 GHz per channel: chunks are bounded by clicks, not by time
+        cfg = tmp_path / "wc.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 1e3\n")
+        out = str(tmp_path / "hist.csv")
+
+        def peak(duration):
+            tracemalloc.start()
+            try:
+                code = cli.main(["g2", "--source", str(cfg), "--duration", duration,
+                                 "--out", out])
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            return peak
+
+        peak("1e-4")  # a first call pays one-off lazy imports
+        short = peak("2e-4")
+        long = peak("2e-3")
+        capsys.readouterr()
+        assert long <= 1.25 * short
+
+    def test_fast_source_chunks_hold_a_bounded_number_of_clicks(self, tmp_path, capsys,
+                                                                monkeypatch):
+        cfg = tmp_path / "wc.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 1e3\n")
+        lengths, clicks = [], []
+        real = cli.generate_click_streams
+
+        def recording(src, duration_s, det=None, seed=0):
+            streams = real(src, duration_s, det=det, seed=seed)
+            lengths.append(duration_s)
+            clicks.extend(s.times_ns.size for s in streams)
+            return streams
+
+        monkeypatch.setattr(cli, "generate_click_streams", recording)
+        code, _, _ = run_cli(["g2", "--source", str(cfg), "--duration", "1e-3",
+                              "--out", str(tmp_path / "hist.csv")], capsys)
+        assert code == 0
+        assert len(lengths) > 10
+        assert abs(math.fsum(lengths) - 1e-3) <= 1e-15
+        # Poisson counts of mean at most G2_CHUNK_CLICKS
+        assert max(clicks) <= cli.G2_CHUNK_CLICKS + 5 * math.sqrt(cli.G2_CHUNK_CLICKS)
+
+    @pytest.mark.parametrize("det", sorted(cli.BUILTIN_DETECTORS))
+    @pytest.mark.parametrize("source", sorted(cli.SOURCE_KINDS))
+    def test_builtin_sources_keep_time_chunks(self, source, det):
+        src, model = cli.resolve_source(source), cli.resolve_detector(det)
+        assert cli._g2_chunk_s(src, model, 20.0) == cli.G2_CHUNK_S
+
+    def test_too_fast_source_is_data_error(self, tmp_path, capsys, monkeypatch):
+        def no_clicks(*args, **kwargs):
+            raise AssertionError("clicks drawn for a source too fast to chunk")
+
+        monkeypatch.setattr(cli, "generate_click_streams", no_clicks)
+        cfg = tmp_path / "wc.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 1e7\n")
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--source", str(cfg), "--det", "ideal", "--duration", "1",
+                                "--out", str(out)], capsys)
+        assert code == 3
+        assert err == (
+            "error: source clicks at up to 1.9e+13 Hz per channel, so chunks of 131072 clicks "
+            "last 6.899 ns, shorter than the 21 ns of --max-delay plus the jitter guard\n"
+        )
+        assert not out.exists()
 
     def test_module_runs_as_script(self):
         env = dict(os.environ)

@@ -20,6 +20,7 @@ from oqlab.photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
+    _click_rate_bound_hz,
     _draw_misalignment,
     _poisson_times,
     _renewal_times,
@@ -885,6 +886,34 @@ class TestClickStreams:
         for duration in (0.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="duration"):
                 generate_click_streams(WeakCoherent(), duration)
+
+    @pytest.mark.parametrize(
+        "src",
+        [WeakCoherent(), WeakCoherent(mean_photons_per_pulse=2.0), SingleEmitter(),
+         SingleEmitter(excited_lifetime_ns=500.0, excitation_rate_hz=1e8), HeraldedSPDC(),
+         HeraldedSPDC(pair_rate_hz=1e9, herald_efficiency=1.0)],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("det", [DetectorModel(), DetectorModel.ideal()],
+                             ids=["bench", "ideal"])
+    def test_click_rate_bound_holds(self, src, det):
+        duration = 0.01
+        bound = _click_rate_bound_hz(src, det) * duration
+        for stream in generate_click_streams(src, duration, det=det, seed=53):
+            clicks = stream.times_ns.size
+            assert clicks <= bound + 5 * math.sqrt(bound)
+            if isinstance(src, WeakCoherent):
+                # a weak-coherent channel is its own Poisson process: near tight
+                assert clicks >= 0.5 * bound
+
+    def test_zero_pair_rate_draws_only_darks(self):
+        det = DetectorModel.ideal(dark_rate_hz=1e4)
+        src = HeraldedSPDC(pair_rate_hz=0.0)
+        assert _click_rate_bound_hz(src, det) == det.dark_rate_hz
+        # a gate output needs a dark signal and a dark idler click within
+        # one window, about 0.1 of them per stream here
+        for stream in generate_click_streams(src, 0.1, det=det, seed=59):
+            assert stream.times_ns.size <= 3
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
