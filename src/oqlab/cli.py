@@ -5,14 +5,16 @@ Subcommands: predict (exact quasiprobability at one setting), scan
 plus analysis report), g2 (timing run and correlation histogram), and
 analyze (count CSVs to a JSON report).
 
-Angles are degrees at this boundary and radians everywhere else. Each
-weak-field scan point draws from its own seed, spawned from the master
-seed by its grid position.
+Angles are degrees at this boundary and radians everywhere else. Every
+counting run draws from its own seed, SeedSequence(--seed, spawn_key=key)
+with key its position: (k,) for simulate's setup k, (i, j, k) for run k
+of weak-field point (i, j), (k,) for g2 chunk k. These are the children
+SeedSequence.spawn would give, built without their parents.
 
 Exit codes: 0 success, 2 usage, 3 malformed or degenerate data, 4 I/O.
 A data error names an entry of a config file or count CSV as 'path: line
-N: <field> ...' and a flag as typed (the pulse, photon and bootstrap counts
-by their library names). Every number from a flag or config file passes
+N: <field> ...' and a flag as typed (the pulse and photon counts by their
+library names). Every number from a flag or config file passes
 photonsim's one range check, so NaN, infinities and values out of range,
 such as a non-finite --calibration factor, exit 3 and write nothing.
 """
@@ -267,6 +269,30 @@ def _block_bounds(n: int) -> list:
     return [n * i // k for i in range(k + 1)]
 
 
+# most points a scan axis may hold (8 MB of angles); a flag that asks for
+# more is refused before the axis is built
+SCAN_AXIS_MAX = 2**20
+
+
+def _scan_axis(flag: str, value, start: float, stop: float, step: float) -> np.ndarray:
+    """np.arange(start, stop + 1e-9, step), the axis that flag = value sets.
+
+    An axis of more than SCAN_AXIS_MAX points is refused with an error
+    naming the flag and the point count. The count is arange's own,
+    ceil((stop + 1e-9 - start) / step), compared before the ceil so that
+    an infinite quotient is refused too.
+    """
+    end = stop + 1e-9
+    points = (end - start) / step
+    if points > SCAN_AXIS_MAX:
+        count = math.ceil(points) if math.isfinite(points) else points
+        raise ValueError(
+            f"{flag} {value:g} gives {count:.15g} points per axis, "
+            f"more than the {SCAN_AXIS_MAX} allowed"
+        )
+    return np.arange(start, end, step)
+
+
 def _row_blocks(n: int):
     """The row indices of each _block_bounds block, as arrays."""
     bounds = _block_bounds(n)
@@ -292,8 +318,8 @@ def _pure_states(half_theta, phi) -> np.ndarray:
 
 
 def _scan_rows_pure_grid(args):
-    thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
-    phis = np.arange(0.0, 90.0 + 1e-9, args.phi_step)
+    thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
+    phis = _scan_axis("--phi-step", args.phi_step, 0.0, 90.0, args.phi_step)
 
     def blocks():
         # row i is (thetas[i // len(phis)], phis[i % len(phis)]): theta
@@ -307,9 +333,10 @@ def _scan_rows_pure_grid(args):
 
 
 def _scan_rows_bloch_disk(args):
-    thetas = np.arange(0.0, 180.0 + 1e-9, args.theta_step)
+    thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 180.0, args.theta_step)
     # arange can overshoot 1 by round-off at the last step
-    alphas = np.clip(np.arange(-1.0, 1.0 + 1e-9, 1.0 / args.alpha_steps), -1.0, 1.0)
+    alphas = _scan_axis("--alpha-steps", args.alpha_steps, -1.0, 1.0, 1.0 / args.alpha_steps)
+    alphas = np.clip(alphas, -1.0, 1.0)
     # make_mixed_state(t1, t1 + pi, alpha) for every (theta, alpha), theta
     # the outer loop: the two pure branches per theta, then the weights
     t1 = [math.radians(theta) for theta in thetas]
@@ -331,24 +358,25 @@ def _scan_rows_bloch_disk(args):
     return "theta1_deg,alpha,x,z," + _QUASI_HEADER, blocks()
 
 
-def _weak_field_batch(thetas_deg, means, pulses, det, seed_seqs):
+def _weak_field_batch(thetas_deg, means, pulses, det, run_seeds):
     """Weak-field scan points in one batch: runs of setups (1, 1) and (0, 1).
 
     Point i is the pure state at thetas_deg[i] sent at mean photon number
-    means[i] (validated by the caller); seed_seqs[i] spawns the seeds of
-    its two runs. Each run draws from its own generator in the order
-    weakfield_run uses; the rest runs on the whole stack: the runs' cells,
-    dark subtraction with clamping, the lab-mode estimate and eq. (1) on
-    the raw, corrected and exact probabilities. A point that analyze
+    means[i] (validated by the caller); run_seeds[i] is the pair of seeds
+    of its (1, 1) and (0, 1) runs, anything default_rng takes. Each run
+    draws from its own generator in the order weakfield_run uses; the
+    rest runs on the whole stack: the runs' cells, dark subtraction with
+    clamping, the lab-mode estimate and eq. (1) on the raw, corrected and
+    exact probabilities. A point that analyze
     would reject goes through estimate_probs for its message, raw before
     corrected, in grid order. Returns (raw negativity, corrected
     _quasi_rows, exact negativity).
     """
     half = np.radians(np.asarray(thetas_deg, dtype=float)) / 2
     rho = _pure_states(half, np.zeros_like(half))
-    seeds = [seq.spawn(2) for seq in seed_seqs]
     joint, off = (
-        _weakfield_counts(rho, means, setup, pulses, det, [s[k] for s in seeds]).reshape(-1, 2, 2)
+        _weakfield_counts(rho, means, setup, pulses, det, [s[k] for s in run_seeds])
+        .reshape(-1, 2, 2)
         for k, setup in enumerate(((1, 1), (0, 1)))
     )
     dark = expected_dark_counts(det, pulses).reshape(2, 2)
@@ -378,13 +406,15 @@ def _scan_rows_weak_field(args):
         "theta_deg,mean_photons,w00,w01,w10,w11,"
         "negativity_exact,negativity_uncorrected,negativity_corrected"
     )
-    thetas = np.arange(0.0, 90.0 + 1e-9, args.theta_step)
+    thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
     theta, mean = (g.ravel() for g in np.meshgrid(thetas, means, indexing="ij"))
-    seed_seqs = [
-        np.random.SeedSequence(args.seed, spawn_key=(i, j))
+    # the seeds SeedSequence(args.seed, spawn_key=(i, j)).spawn(2) gives,
+    # built directly
+    run_seeds = [
+        [np.random.SeedSequence(args.seed, spawn_key=(i, j, k)) for k in (0, 1)]
         for i in range(len(thetas)) for j in range(len(means))
     ]
-    raw, (w, corrected, _, _), exact = _weak_field_batch(theta, mean, args.pulses, det, seed_seqs)
+    raw, (w, corrected, _, _), exact = _weak_field_batch(theta, mean, args.pulses, det, run_seeds)
     # one block: every point is drawn and checked before the file opens
     return header, [np.column_stack((theta, mean, w.reshape(-1, 4), exact, raw, corrected))]
 
@@ -410,10 +440,13 @@ def cmd_simulate(args) -> dict:
     theta = math.radians(args.theta)
     phi = math.radians(args.phi)
     rho = qcore.make_pure_state(theta, phi)
-    seeds = np.random.SeedSequence(args.seed).spawn(len(SETUPS))
+    # setup k's seed is the k-th child SeedSequence(args.seed).spawn would give
     tables = {
-        setup: simulate_counts(rho, setup, args.photons, det=det, seed=seed)
-        for setup, seed in zip(SETUPS, seeds)
+        setup: simulate_counts(
+            rho, setup, args.photons, det=det,
+            seed=np.random.SeedSequence(args.seed, spawn_key=(k,)),
+        )
+        for k, setup in enumerate(SETUPS)
     }
     rec = ExperimentRecord(
         tables=tables, theta_deg=args.theta, phi_deg=args.phi, source="simulated"
@@ -530,6 +563,9 @@ def cmd_g2(args) -> dict:
 
 
 def cmd_analyze(args) -> dict:
+    # 0 turns the bootstrap off; one resample has no spread
+    if args.bootstrap is not None and not (args.bootstrap == 0 or args.bootstrap >= 2):
+        raise ValueError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
     tables = {}
     for path in args.inputs:
         for setup, table in count_tables_from_csv(path).items():

@@ -246,11 +246,20 @@ class ClickStream:
 
 
 def _draw_misalignment(det: DetectorModel, rng):
+    """The run's plate offsets: uniform(-2 err, 2 err) for the preparation,
+    twice uniform(-err, err) for each arm.
+
+    One rng.random(3) call takes the place of the two Generator.uniform
+    calls, whose low + (high - low) * u it repeats on the same doubles, so
+    the offsets and the generator's next draw keep their bits.
+    """
     err = math.radians(det.waveplate_angle_error_deg)
+    u0, u1, u2 = rng.random(3).tolist()
     # preparation plates rotate the polarization by twice the setting error
-    prep = rng.uniform(-2 * err, 2 * err)
-    arms = 2.0 * rng.uniform(-err, err, size=2)
-    return prep, (arms[0], arms[1])
+    low, high = -2 * err, 2 * err
+    prep = low + (high - low) * u0
+    low, high = -err, err
+    return prep, (2.0 * (low + (high - low) * u1), 2.0 * (low + (high - low) * u2))
 
 
 _FIRST_OUTCOME = np.array([1.0, 0.0])
@@ -340,6 +349,18 @@ def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
     p = (rho.real.reshape(rho.shape[:-2] + (1, 4)) @ ops)[..., 0, :]
     probs = np.maximum(p, 0.0).reshape(p.shape[:-1] + (2, 2))
     return probs, np.maximum(0.0, 1.0 - probs.sum(axis=(-2, -1)))
+
+
+def expected_counts(rho, setup, det: DetectorModel, n, misalignment=None):
+    """Mean (..., 2, 2) table of a counting run of n photons.
+
+    Cell k holds n Tr[E_k rho] from detection_probs, at the given
+    misalignment, plus the dark mean dark_rate_hz * integration_time_s
+    that simulate_counts adds to every detector.
+    """
+    _require_in_range("n", n, zero_ok=True)
+    probs, _ = detection_probs(rho, setup, det, misalignment)
+    return n * probs + det.dark_rate_hz * det.integration_time_s
 
 
 def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None, seed=0) -> CountTable:

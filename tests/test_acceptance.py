@@ -211,7 +211,7 @@ def test_criterion_07_weak_field_dark_count_correction():
         # by spawn key (i,)
         seqs = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(len(thetas))]
         raw, (_, corr, _, _), exact = cli._weak_field_batch(
-            thetas, [mean] * len(thetas), pulses, det, seqs
+            thetas, [mean] * len(thetas), pulses, det, [seq.spawn(2) for seq in seqs]
         )
         return raw, corr, exact
 

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import functools
+import hashlib
 import io
 import json
 import math
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 import warnings
 from pathlib import Path
 
@@ -381,7 +383,7 @@ class TestScanWeakField:
             for j, mean in enumerate([0.001, 0.006, 0.1]):
                 seq = np.random.SeedSequence(11, spawn_key=(i, j))
                 raw, (w, corr, _, _), exact = cli._weak_field_batch(
-                    [float(theta)], [mean], 200_000, det, [seq]
+                    [float(theta)], [mean], 200_000, det, [seq.spawn(2)]
                 )
                 expected.append([theta, mean, *w[0].ravel(), exact[0], raw[0], corr[0]])
         rows, expected = np.array(rows), np.array(expected)
@@ -445,6 +447,45 @@ class TestScanWeakField:
             assert code == 3
             assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("key", [(0, 0), (3, 2), (20, 1)])
+    def test_direct_run_seeds_are_the_spawned_children(self, key):
+        children = np.random.SeedSequence(11, spawn_key=key).spawn(2)
+        for k, child in enumerate(children):
+            direct = np.random.SeedSequence(11, spawn_key=(*key, k))
+            np.testing.assert_array_equal(
+                direct.generate_state(4, np.uint64), child.generate_state(4, np.uint64)
+            )
+
+    def test_scan_builds_two_seed_sequences_per_point(self, tmp_path, capsys, monkeypatch):
+        # cli's numpy, with every SeedSequence it builds, or spawns from
+        # one it built, counted
+        built = []
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                built.append(kwargs.get("spawn_key"))
+                super().__init__(*args, **kwargs)
+
+        class CountingRandom(types.SimpleNamespace):
+            def __getattr__(self, name):
+                return getattr(np.random, name)
+
+        class CountingNumpy(types.SimpleNamespace):
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(
+            cli, "np", CountingNumpy(random=CountingRandom(SeedSequence=CountingSeedSequence))
+        )
+        code, _, _ = run_cli(
+            ["scan", "--kind", "weak-field", "--theta-step", "45", "--means", "0.05,0.2",
+             "--pulses", "20000", "--seed", "5", "--out", str(tmp_path / "wf.csv")],
+            capsys,
+        )
+        assert code == 0
+        # 3 thetas x 2 means, one seed per run and no parent per point
+        assert built == [(i, j, k) for i in range(3) for j in range(2) for k in range(2)]
+
     def test_single_pulse_leaves_no_counts(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["scan", "--kind", "weak-field", "--pulses", "1", "--out", str(tmp_path / "x.csv")],
@@ -469,6 +510,48 @@ class TestScanWeakField:
         )
         assert code == 3
         assert "means" in err
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestSeededOutputBytes:
+    """Seeded outputs pinned to the bytes they had when each counting run
+    was still seeded through SeedSequence.spawn."""
+
+    def test_weak_field_scan(self, tmp_path, capsys):
+        out = tmp_path / "wf.csv"
+        code, _, _ = run_cli(
+            ["scan", "--kind", "weak-field", "--theta-step", "30", "--means", "0.006,0.1",
+             "--pulses", "100000", "--det", "bench", "--seed", "7", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert sha256_of(out) == "db0bd9e5f56c967895ece73c0de68e875bf8c3d9c1dc1901564bcfc29aea564c"
+
+    def test_simulate_directory(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["simulate", "--theta", "30", "--phi", "10", "--det", "bench", "--seed", "5",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        assert {p.name: sha256_of(p) for p in tmp_path.iterdir()} == {
+            "counts_00.csv": "25f7d6d494538f922082d587b7862c7e91187ffe70790572712dbd68ba62f56c",
+            "counts_01.csv": "031a5366e1bc3fe933b0f28dc0f92606264aff50b52ffda5a7f6468da3affeb2",
+            "counts_10.csv": "d40b66d5b057cba124d1f31ca6a43e4cd263a6e3265b83ec5fc1ffa101496b9f",
+            "counts_11.csv": "29b5e7f7399a34d0529cda9f253272ff9321a00a14c684e49495bb31310f642a",
+            "report.json": "433d26dcf97e0eb8e5b5fa2170dad581044a9fc702bbba531bd9bbc360ca8b52",
+        }
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_simulate_setup_seed_is_the_spawned_child(self, k):
+        child = np.random.SeedSequence(5).spawn(4)[k]
+        direct = np.random.SeedSequence(5, spawn_key=(k,))
+        np.testing.assert_array_equal(
+            direct.generate_state(4, np.uint64), child.generate_state(4, np.uint64)
+        )
 
 
 class TestSimulate:
@@ -878,6 +961,17 @@ class TestAnalyze:
             assert set(payload["error"]) == {"statistical", "systematic", "total", "mode"}
             assert (payload["error"]["statistical"] == 0.0) == (method == "none")
 
+    @pytest.mark.parametrize("n_boot,code", [("-1", 3), ("1", 3), ("0", 0), ("2", 0)])
+    def test_bootstrap_count_is_named_by_its_flag(self, tmp_path, capsys, n_boot, code):
+        out_dir = self.make_run(tmp_path, capsys)
+        inputs = [os.path.join(out_dir, "counts_11.csv"), os.path.join(out_dir, "counts_01.csv")]
+        got, _, err = run_cli(["analyze", *inputs, "--bootstrap", n_boot], capsys)
+        assert got == code
+        if code:
+            assert err == f"error: --bootstrap must be 0 or at least 2, got {n_boot}\n"
+        else:
+            assert err == ""
+
     def test_default_error_never_resamples(self, tmp_path, capsys, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("the default error must not resample")
@@ -1149,6 +1243,18 @@ class TestConfigs:
         assert not out.exists()
 
 
+def refuse_axes_past_the_cap(monkeypatch):
+    """Make np.arange fail on an axis of more than SCAN_AXIS_MAX points
+    before allocating it."""
+    arange = np.arange
+
+    def capped_arange(start, stop, step=1):
+        assert (stop - start) / step <= cli.SCAN_AXIS_MAX, "an axis past the cap was built"
+        return arange(start, stop, step)
+
+    monkeypatch.setattr(np, "arange", capped_arange)
+
+
 class TestExitCodes:
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == 2
@@ -1197,6 +1303,50 @@ class TestExitCodes:
         assert fragment in err
         assert not out.exists()
 
+
+    @pytest.mark.parametrize(
+        "kind,flag,span",
+        [("pure-grid", "--theta-step", 90.0), ("pure-grid", "--phi-step", 90.0),
+         ("bloch-disk", "--theta-step", 180.0), ("weak-field", "--theta-step", 90.0)],
+    )
+    @pytest.mark.parametrize("past_cap", [False, True])
+    def test_tiny_grid_step_is_refused_before_any_axis(
+        self, tmp_path, capsys, monkeypatch, kind, flag, span, past_cap
+    ):
+        refuse_axes_past_the_cap(monkeypatch)
+        # a step whose axis holds SCAN_AXIS_MAX + 1 points, or 1e-300
+        step = (span + 1e-9) / (cli.SCAN_AXIS_MAX + 0.5) if past_cap else 1e-300
+        points = cli.SCAN_AXIS_MAX + 1 if past_cap else (span + 1e-9) / step
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["scan", "--kind", kind, flag, repr(step), "--out", str(out)],
+                               capsys)
+        assert (code, err) == (
+            3,
+            f"error: {flag} {step:g} gives {points:.15g} points per axis, "
+            f"more than the {cli.SCAN_AXIS_MAX} allowed\n",
+        )
+        assert not out.exists()
+
+    def test_too_many_alpha_steps_is_refused(self, tmp_path, capsys, monkeypatch):
+        refuse_axes_past_the_cap(monkeypatch)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(["scan", "--kind", "bloch-disk", "--alpha-steps", str(2**19),
+                                "--out", str(out)], capsys)
+        assert code == 3
+        assert "--alpha-steps" in err and str(2**20 + 1) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("stop,step", [(90.0, 1.0), (180.0, 1.0), (90.0, 7.0),
+                                           (90.0, 0.7), (180.0, 22.5), (1.0, 1.0 / 30)])
+    def test_scan_axis_is_arange_below_the_cap(self, stop, step):
+        start = -1.0 if stop == 1.0 else 0.0
+        np.testing.assert_array_equal(
+            cli._scan_axis("--x", step, start, stop, step), np.arange(start, stop + 1e-9, step)
+        )
+
+    def test_scan_axis_at_the_cap_is_built(self):
+        step = (90.0 + 1e-9) / (cli.SCAN_AXIS_MAX - 0.5)
+        assert len(cli._scan_axis("--theta-step", step, 0.0, 90.0, step)) == cli.SCAN_AXIS_MAX
 
     @pytest.mark.parametrize("command", [
         ["scan", "--kind", "pure-grid", "--out", "{out}"],

@@ -31,6 +31,7 @@ from oqlab.photonsim import (
     count_tables_to_csv,
     dark_click_prob,
     detection_probs,
+    expected_counts,
     expected_dark_counts,
     generate_click_streams,
     simulate_counts,
@@ -328,6 +329,74 @@ class TestSimulateCounts:
             simulate_counts(qcore.make_pure_state(0.0), (1, 1), n)
 
 
+def literal_misalignment(det, rng):
+    """The plate offsets as two Generator.uniform calls, the way they were
+    first written: the reference _draw_misalignment must match bit for bit."""
+    err = math.radians(det.waveplate_angle_error_deg)
+    prep = rng.uniform(-2 * err, 2 * err)
+    arms = 2.0 * rng.uniform(-err, err, size=2)
+    return prep, (arms[0], arms[1])
+
+
+class TestDrawMisalignment:
+    @pytest.mark.parametrize("det", [
+        DetectorModel(),
+        DetectorModel.ideal(),
+        DetectorModel(waveplate_angle_error_deg=3.0),
+    ], ids=["bench", "ideal", "3deg"])
+    def test_matches_two_uniform_calls_bit_for_bit(self, det):
+        for seed in range(1000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            prep, arms = _draw_misalignment(det, rng)
+            ref_prep, ref_arms = literal_misalignment(det, ref)
+            got = np.array([prep, *arms])
+            want = np.array([ref_prep, *ref_arms])
+            # equal bits, so -0.0 and 0.0 are told apart
+            assert got.tobytes() == want.tobytes(), seed
+            # the generator is left where the two calls leave it
+            assert rng.random() == ref.random()
+
+    def test_ideal_offsets_are_positive_zero(self):
+        for seed in range(1000):
+            prep, arms = _draw_misalignment(DetectorModel.ideal(), np.random.default_rng(seed))
+            assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in (prep, *arms))
+
+
+class TestExpectedCounts:
+    DET = DetectorModel(efficiency=(0.9, 0.8, 1.0, 0.7), dark_rate_hz=2.0e3)
+    MIS = (0.004, (-0.003, 0.002))
+
+    @pytest.mark.parametrize("setup", SETUPS)
+    def test_one_state_is_n_probs_plus_dark_mean(self, setup):
+        rho = qcore.state_from_bloch(0.3, -0.4, 0.5)
+        n = 12_345
+        probs, _ = detection_probs(rho, setup, self.DET, self.MIS)
+        # 2e3 Hz over the default 1e-3 s window
+        expected = n * probs + 2.0
+        got = expected_counts(rho, setup, self.DET, n, self.MIS)
+        assert got.shape == (2, 2)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_stack_matches_each_state(self):
+        rng = np.random.default_rng(4)
+        rho = np.stack([random_density_matrix(rng) for _ in range(6)]).reshape(2, 3, 2, 2)
+        got = expected_counts(rho, (1, 1), self.DET, 1000.0)
+        assert got.shape == (2, 3, 2, 2)
+        for idx in np.ndindex(2, 3):
+            probs, _ = detection_probs(rho[idx], (1, 1), self.DET)
+            np.testing.assert_allclose(got[idx], 1000.0 * probs + 2.0, rtol=1e-15, atol=0)
+
+    def test_ideal_detector_has_no_dark_floor(self):
+        rho = qcore.make_pure_state(0.0)
+        got = expected_counts(rho, (1, 1), DetectorModel.ideal(), 100)
+        np.testing.assert_allclose(got, [[50.0, 50.0], [0.0, 0.0]], atol=1e-12)
+
+    @pytest.mark.parametrize("n", [-1, math.nan, math.inf])
+    def test_rejects_bad_photon_number(self, n):
+        with pytest.raises(ValueError, match="n must be finite and nonnegative"):
+            expected_counts(qcore.make_pure_state(0.0), (1, 1), DetectorModel(), n)
+
+
 def _counting_sampler(probs_of):
     """simulate_counts with its probabilities taken from probs_of.
 
@@ -387,7 +456,8 @@ def _exact_mean_failures(sampler):
             dark_mean = det.dark_rate_hz * det.integration_time_s
             sigma = np.sqrt(n * p * (1.0 - p) + dark_mean)
             counts = sampler(rho, setup, n, det, seed).counts
-            if np.any(np.abs(counts - (n * p + dark_mean)) > 5.0 * sigma):
+            mean = expected_counts(rho, setup, det, n, mis)
+            if np.any(np.abs(counts - mean) > 5.0 * sigma):
                 failed.append((det_name, setup))
     return failed
 
