@@ -272,6 +272,10 @@ def _block_bounds(n: int) -> list:
 # most points a scan axis may hold (8 MB of angles); a flag that asks for
 # more is refused before the axis is built
 SCAN_AXIS_MAX = 2**20
+# most points (angles times means) a weak-field scan may hold: it keeps
+# one generator per run and every point's tables at once, about 2.2 KB a
+# point, so a grid that asks for more is refused before any run is seeded
+SCAN_POINTS_MAX = 2**16
 
 
 def _scan_axis(flag: str, value, start: float, stop: float, step: float) -> np.ndarray:
@@ -407,6 +411,12 @@ def _scan_rows_weak_field(args):
         "negativity_exact,negativity_uncorrected,negativity_corrected"
     )
     thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
+    points = len(thetas) * len(means)
+    if points > SCAN_POINTS_MAX:
+        raise ValueError(
+            f"--theta-step {args.theta_step:g} and --means give {len(thetas)} x {len(means)} = "
+            f"{points} weak-field points, more than the {SCAN_POINTS_MAX} allowed"
+        )
     theta, mean = (g.ravel() for g in np.meshgrid(thetas, means, indexing="ij"))
     # the seeds SeedSequence(args.seed, spawn_key=(i, j)).spawn(2) gives,
     # built directly

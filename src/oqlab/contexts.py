@@ -5,7 +5,8 @@ measurement runs at the first time, n2 = 1 means the D/A measurement runs
 at the second time. Outcomes are bits a1 (0 = H, 1 = V) and a2 (0 = D,
 1 = A); the detector that fires in the full sequential arrangement is
 labeled D_{a1,a2}, and with the first polarizing splitter removed all
-light reaches the a1 = 0 arm.
+light reaches the a1 = 0 arm. _effective_operators builds the operators
+of both the exact kernel and photonsim's detector model.
 """
 
 from __future__ import annotations
@@ -44,22 +45,75 @@ def da_projectors():
     return (np.outer(d, d.conj()), np.outer(a, a.conj()))
 
 
-def _measurement_operators() -> np.ndarray:
-    """The eight operators whose Born-rule expectations are the probabilities.
+_FIRST_OUTCOME = np.array([1.0, 0.0])
 
-    In order: Pi_HV(0), Pi_HV(1), Pi_DA(0), Pi_DA(1), then the sequential
-    Pi_HV(a1) Pi_DA(a2) Pi_HV(a1) for (a1, a2) = (0, 0), (0, 1), (1, 0),
-    (1, 1); by cyclicity of the trace the last four give
-    Tr[Pi_DA(a2) Pi_HV(a1) rho Pi_HV(a1)].
+
+def _effective_operators(setup, prep=0.0, arms=(0.0, 0.0), leaks=(0.0, 0.0),
+                         efficiency=(1.0, 1.0, 1.0, 1.0)):
+    """The four detectors' effective operators, flattened as (..., 4, 4).
+
+    The one builder of measurement operators: the exact kernel takes its
+    ideal defaults, photonsim's detector model a run's turns, leaks
+    (reflect, transmit) and efficiencies (D00, D01, D10, D11). Detector
+    k = (a1, a2) counts a photon of state rho with probability
+    Tr[E_k rho]; each E_k is real and symmetric, e0 I + ez sigma_z +
+    ex sigma_x, built in closed form per arm a and outcome o:
+
+    * analysis stage (n2 = 1): the splitter of arm a measures in the D/A
+      basis turned by arms[a] and routes basis ket b_i to outcome o with
+      probability flip[i, o], so A_{a,o} = sum_i flip[i, o] |b_i><b_i|;
+      with n2 = 0 every photon of an arm lands on o = 0, A_{a,o} = I or 0;
+    * first stage (n1 = 1): the photon collapses to H or V and reaches
+      arm a with probability flip[pol, a], so E_{a,o} = sum_pol
+      flip[pol, a] <pol|A_{a,o}|pol> |pol><pol|; with n1 = 0 every photon
+      reaches arm 0 uncollapsed, so E_{0,o} = A_{0,o} and E_{1,o} = 0;
+    * the efficiencies scale each E_k;
+    * the preparation plate turns the state, rho -> R rho R^T with R the
+      rotation by prep, so E_k becomes R^T E_k R, which turns (ez, ex)
+      by 2 * prep.
+
+    prep has shape (...) and arms (..., 2). Row i of the result follows
+    the flattened rho (rho00, rho01, rho10, rho11), column k the
+    detectors in D00, D01, D10, D11 order.
     """
-    hv, da = hv_projectors(), da_projectors()
-    sequential = [hv[a1] @ da[a2] @ hv[a1] for a1 in (0, 1) for a2 in (0, 1)]
-    return np.stack([*hv, *da, *sequential])
+    n1, n2 = setup
+    fr, ft = leaks
+    # with flip = [[1 - fr, fr], [ft, 1 - ft]], half the sum and half the
+    # difference of its rows: over o they give A's identity and Pauli
+    # parts, over a the first stage's
+    g = 1.0 - fr - ft
+    mean, half_diff = np.array([[1.0 - fr + ft, 1.0 + fr - ft], [g, -g]]) / 2.0
+    if n2 == 1:
+        # |D><D| - |A><A| = cos 2b sigma_z + sin 2b sigma_x at b = pi/4 +
+        # arms[a], so cos 2b = -sin 2 arms[a] and sin 2b = cos 2 arms[a]
+        turn = 2.0 * np.asarray(arms, dtype=float)[..., :, None]
+        a0, az, ax = mean, -half_diff * np.sin(turn), half_diff * np.cos(turn)
+    else:
+        a0, az, ax = _FIRST_OUTCOME, 0.0, 0.0
+    if n1 == 1:
+        # diagonal, with entries flip[H, a] <H|A|H> and flip[V, a] <V|A|V>
+        m, d = mean[:, None], half_diff[:, None]
+        e0, ez, ex = m * a0 + d * az, d * a0 + m * az, 0.0
+    else:
+        arm0 = _FIRST_OUTCOME[:, None]
+        e0, ez, ex = arm0 * a0, arm0 * az, arm0 * ax
+    eff = np.reshape(efficiency, (2, 2))
+    twice = 2.0 * np.asarray(prep, dtype=float)[..., None, None]
+    c, s = np.cos(twice), np.sin(twice)
+    e0, ez, ex = e0 * eff, (ez * c + ex * s) * eff, (ex * c - ez * s) * eff
+    # rows e0 + ez, ex, ex, e0 - ez, each flattened over (a, o); ex has the
+    # full shape
+    ops = np.concatenate((e0 + ez, ex, ex, e0 - ez), axis=-2)
+    return ops.reshape(ops.shape[:-2] + (4, 4))
 
 
-# Tr[M rho] = sum_ij M_ji rho_ij, so with each transposed operator flattened
-# into a column, one matmul of the flattened rho gives all eight traces.
-_TRACE_MATRIX = _measurement_operators().transpose(0, 2, 1).reshape(8, 4).T.copy()
+# the ideal operators, entries exactly 0, +-1/2 or 1: p_t1 from D00 and D10
+# of setup (1, 0), p_t2 from D00 and D01 of (0, 1), the joint from (1, 1)
+_TRACE_MATRIX = np.concatenate(
+    (_effective_operators((1, 0))[:, [0, 2]], _effective_operators((0, 1))[:, :2],
+     _effective_operators((1, 1))),
+    axis=1,
+)
 _BASIS_SLICES = {HV: slice(0, 2), DA: slice(2, 4)}
 
 
@@ -67,10 +121,11 @@ def _probabilities(rho) -> np.ndarray:
     """All eight probabilities of validated density matrices.
 
     rho is a (..., 2, 2) stack; a single (2, 2) state gives shape (8,),
-    a stack of N gives (N, 8). Columns follow _measurement_operators,
-    which is the layout _split reads. Round-off below zero is clipped.
+    a stack of N gives (N, 8), in the layout _split reads. The operators
+    are real and symmetric, so Tr[E rho] takes rho.real alone. Round-off
+    below zero is clipped.
     """
-    p = (rho.reshape(rho.shape[:-2] + (4,)) @ _TRACE_MATRIX).real
+    p = rho.real.reshape(rho.shape[:-2] + (4,)) @ _TRACE_MATRIX
     return np.maximum(p, 0.0)
 
 

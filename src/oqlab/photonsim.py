@@ -25,9 +25,10 @@ Given the misalignment draw, the optics and detectors act on one photon
 as an effective POVM: four real symmetric operators E_k, one per
 detector, fold in the prepared-state rotation (as R^T E_k R), the rotated
 analysis bases, the leaks and the efficiencies, and a photon of state rho
-lands on detector k with probability Tr[E_k rho]. detection_probs builds
-them in closed form and applies them to one state or a whole stack with
-one matmul; the rest, 1 - sum_k Tr[E_k rho], is the photon lost.
+lands on detector k with probability Tr[E_k rho]. The package's one
+operator builder, contexts._effective_operators, makes them in closed
+form; detection_probs applies them to one state or a whole stack with
+one matmul, and the rest, 1 - sum_k Tr[E_k rho], is the photon lost.
 
 Every run is drawn from its exact distribution, not photon by photon. A
 counting run is one multinomial over the detectors, as photons are
@@ -49,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import qcore
-from .contexts import _trusted, validate_setup
+from .contexts import _effective_operators, _trusted, validate_setup
 
 NS_PER_S = 1.0e9
 
@@ -262,65 +263,6 @@ def _draw_misalignment(det: DetectorModel, rng):
     return prep, (2.0 * (low + (high - low) * u1), 2.0 * (low + (high - low) * u2))
 
 
-_FIRST_OUTCOME = np.array([1.0, 0.0])
-
-
-def _effective_operators(setup, det: DetectorModel, prep, arms) -> np.ndarray:
-    """The four detectors' effective operators, flattened as (..., 4, 4).
-
-    Detector k = (a1, a2) counts a photon of the prepared state rho with
-    probability Tr[E_k rho]. Every E_k is real and symmetric, so it is
-    e0 I + ez sigma_z + ex sigma_x, built here in closed form, per arm a
-    and outcome o:
-
-    * analysis stage (n2 = 1): the splitter of arm a measures in the D/A
-      basis turned by arms[a] and routes basis ket b_i to outcome o with
-      probability flip[i, o], so A_{a,o} = sum_i flip[i, o] |b_i><b_i|;
-      with n2 = 0 every photon of an arm lands on o = 0, A_{a,o} = I or 0;
-    * first stage (n1 = 1): the photon collapses to H or V and reaches
-      arm a with probability flip[pol, a], so E_{a,o} = sum_pol
-      flip[pol, a] <pol|A_{a,o}|pol> |pol><pol|; with n1 = 0 every photon
-      reaches arm 0 uncollapsed, so E_{0,o} = A_{0,o} and E_{1,o} = 0;
-    * the efficiencies scale each E_k;
-    * the preparation plate turns the state, rho -> R rho R^T with R the
-      rotation by prep, so E_k becomes R^T E_k R, which turns (ez, ex)
-      by 2 * prep.
-
-    prep has shape (...) and arms (..., 2). Row i of the result follows
-    the flattened rho (rho00, rho01, rho10, rho11), column k the
-    detectors in D00, D01, D10, D11 order.
-    """
-    n1, n2 = setup
-    fr, ft = det.pbs_reflect_leak, det.pbs_transmit_leak
-    # with flip = [[1 - fr, fr], [ft, 1 - ft]], half the sum and half the
-    # difference of its rows: over o they give A's identity and Pauli
-    # parts, over a the first stage's
-    g = 1.0 - fr - ft
-    mean, half_diff = np.array([[1.0 - fr + ft, 1.0 + fr - ft], [g, -g]]) / 2.0
-    if n2 == 1:
-        # |D><D| - |A><A| = cos 2b sigma_z + sin 2b sigma_x at b = pi/4 +
-        # arms[a], so cos 2b = -sin 2 arms[a] and sin 2b = cos 2 arms[a]
-        turn = 2.0 * np.asarray(arms, dtype=float)[..., :, None]
-        a0, az, ax = mean, -half_diff * np.sin(turn), half_diff * np.cos(turn)
-    else:
-        a0, az, ax = _FIRST_OUTCOME, 0.0, 0.0
-    if n1 == 1:
-        # diagonal, with entries flip[H, a] <H|A|H> and flip[V, a] <V|A|V>
-        m, d = mean[:, None], half_diff[:, None]
-        e0, ez, ex = m * a0 + d * az, d * a0 + m * az, 0.0
-    else:
-        arm0 = _FIRST_OUTCOME[:, None]
-        e0, ez, ex = arm0 * a0, arm0 * az, arm0 * ax
-    eff = np.reshape(det.efficiency, (2, 2))
-    twice = 2.0 * np.asarray(prep, dtype=float)[..., None, None]
-    c, s = np.cos(twice), np.sin(twice)
-    e0, ez, ex = e0 * eff, (ez * c + ex * s) * eff, (ex * c - ez * s) * eff
-    # rows e0 + ez, ex, ex, e0 - ez, each flattened over (a, o); ex has the
-    # full shape
-    ops = np.concatenate((e0 + ez, ex, ex, e0 - ez), axis=-2)
-    return ops.reshape(ops.shape[:-2] + (4, 4))
-
-
 def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
     """Exact per-detector landing probabilities for one run or a stack.
 
@@ -333,10 +275,10 @@ def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
     leading shapes broadcast.
 
     The detector is an effective POVM: four operators E_k
-    (_effective_operators) fold in the rotated preparation, the rotated
-    analysis bases, the splitter leaks and the efficiencies, so probs is
-    Tr[E_k rho], one matmul of the flattened rho with round-off below
-    zero clipped.
+    (contexts._effective_operators) fold in the rotated preparation, the
+    rotated analysis bases, the splitter leaks and the efficiencies, so
+    probs is Tr[E_k rho], one matmul of the flattened rho with round-off
+    below zero clipped.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim > 2 and rho.shape[-2:] == (2, 2):
@@ -344,7 +286,8 @@ def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
     else:
         rho = qcore.validate_state(rho)
     prep, arms = misalignment if misalignment is not None else (0.0, (0.0, 0.0))
-    ops = _effective_operators(validate_setup(setup), det, prep, arms)
+    leaks = (det.pbs_reflect_leak, det.pbs_transmit_leak)
+    ops = _effective_operators(validate_setup(setup), prep, arms, leaks, det.efficiency)
     # E_k is real and symmetric, so Tr[E_k rho] = sum_ij (E_k)_ij Re rho_ij
     p = (rho.real.reshape(rho.shape[:-2] + (1, 4)) @ ops)[..., 0, :]
     probs = np.maximum(p, 0.0).reshape(p.shape[:-1] + (2, 2))
@@ -368,7 +311,8 @@ def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None
 
     Photons are routed by the exact context probabilities perturbed by
     the detector model; dark counts accumulate over the integration
-    window. Reproducible for a fixed seed.
+    window. Reproducible for a fixed seed. Raises ValueError when photons
+    and darks together reach 2**63, past what the int64 table holds.
     """
     if not 1 <= n_photons < 2**63:
         raise ValueError(f"n_photons must lie in [1, 2**63), got {n_photons}")
@@ -382,7 +326,11 @@ def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None
     counts = draws[:4].reshape(2, 2)
     dark_mean = det.dark_rate_hz * det.integration_time_s
     if dark_mean > 0.0:
-        counts = counts + rng.poisson(dark_mean, size=4).reshape(2, 2)
+        darks = rng.poisson(dark_mean, size=4)
+        # Python ints, so photons and darks past int64 are caught, not wrapped
+        if sum(draws[:4].tolist()) + sum(darks.tolist()) >= 2**63:
+            raise ValueError(f"setup {validate_setup(setup)}: counts reach 2**63")
+        counts = counts + darks.reshape(2, 2)
     return _trusted(CountTable, validate_setup(setup), counts, int(counts.sum()))
 
 
@@ -392,8 +340,12 @@ def dark_click_prob(det: DetectorModel) -> float:
 
 
 def expected_dark_counts(det: DetectorModel, n_pulses: int) -> np.ndarray:
-    """Expected dark clicks per detector over a post-selected pulse run."""
-    return np.full(4, round(n_pulses * dark_click_prob(det)), dtype=np.int64)
+    """Expected dark clicks per detector over a post-selected pulse run.
+
+    Capped at n_pulses, which the float product can round past (to 2**63
+    for the largest run).
+    """
+    return np.full(4, min(n_pulses, round(n_pulses * dark_click_prob(det))), dtype=np.int64)
 
 
 def _weakfield_counts(rho, means, setup, n_pulses: int, det: DetectorModel, seeds) -> np.ndarray:

@@ -70,6 +70,13 @@ class TestPredict:
         assert w.shape == (2, 2)
         assert negativity(w) == pytest.approx(payload["negativity"], abs=1e-12)
 
+    def test_max_setting_is_exactly_the_max_negativity(self, capsys):
+        code, out, _ = run_cli(["predict", "--theta", "45", "--json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["negativity"] == MAX_NEGATIVITY
+        assert payload["aot_dev"] == [0.0, 0.0]
+
     def test_text_output_mentions_negativity(self, capsys):
         code, out, _ = run_cli(["predict", "--theta", "45"], capsys)
         assert code == 0
@@ -118,6 +125,17 @@ class TestScanPureGrid:
             run_cli(["scan", "--kind", "pure-grid", "--theta-step", "10", "--phi-step", "10",
                      "--out", out], capsys)
         assert Path(a).read_bytes() == Path(b).read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["pure-grid", "bloch-disk"])
+def test_default_exact_scan_has_no_aot_deviation(tmp_path, capsys, kind):
+    # the kernel's joint marginal over a2 is its p_t1 exactly, in every row
+    out = str(tmp_path / "scan.csv")
+    assert run_cli(["scan", "--kind", kind, "--out", out], capsys)[0] == 0
+    header, rows = parse_scan_csv(out)
+    aot = np.array(rows)[:, header.index("aot_dev")]
+    assert len(aot) == {"pure-grid": 91 * 91, "bloch-disk": 181 * 61}[kind]
+    assert not aot.any()
 
 
 class TestScanBlochDisk:
@@ -494,6 +512,52 @@ class TestScanWeakField:
         assert code == 3
         assert err == "error: setup (1, 1): table holds no counts\n"
 
+    def test_certain_darks_at_the_largest_pulse_count_leave_no_counts(self, tmp_path, capsys):
+        # n_pulses * 1.0 rounds to 2**63: the expected darks are capped at
+        # n_pulses, and the point, with no single clicks, is rejected
+        path = tmp_path / "dark.cfg"
+        path.write_text("dark_rate_hz = 1e12\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["scan", "--kind", "weak-field", "--theta-step", "90", "--means", "0.1",
+             "--pulses", str(2**63 - 1), "--det", str(path), "--out", str(out)],
+            capsys,
+        )
+        assert (code, err) == (3, "error: setup (1, 1): table holds no counts\n")
+        assert not out.exists()
+
+    def test_grid_past_the_point_cap_is_refused_before_any_seed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        class NoSeedSequence(types.SimpleNamespace):
+            def __getattr__(self, name):
+                if name == "random":
+                    raise AssertionError("a SeedSequence was built")
+                return getattr(np, name)
+
+        monkeypatch.setattr(cli, "np", NoSeedSequence())
+        # one mean and SCAN_POINTS_MAX + 1 angles
+        step = (90.0 + 1e-9) / (cli.SCAN_POINTS_MAX + 0.5)
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            ["scan", "--kind", "weak-field", "--theta-step", repr(step), "--means", "0.1",
+             "--out", str(out)],
+            capsys,
+        )
+        points = cli.SCAN_POINTS_MAX + 1
+        assert (code, err) == (
+            3,
+            f"error: --theta-step {step:g} and --means give {points} x 1 = {points} "
+            f"weak-field points, more than the {cli.SCAN_POINTS_MAX} allowed\n",
+        )
+        assert not out.exists()
+
+    def test_default_grid_is_under_the_point_cap(self, tmp_path, capsys):
+        out = str(tmp_path / "wf.csv")
+        assert run_cli(["scan", "--kind", "weak-field", "--out", out], capsys)[0] == 0
+        _, rows = parse_scan_csv(out)
+        assert len(rows) == 91 * 3 <= cli.SCAN_POINTS_MAX
+
     def test_zero_pulses_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(
             ["scan", "--kind", "weak-field", "--pulses", "0", "--out", str(tmp_path / "x.csv")],
@@ -528,7 +592,7 @@ class TestSeededOutputBytes:
             capsys,
         )
         assert code == 0
-        assert sha256_of(out) == "db0bd9e5f56c967895ece73c0de68e875bf8c3d9c1dc1901564bcfc29aea564c"
+        assert sha256_of(out) == "088b342aea9236785dc9f89d0b796d843e4786c83729788c722349b8880054c2"
 
     def test_simulate_directory(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -611,6 +675,16 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", "--theta", "45", "--photons", "10", "--det", str(det),
                                 "--out-dir", str(out_dir)], capsys)
         assert (code, err) == (3, "error: setup (1, 1): table holds no counts\n")
+        assert not out_dir.exists()
+
+    def test_counts_past_int64_are_refused(self, tmp_path, capsys):
+        # a dark mean of 1e18 per detector on top of 2**63 - 1 photons
+        det = tmp_path / "det.cfg"
+        det.write_text("dark_rate_hz = 1e12\nintegration_time_s = 1e6\n")
+        out_dir = tmp_path / "run"
+        code, _, err = run_cli(["simulate", "--theta", "45", "--photons", str(2**63 - 1),
+                                "--det", str(det), "--out-dir", str(out_dir)], capsys)
+        assert (code, err) == (3, "error: setup (0, 0): counts reach 2**63\n")
         assert not out_dir.exists()
 
     def test_low_count_run_is_flagged(self, tmp_path, capsys):

@@ -27,6 +27,20 @@ class TestProjectors:
                 assert_allclose(p @ p, p, atol=1e-15)
 
 
+class TestTraceMatrix:
+    def test_entries_are_exact_halves(self):
+        m = contexts._TRACE_MATRIX
+        assert m.dtype == np.float64 and m.shape == (4, 8)
+        assert set(np.unique(m).tolist()) <= {0.0, 0.5, -0.5, 1.0}
+
+    def test_matches_projector_products(self):
+        # Tr[M rho] = sum_ij M_ji rho_ij: column k holds operator k transposed
+        hv, da = contexts.hv_projectors(), contexts.da_projectors()
+        ops = [*hv, *da, *(hv[a1] @ da[a2] @ hv[a1] for a1 in (0, 1) for a2 in (0, 1))]
+        products = np.stack([m.T.ravel() for m in ops], axis=1)
+        assert np.abs(contexts._TRACE_MATRIX - products).max() <= 2.3e-16
+
+
 class TestSingleProbs:
     def test_h_state(self):
         assert_allclose(

@@ -107,7 +107,19 @@ class TestOqDistribution:
             assert_allclose(q.w, joint, atol=1e-14)
             assert q.negativity == pytest.approx(0.0, abs=1e-14)
             assert np.max(q.nsit_dev) < 1e-14
-            assert np.max(q.aot_dev) < 1e-14
+            assert np.max(q.aot_dev) == 0.0
+
+    def test_kernel_has_no_aot_deviation(self):
+        # the sequential run leaves the first measurement's statistics
+        # exactly undisturbed, and the kernel reproduces that bit for bit
+        rng = np.random.default_rng(8)
+        states = [random_density_matrix(rng) for _ in range(600)] + [
+            qcore.make_pure_state(*rng.uniform(0.0, [np.pi, 2 * np.pi])) for _ in range(600)
+        ]
+        for rho in states:
+            assert not oq.oq_distribution(contexts.context_table(rho)).aot_dev.any()
+        _, _, _, aot = oq._quasi_rows(contexts._probabilities(np.stack(states)))
+        assert aot.shape == (1200, 2) and not aot.any()
 
     def test_matches_cellwise_reference(self):
         rng = np.random.default_rng(2)
@@ -139,7 +151,7 @@ class TestOqDistribution:
 
     def test_quantum_pipeline_satisfies_aot_not_nsit(self):
         q = oq.oq_distribution(contexts.context_table(qcore.make_pure_state(np.pi / 4, 0.0)))
-        assert np.max(q.aot_dev) < 1e-14
+        assert np.max(q.aot_dev) == 0.0
         # second-measurement disturbance: |x|/2 per outcome
         assert_allclose(q.nsit_dev, [np.sin(np.pi / 4) / 2] * 2, atol=1e-14)
 

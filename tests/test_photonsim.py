@@ -328,6 +328,16 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_counts(qcore.make_pure_state(0.0), (1, 1), n)
 
+    def test_rejects_counts_past_int64_instead_of_wrapping(self):
+        # both values at the detector's caps: a dark mean of 1e18 per detector
+        det = DetectorModel(dark_rate_hz=1e12, integration_time_s=1e6)
+        rho = qcore.make_pure_state(np.pi / 4)
+        with pytest.raises(ValueError, match=re.escape("setup (1, 1): counts reach 2**63")):
+            simulate_counts(rho, (1, 1), 2**63 - 1, det)
+        # far below the limit the same detector still counts
+        table = simulate_counts(rho, (1, 1), 10**6, det, seed=2)
+        assert table.total == sum(table.counts.ravel().tolist()) > 4 * 10**18 - 10**10
+
 
 def literal_misalignment(det, rng):
     """The plate offsets as two Generator.uniform calls, the way they were
@@ -582,6 +592,15 @@ class TestWeakFieldRun:
             table = sampler(np.pi / 4, 0.0, WeakCoherent(), (1, 1), 10_000, det=det, seed=3)
             assert table.total == 0
             assert not np.any(table.counts)
+
+    def test_expected_dark_counts_never_exceed_the_pulses(self):
+        det = DetectorModel.ideal(dark_rate_hz=1.0e12)
+        # n * 1.0 rounds to the float 2**63, one past the largest int64
+        assert round(float(2**63 - 1)) == 2**63
+        np.testing.assert_array_equal(expected_dark_counts(det, 2**63 - 1), [2**63 - 1] * 4)
+        np.testing.assert_array_equal(expected_dark_counts(det, 10), [10] * 4)
+        bench = DetectorModel()
+        assert expected_dark_counts(bench, 10**6).tolist() == [round(10**6 * dark_click_prob(bench))] * 4
 
     def test_cost_does_not_grow_with_pulses(self):
         n = 10**9
