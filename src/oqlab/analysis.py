@@ -9,8 +9,14 @@ than assumed.
 
 Counts are first scaled by per-detector calibration factors (relative
 efficiency references measured with a diagonally polarized input, where
-all four detectors nominally see the same flux), then normalized by the
-table's own total, never by a nominal constant.
+all four detectors nominally see the same flux), then normalized over
+the cells read from their own table, never by a nominal constant. A mode
+reads all four cells of (1,1), the a1 = 0 row of (0,1) and, in strict
+mode, the a2 = 0 column of (1,0) (_READ_CELLS); a record is refused at
+the first of these tables that is missing, empty or empty in the cells
+read. _read applies this rule to one record and _estimate_rows to a
+stack of them, bit for bit alike; the estimate, both statistical errors
+and the weak-field scan read through them.
 
 Error model: the statistical error of the negativity is its standard
 error under the multinomial covariance of each table the mode reads,
@@ -27,6 +33,7 @@ are implemented and the mode is recorded alongside the result.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from operator import mul
 
@@ -49,6 +56,12 @@ REQUIRED_SETUPS = ((1, 1), (0, 1))
 # statistical error (one count gives 0 under any method); analyze reports
 # flag such a record "low_counts".
 LOW_COUNTS = 20
+
+# most resamples bootstrap_negativity_error draws: each takes about 340
+# bytes at the peak (its draws, calibrated cells, estimate and eq. (1)),
+# so 2**18 of them take about 90 MB, and a count that asks for more is
+# refused before any draw
+BOOTSTRAP_MAX = 2**18
 
 
 @dataclass(frozen=True)
@@ -174,20 +187,6 @@ def path_components(a1: int, a2: int):
     return tuple(comps)
 
 
-def _calibrated(table: CountTable, calibration) -> np.ndarray:
-    return table.counts * np.asarray(calibration, dtype=float).reshape(2, 2)
-
-
-def _require(rec: ExperimentRecord, setup):
-    try:
-        table = rec.tables[setup]
-    except KeyError:
-        raise ValueError(f"record is missing the required setup {setup}") from None
-    if table.total <= 0:
-        raise ValueError(f"setup {setup}: table holds no counts")
-    return table
-
-
 def estimate_probs(rec: ExperimentRecord, mode: str = "lab") -> ProbabilitySet:
     """Reconstruct the three context distributions from measured counts.
 
@@ -197,32 +196,8 @@ def estimate_probs(rec: ExperimentRecord, mode: str = "lab") -> ProbabilitySet:
     probabilities always come from the a1 = 0 row of the (0,1) table,
     which is where photons land with the first splitter removed.
     """
-    _check_mode(mode, ("lab", "strict"))
-    joint_cal = _calibrated(_require(rec, (1, 1)), rec.calibration)
-    row = _calibrated(_require(rec, (0, 1)), rec.calibration)[0]
-    if row.sum() <= 0:
-        raise ValueError("setup (0, 1): no counts in the a1 = 0 row")
-    col = None
-    if mode == "strict":
-        col = _calibrated(_require(rec, (1, 0)), rec.calibration)[:, 0]
-        if col.sum() <= 0:
-            raise ValueError("setup (1, 0): no counts in the a2 = 0 column")
-    p = _estimate_rows(joint_cal[None], row[None], None if col is None else col[None])
-    return ProbabilitySet(*_split(p[0]))
-
-
-def _estimate_rows(joint, row, col=None) -> np.ndarray:
-    """estimate_probs of N records at once, without its checks.
-
-    joint holds the (N, 2, 2) calibrated (1,1) tables, row the (N, 2)
-    calibrated a1 = 0 rows of (0,1) and col, in strict mode, the (N, 2)
-    calibrated a2 = 0 columns of (1,0); each must have a positive sum.
-    Returns (N, 8) probability vectors in the _split layout.
-    """
-    p_joint = joint / joint.sum(axis=(1, 2), keepdims=True)
-    p_t2 = row / row.sum(axis=1, keepdims=True)
-    p_t1 = p_joint.sum(axis=2) if col is None else col / col.sum(axis=1, keepdims=True)
-    return np.concatenate((p_t1, p_t2, p_joint.reshape(-1, 4)), axis=1)
+    _, p = _read(rec, mode)
+    return ProbabilitySet(*_split(np.array(p)))
 
 
 def estimate_calibration(reference: CountTable) -> tuple:
@@ -239,17 +214,29 @@ def estimate_calibration(reference: CountTable) -> tuple:
     return tuple(counts.mean() / counts)
 
 
+def _is_cell(value) -> bool:
+    """Whether value is a whole number in [0, 2**63), without rounding it."""
+    if not isinstance(value, numbers.Integral):
+        real = isinstance(value, numbers.Real) and math.isfinite(value)
+        if not (real and value == int(value)):
+            return False
+    return 0 <= value < 2**63
+
+
 def dark_count_correction(rec: ExperimentRecord, dark_counts) -> ExperimentRecord:
     """Subtract measured per-detector dark counts from every table.
 
-    Cells that would go negative are clamped to zero and the record is
-    flagged "dark_clamped". Totals are recomputed from the corrected
-    cells.
+    Each of the four dark counts must be a whole number in [0, 2**63),
+    the range of a table cell. Cells that would go negative are clamped
+    to zero and the record is flagged "dark_clamped". Totals are
+    recomputed from the corrected cells.
     """
-    dark = np.asarray(dark_counts, dtype=np.int64)
-    if dark.shape != (4,) or np.any(dark < 0):
+    dark = np.asarray(dark_counts, dtype=object)
+    if dark.shape != (4,) or any(isinstance(d, numbers.Real) and d < 0 for d in dark):
         raise ValueError("dark_counts must be four nonnegative integers")
-    dark = dark.reshape(2, 2)
+    if not all(_is_cell(d) for d in dark):
+        raise ValueError(f"dark_counts must be whole numbers below 2**63, got {dark.tolist()}")
+    dark = np.array(dark.tolist(), dtype=np.int64).reshape(2, 2)
     clamped = False
     tables = {}
     for setup, table in rec.tables.items():
@@ -284,6 +271,66 @@ _READ_CELLS = {
     (1, 0): ((0, 2), "the a2 = 0 column"),
 }
 
+
+def _read_table(setup, n: list, cal) -> tuple:
+    """One table as the estimate reads it, from its four counts n (row-major).
+
+    Returns (n, total, cells, norm, q): the cells read, their calibrated
+    sum c.n and the normalised calibrated cells q = c*n / (c.n), all on
+    Python numbers. Raises ValueError if the table or the part read holds
+    no counts.
+    """
+    total = sum(n)
+    if total <= 0:
+        raise ValueError(f"setup {setup}: table holds no counts")
+    cells, part = _READ_CELLS[setup]
+    norm = 0.0
+    for i in cells:
+        norm += cal[i] * n[i]
+    if norm <= 0:
+        raise ValueError(f"setup {setup}: no counts in {part}")
+    return n, total, cells, norm, [cal[i] * n[i] / norm for i in cells]
+
+
+def _read(rec: ExperimentRecord, mode: str = "lab") -> tuple:
+    """Every table the mode reads, in _read_setups order, and the estimate.
+
+    Returns (reads, p): a _read_table tuple per table and the eight
+    probabilities (p_t1, p_t2, p_joint row-major) as Python floats, p_t1
+    the a2-marginal of (1,1) in lab mode. Raises ValueError at the first
+    table that is missing or cannot be read.
+    """
+    reads = []
+    for setup in _read_setups(mode):
+        if setup not in rec.tables:
+            raise ValueError(f"record is missing the required setup {setup}")
+        reads.append(_read_table(setup, rec.tables[setup].counts.ravel().tolist(), rec.calibration))
+    joint, row, *first = (q for *_, q in reads)
+    p_t1 = first[0] if first else [joint[0] + joint[1], joint[2] + joint[3]]
+    return reads, p_t1 + row + joint
+
+
+def _estimate_rows(counts, calibration, mode: str = "lab") -> tuple:
+    """_read of N records at once, on numpy arrays.
+
+    counts holds one (N, 4) array of row-major tables per setup of
+    _read_setups(mode), in that order. Returns the (N, 8) estimates,
+    bit-identical to _read's, and an (N,) mask of the records _read
+    accepts; a refused record's row is not an estimate.
+    """
+    cal = np.asarray(calibration, dtype=float)
+    parts, ok = [], True
+    for setup, c in zip(_read_setups(mode), counts):
+        cells = list(_READ_CELLS[setup][0])
+        read = c[:, cells] * cal[cells]
+        norm = read.sum(axis=1, keepdims=True)
+        ok = ok & (norm[:, 0] > 0)
+        parts.append(np.divide(read, norm, out=np.zeros_like(read), where=norm > 0))
+    joint, row, *first = parts
+    p_t1 = first[0] if first else joint[:, 0::2] + joint[:, 1::2]
+    return np.concatenate((p_t1, row, joint), axis=1), ok
+
+
 # eq. (1) as Python floats: column k holds the derivatives of w_k (row-major)
 # in the probabilities, p in the _split layout
 _W_COLUMNS = _EQ1_MATRIX[:, :4].T.tolist()
@@ -316,26 +363,16 @@ def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float
     Deterministic (no resampling, no seed) and computed on Python floats.
     Raises ValueError where estimate_probs would.
     """
-    cal = rec.calibration
-    reads = []
-    for setup in _read_setups(mode):
-        table = _require(rec, setup)
-        cells, part = _READ_CELLS[setup]
-        n = table.counts.ravel().tolist()
-        norm = 0.0
-        for i in cells:
-            norm += cal[i] * n[i]
-        if norm <= 0:
-            raise ValueError(f"setup {setup}: no counts in {part}")
-        reads.append((n, table.total, cells, norm, [cal[i] * n[i] / norm for i in cells]))
-    joint, row, *first = (q for *_, q in reads)
-    p_t1 = first[0] if first else [joint[0] + joint[1], joint[2] + joint[3]]
-    p = p_t1 + row + joint
+    return _standard_error(*_read(rec, mode), rec.calibration)
+
+
+def _standard_error(reads, p, cal) -> float:
+    """negativity_standard_error from _read's tables and estimate."""
     w = [sum(map(mul, p, col)) for col in _W_COLUMNS]
     # d negativity / d p: any two cells of w sum to a probability, so at
     # most one is negative, and it is the smallest
     grad = [-d for d in _W_COLUMNS[min(range(4), key=w.__getitem__)]]
-    g_joint = grad[4:] if first else [grad[4 + i] + grad[i // 2] for i in range(4)]
+    g_joint = grad[4:] if len(reads) == 3 else [grad[4 + i] + grad[i // 2] for i in range(4)]
     var = 0.0
     for (n, total, cells, norm, q), g in zip(reads, (g_joint, grad[2:4], grad[0:2])):
         gq = sum(map(mul, g, q))
@@ -360,31 +397,22 @@ def bootstrap_negativity_error(
     given by the observed frequencies. All resamples are re-analyzed at
     once, as estimate_probs and oq_distribution would one by one, and the
     spread of their negativities is returned (sample standard deviation).
-    A resample that estimate_probs would reject, because the a1 = 0 row
-    of (0,1) or, in strict mode, the a2 = 0 column of (1,0) drew no
-    counts, is dropped.
+    n_boot runs from 2 to BOOTSTRAP_MAX. A resample that _read would
+    refuse, its (0,1) row or (1,0) column empty, is dropped.
     """
     if n_boot < 2:
         raise ValueError("n_boot must be at least 2")
+    if n_boot > BOOTSTRAP_MAX:
+        raise ValueError(f"n_boot must be at most {BOOTSTRAP_MAX}, got {n_boot}")
     tables = [rec.tables.get(setup) for setup in _read_setups(mode)]
     if any(table is None or table.total <= 0 for table in tables):
         raise ValueError("too few valid bootstrap resamples")
     rng = np.random.default_rng(seed)
-    cal = np.asarray(rec.calibration, dtype=float).reshape(2, 2)
-    joint, off, *first = [
-        rng.multinomial(t.total, t.counts.ravel() / t.total, size=n_boot).reshape(-1, 2, 2) * cal
-        for t in tables
-    ]
-    row = off[:, 0]  # the a1 = 0 row of (0,1)
-    col = first[0][:, :, 0] if first else None  # the a2 = 0 column of (1,0)
-    valid = row.sum(axis=1) > 0
-    if col is not None:
-        valid &= col.sum(axis=1) > 0
+    draws = [rng.multinomial(t.total, t.counts.ravel() / t.total, size=n_boot) for t in tables]
+    p, valid = _estimate_rows(draws, rec.calibration, mode)
     if np.count_nonzero(valid) < 2:
         raise ValueError("too few valid bootstrap resamples")
-
-    p = _estimate_rows(joint[valid], row[valid], None if col is None else col[valid])
-    _, neg, _, _ = _quasi_rows(p)
+    _, neg, _, _ = _quasi_rows(p[valid])
     return float(np.std(neg, ddof=1))
 
 
@@ -404,12 +432,12 @@ def analyze(
     seed) when n_boot is set, and 0 when n_boot is 0; seed is read only
     by the bootstrap. Returns (Quasiprobability, ErrorBudget).
     """
-    ps = estimate_probs(rec, mode)
-    q = oq_distribution(ps)
+    reads, p = _read(rec, mode)
+    q = oq_distribution(ProbabilitySet(*_split(np.array(p))))
     a1, a2 = np.unravel_index(np.argmin(q.w), (2, 2))
     budget = error_budget(path_components(int(a1), int(a2)), error_mode)
     if n_boot is None:
-        statistical = negativity_standard_error(rec, mode)
+        statistical = _standard_error(reads, p, rec.calibration)
     elif n_boot:
         statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
     else:

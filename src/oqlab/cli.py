@@ -33,20 +33,21 @@ import numpy as np
 
 from . import qcore
 from .analysis import (
+    BOOTSTRAP_MAX,
+    REQUIRED_SETUPS,
     ExperimentRecord,
     _estimate_rows,
+    _read_table,
     analyze,
     dark_count_correction,
-    estimate_probs,
     reads_low_counts,
 )
 from .contexts import SETUPS, _probabilities, context_table
-from .correlation import _StartStopAccumulator, g2_zero, g2_zero_error
+from .correlation import _StartStopAccumulator, _window, g2_zero, g2_zero_error
 from .oq import _quasi_rows, oq_distribution
 from .photonsim import (
     NS_PER_S,
     SCHEMA_VERSION,
-    CountTable,
     DetectorModel,
     HeraldedSPDC,
     SingleEmitter,
@@ -371,34 +372,28 @@ def _weak_field_batch(thetas_deg, means, pulses, det, run_seeds):
     draws from its own generator in the order weakfield_run uses; the
     rest runs on the whole stack: the runs' cells, dark subtraction with
     clamping, the lab-mode estimate and eq. (1) on the raw, corrected and
-    exact probabilities. A point that analyze
-    would reject goes through estimate_probs for its message, raw before
-    corrected, in grid order. Returns (raw negativity, corrected
-    _quasi_rows, exact negativity).
+    exact probabilities. The first point, in grid order, that analyze
+    would reject is read table by table for its message, raw before
+    corrected. Returns (raw negativity, corrected _quasi_rows, exact
+    negativity).
     """
     half = np.radians(np.asarray(thetas_deg, dtype=float)) / 2
     rho = _pure_states(half, np.zeros_like(half))
     joint, off = (
         _weakfield_counts(rho, means, setup, pulses, det, [s[k] for s in run_seeds])
-        .reshape(-1, 2, 2)
-        for k, setup in enumerate(((1, 1), (0, 1)))
+        for k, setup in enumerate(REQUIRED_SETUPS)
     )
-    dark = expected_dark_counts(det, pulses).reshape(2, 2)
+    dark = expected_dark_counts(det, pulses)
     runs = [(joint, off), (np.maximum(joint - dark, 0), np.maximum(off - dark, 0))]
-    # estimate_probs accepts a record when its (1, 1) table and the a1 = 0
-    # row of its (0, 1) table hold counts
-    ok = np.logical_and.reduce(
-        [(j.sum(axis=(1, 2)) > 0) & (o[:, 0].sum(axis=1) > 0) for j, o in runs]
-    )
-    if not ok.all():
-        i = np.argmin(ok)
-        for j, o in runs:
-            tables = {
-                setup: CountTable(setup=setup, counts=c[i], total=int(c[i].sum()))
-                for setup, c in (((1, 1), j), ((0, 1), o))
-            }
-            estimate_probs(ExperimentRecord(tables=tables))
-    (_, raw, _, _), corrected = (_quasi_rows(_estimate_rows(j, o[:, 0])) for j, o in runs)
+    unit = (1.0, 1.0, 1.0, 1.0)
+    (raw, raw_ok), (corrected, corrected_ok) = (_estimate_rows(run, unit) for run in runs)
+    if not (raw_ok & corrected_ok).all():
+        i = np.argmin(raw_ok & corrected_ok)
+        for run in runs:
+            for setup, counts in zip(REQUIRED_SETUPS, run):
+                _read_table(setup, counts[i].tolist(), unit)
+    _, raw, _, _ = _quasi_rows(raw)
+    corrected = _quasi_rows(corrected)
     _, exact, _, _ = _quasi_rows(_probabilities(rho))
     return raw, corrected, exact
 
@@ -535,6 +530,16 @@ def cmd_g2(args) -> dict:
         # the accumulator's checks of the histogram flags, under the flags' names
         message = str(exc).replace("max_delay_ns", "--max-delay")
         raise ValueError(message.replace("bin_width_ns", "--bin-width")) from None
+    # g2(0) averages the bins its window holds, so check that it holds one
+    window = args.window if args.window is not None else det.coincidence_window_ns
+    try:
+        _window(acc.tau_ns, window)
+    except ValueError:
+        name = "--window" if args.window is not None else "the detector's coincidence window"
+        raise ValueError(
+            f"{name} of {window:g} ns is narrower than one histogram bin "
+            f"(--bin-width {args.bin_width:g} ns)"
+        ) from None
     chunk_s = _g2_chunk_s(src, det, args.max_delay + guard_ns)
     # each chunk restarts the source at its start, seeded by its index the
     # way the weak-field scan seeds each grid point
@@ -549,7 +554,6 @@ def cmd_g2(args) -> dict:
         )
         del streams
     hist = acc.histogram()
-    window = args.window if args.window is not None else det.coincidence_window_ns
     value = g2_zero(hist, window_ns=window)
     error = g2_zero_error(hist, window_ns=window)
     lines = [
@@ -576,6 +580,8 @@ def cmd_analyze(args) -> dict:
     # 0 turns the bootstrap off; one resample has no spread
     if args.bootstrap is not None and not (args.bootstrap == 0 or args.bootstrap >= 2):
         raise ValueError(f"--bootstrap must be 0 or at least 2, got {args.bootstrap}")
+    if args.bootstrap is not None and args.bootstrap > BOOTSTRAP_MAX:
+        raise ValueError(f"--bootstrap must be at most {BOOTSTRAP_MAX}, got {args.bootstrap}")
     tables = {}
     for path in args.inputs:
         for setup, table in count_tables_from_csv(path).items():

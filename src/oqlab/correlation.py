@@ -197,11 +197,16 @@ class _StartStopAccumulator:
         # copies, so the chunk's arrays are freed
         self._held = (a[na:].copy(), b[nb:].copy())
 
+    @property
+    def tau_ns(self) -> np.ndarray:
+        """Centres of the histogram's bins."""
+        return 0.5 * (self._edges[:-1] + self._edges[1:])
+
     def histogram(self) -> G2Histogram:
         """Normalized histogram of the whole record; no chunk may follow."""
         self.add(np.empty(0), np.empty(0))
         counts = self._counts
-        centers = 0.5 * (self._edges[:-1] + self._edges[1:])
+        centers = self.tau_ns
         tail = np.abs(centers) >= TAIL_FRACTION * self._max_delay_ns
         baseline = counts[tail].mean() if np.any(tail) else 0.0
         low = baseline <= 0.0
@@ -232,10 +237,10 @@ def start_stop_histogram(
     return acc.histogram()
 
 
-def _window(hist: G2Histogram, window_ns: float) -> np.ndarray:
-    """Mask of the bins with |tau| <= window_ns / 2."""
+def _window(tau_ns, window_ns: float) -> np.ndarray:
+    """Mask of the bins, by their centres tau_ns, with |tau| <= window_ns / 2."""
     _require_in_range("window_ns", window_ns)
-    sel = np.abs(hist.tau_ns) <= window_ns / 2 + 1e-9
+    sel = np.abs(tau_ns) <= window_ns / 2 + 1e-9
     if not np.any(sel):
         raise ValueError("window_ns is narrower than one histogram bin")
     return sel
@@ -246,7 +251,7 @@ def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:
 
     Returns nan for a histogram flagged low_statistics.
     """
-    sel = _window(hist, window_ns)
+    sel = _window(hist.tau_ns, window_ns)
     if hist.low_statistics:
         return float("nan")
     return float(hist.g2[sel].mean())
@@ -260,7 +265,7 @@ def g2_zero_error(hist: G2Histogram, window_ns: float = 5.5) -> float:
     one count, as sqrt(0) = 0 would claim an exact zero. Returns nan for a
     histogram flagged low_statistics.
     """
-    sel = _window(hist, window_ns)
+    sel = _window(hist.tau_ns, window_ns)
     if hist.low_statistics:
         return float("nan")
     n = max(int(hist.counts[sel].sum()), 1)

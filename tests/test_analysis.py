@@ -1,12 +1,15 @@
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oqlab import qcore
 from oqlab import analysis
 from oqlab.analysis import (
+    BOOTSTRAP_MAX,
     COMPONENT_ERRORS,
     LOW_COUNTS,
     ErrorBudget,
@@ -230,6 +233,26 @@ class TestDarkCorrection:
             dark_count_correction(rec, [-1, 0, 0, 0])
         with pytest.raises(ValueError, match="four"):
             dark_count_correction(rec, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "dark",
+        [(0.5, 0, 0, 0), (0, 1.9, 0, 0), ("3", 0, 0, 0), "3", (0, 0, float("inf"), 0),
+         (0, 0, 0, float("nan")), (2**63, 0, 0, 0), (99999999999999999999, 0, 0, 0),
+         (0, 1e300, 0, 0), (-float("inf"), 0, 0, 0), np.array([0.25, 0, 0, 0])],
+    )
+    def test_refuses_what_is_not_a_whole_count(self, dark):
+        # once truncated (0.5 to 0, 1.9 to 1), parsed ("3") or an OverflowError
+        with pytest.raises(ValueError, match="dark_counts"):
+            dark_count_correction(bench_record(45), dark)
+
+    @pytest.mark.parametrize(
+        "dark",
+        [(2**63 - 1, 0, 0, 0), (3.0, 0, 0, 0), np.array([3, 0, 0, 0]), np.array([3.0, 0, 0, 0]),
+         (np.int32(3), np.float64(0.0), 0, 0)],
+    )
+    def test_takes_whole_numbers_of_any_type(self, dark):
+        out = dark_count_correction(bench_record(45), dark)
+        assert out.tables[(1, 1)].counts[0, 0] == max(4152 - int(dark[0]), 0)
 
 
 class TestErrorBudget:
@@ -476,6 +499,26 @@ class TestBootstrap:
         batched = bootstrap_negativity_error(rec, mode, n_boot=n_boot, seed=4)
         assert batched == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+    def test_refuses_more_than_the_cap_before_drawing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no generator may be built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        for n_boot in (BOOTSTRAP_MAX + 1, 2**63):
+            with pytest.raises(ValueError, match=f"n_boot must be at most {BOOTSTRAP_MAX}"):
+                bootstrap_negativity_error(strict_bench_record(), "strict", n_boot=n_boot)
+
+    def test_cap_bounds_the_memory_of_a_run(self):
+        # the cap's comment: about 340 bytes a resample at the peak, so 90 MB
+        n_boot = 2**14
+        tracemalloc.start()
+        try:
+            bootstrap_negativity_error(strict_bench_record(), "strict", n_boot=n_boot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak * (BOOTSTRAP_MAX / n_boot) < 120e6
+
     def test_lab_mode_reads_only_its_two_tables(self):
         rec = bench_record(45)
         empty = np.zeros((2, 2), dtype=np.int64)
@@ -670,6 +713,79 @@ class TestStandardError:
         assert budget.statistical_error == bootstrap_negativity_error(rec, n_boot=300, seed=4)
         _, budget = analyze(rec, n_boot=0)
         assert budget.statistical_error == 0.0
+
+
+# a cell: often 0, so that empty tables, rows and columns are common
+cell = st.one_of(st.sampled_from([0, 0, 0, 1, 2, 7]), st.integers(0, 2**60))
+factor = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
+
+
+@st.composite
+def read_batches(draw):
+    """(mode, calibration, counts): one (N, 4) table per setup the mode reads."""
+    mode = draw(st.sampled_from(["lab", "strict"]))
+    n = draw(st.integers(1, 12))
+    setups = analysis._read_setups(mode)
+    flat = draw(st.lists(cell, min_size=4 * n * len(setups), max_size=4 * n * len(setups)))
+    counts = np.array(flat, dtype=np.int64).reshape(len(setups), n, 4)
+    return mode, tuple(draw(st.lists(factor, min_size=4, max_size=4))), list(counts)
+
+
+def check_rows_against_read(mode, calibration, counts):
+    """_estimate_rows against _read and estimate_probs, record by record."""
+    setups = analysis._read_setups(mode)
+    p, ok = analysis._estimate_rows(counts, calibration, mode)
+    assert p.shape == (len(counts[0]), 8) and ok.shape == (len(counts[0]),)
+    for k in range(len(counts[0])):
+        tables = {s: tab(s, c[k].reshape(2, 2)) for s, c in zip(setups, counts)}
+        # lab records carry a (1, 0) table too, which they must not read
+        tables.setdefault((1, 0), tab((1, 0), [[0, 0], [0, 0]]))
+        rec = ExperimentRecord(tables=tables, calibration=calibration)
+        try:
+            estimate_probs(rec, mode)
+        except ValueError:
+            assert not ok[k]
+            with pytest.raises(ValueError):
+                analysis._read(rec, mode)
+            continue
+        assert ok[k]
+        assert np.array(analysis._read(rec, mode)[1]).tobytes() == p[k].tobytes()
+
+
+class TestReaders:
+    @settings(max_examples=300, deadline=None)
+    @given(batch=read_batches())
+    def test_batched_reader_is_the_scalar_reader(self, batch):
+        check_rows_against_read(*batch)
+
+    @pytest.mark.parametrize("mode", ["lab", "strict"])
+    def test_batched_reader_on_a_large_stack(self, mode):
+        # numpy may reduce a long stack differently from a short one
+        rng = np.random.default_rng(8)
+        n = 3000
+        counts = [
+            rng.integers(0, 3, size=(n, 4)) * rng.integers(1, 2**50, size=(n, 4))
+            for _ in analysis._read_setups(mode)
+        ]
+        calibration = tuple(rng.uniform(0.2, 5.0, size=4))
+        _, ok = analysis._estimate_rows(counts, calibration, mode)
+        assert 0 < np.count_nonzero(ok) < n
+        check_rows_against_read(mode, calibration, counts)
+
+    def test_analyze_reads_the_record_once(self, monkeypatch):
+        calls = []
+        read = analysis._read
+
+        def counting_read(rec, mode="lab"):
+            calls.append(mode)
+            return read(rec, mode)
+
+        monkeypatch.setattr(analysis, "_read", counting_read)
+        for rec, mode in ((bench_record(45), "lab"), (strict_bench_record(), "strict")):
+            for n_boot in (None, 0, 50):
+                calls.clear()
+                analyze(rec, mode, n_boot=n_boot)
+                assert calls == [mode]
 
 
 class TestCsvGlue:

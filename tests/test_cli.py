@@ -771,6 +771,37 @@ class TestG2:
             f"over |tau| <= 2.75 ns"
         )
 
+    @pytest.mark.parametrize(
+        "argv,name",
+        [(["--window", "0.1"], "--window of 0.1 ns"),
+         (["--window", "0.4", "--bin-width", "0.5"], "--window of 0.4 ns"),
+         # the detector's 5.5 ns default against 20 ns bins
+         (["--bin-width", "20", "--max-delay", "100"],
+          "the detector's coincidence window of 5.5 ns")],
+    )
+    def test_window_narrower_than_a_bin_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, argv, name
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no click stream may be drawn")
+
+        monkeypatch.setattr(cli, "generate_click_streams", refuse)
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--source", "single-emitter", "--duration", "10", *argv,
+                                "--out", str(out)], capsys)
+        assert code == 3
+        width = argv[argv.index("--bin-width") + 1] if "--bin-width" in argv else "0.5"
+        assert err == (f"error: {name} is narrower than one histogram bin "
+                       f"(--bin-width {width} ns)\n")
+        assert not out.exists()
+
+    def test_window_of_one_bin_is_taken(self, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        code, text, _ = run_cli(["g2", "--source", "single-emitter", "--duration", "0.01",
+                                 "--window", "0.5", "--out", str(out)], capsys)
+        assert code == 0
+        assert "over |tau| <= 0.25 ns" in text
+
     def test_empty_window_has_the_error_of_one_count(self):
         tau = np.arange(-19.75, 20.0, 0.5)
         counts = np.where(np.abs(tau) < 3.0, 0, 4)
@@ -1132,6 +1163,33 @@ class TestAnalyze:
         code, _, err = run_cli(["analyze", *inputs, "--dark-counts=1,-2,3,4"], capsys)
         assert code == 3
         assert err == "error: --dark-counts must be finite and nonnegative, got -2\n"
+
+    @pytest.mark.parametrize("darks", ["99999999999999999999,0,0,0", "0,0,0,9223372036854775808"])
+    def test_dark_counts_past_int64_are_data_errors(self, tmp_path, capsys, darks):
+        # once an OverflowError traceback with exit 1
+        out_dir = self.make_run(tmp_path, capsys)
+        inputs = [os.path.join(out_dir, "counts_11.csv"), os.path.join(out_dir, "counts_01.csv")]
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(
+            ["analyze", *inputs, "--dark-counts", darks, "--out", str(report)], capsys
+        )
+        assert (code, out) == (3, "")
+        expected = "[" + darks.replace(",", ", ") + "]"
+        assert err == f"error: dark_counts must be whole numbers below 2**63, got {expected}\n"
+        assert not report.exists()
+
+    @pytest.mark.parametrize("n_boot", [analysis.BOOTSTRAP_MAX + 1, 2**63])
+    def test_bootstrap_above_the_cap_names_the_flag(self, tmp_path, capsys, monkeypatch, n_boot):
+        out_dir = self.make_run(tmp_path, capsys)
+        inputs = [os.path.join(out_dir, "counts_11.csv"), os.path.join(out_dir, "counts_01.csv")]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the flag must be refused before any resample")
+
+        monkeypatch.setattr(analysis, "bootstrap_negativity_error", refuse)
+        code, out, err = run_cli(["analyze", *inputs, "--bootstrap", str(n_boot)], capsys)
+        assert (code, out) == (3, "")
+        assert err == f"error: --bootstrap must be at most {analysis.BOOTSTRAP_MAX}, got {n_boot}\n"
 
     @pytest.mark.parametrize("calibration", ["nan,1,1,1", "1,inf,1,1", "1,1,1,0"])
     def test_calibration_must_be_finite_and_positive(self, tmp_path, capsys, calibration):
@@ -1503,6 +1561,12 @@ SOURCE_FIELDS = sorted(
     {f.name for cls in cli.SOURCE_KINDS.values() for f in dataclasses.fields(cls)}
 )
 SEEDS = optional("--seed", flag_values("7"))
+# one past the int64 range, for the integer flags
+PAST_INT64 = str(2**63)
+
+
+def int_flag_values(*valid):
+    return st.one_of(flag_values(*valid), st.just(PAST_INT64))
 
 detector_choice = st.one_of(
     st.sampled_from(["ideal", "bench", "dark-only"] * 2 + ["missing.cfg"]),
@@ -1539,14 +1603,14 @@ def cli_calls(draw):
         argv = ["scan", "--kind", draw(st.sampled_from(["pure-grid", "bloch-disk", "weak-field"])),
                 "--theta-step", draw(flag_values("30", "90")),
                 "--phi-step", draw(flag_values("45", "90")),
-                *draw(optional("--alpha-steps", flag_values("1", "3"))),
+                *draw(optional("--alpha-steps", int_flag_values("1", "3"))),
                 *draw(optional("--means", flag_values("0.006", "0.1,0.5"))),
-                "--pulses", draw(flag_values("10", "1000")),
+                "--pulses", draw(int_flag_values("10", "1000")),
                 "--det", named(draw(detector_choice)), *draw(SEEDS), "--out", "{out}/scan.csv"]
     elif command == "simulate":
         argv = ["simulate", "--theta", draw(flag_values("45")),
                 *draw(optional("--phi", flag_values("10"))),
-                "--photons", draw(flag_values("1", "100", "10000")),
+                "--photons", draw(int_flag_values("1", "100", "10000")),
                 "--det", named(draw(detector_choice)), *draw(SEEDS),
                 *draw(optional("--error-mode", st.sampled_from(["rss", "sum", "abc"]))),
                 "--out-dir", "{out}/sim"]
@@ -1574,9 +1638,11 @@ def cli_calls(draw):
         argv = ["analyze", "{in}/counts.csv",
                 *draw(st.sampled_from([[], [], [], ["{in}/missing.csv"]])),
                 *draw(optional("--mode", st.sampled_from(["lab", "strict"]))),
-                *draw(optional("--dark-counts", st.one_of(flag_values("0,0,0,0"), four))),
+                *draw(optional("--dark-counts", st.one_of(
+                    flag_values("0,0,0,0"), four, st.just(PAST_INT64),
+                    st.just(f"0,{PAST_INT64},0,0")))),
                 *draw(optional("--calibration", st.one_of(flag_values("1,1,1,1"), four))),
-                *draw(optional("--bootstrap", flag_values("2", "50"))),
+                *draw(optional("--bootstrap", int_flag_values("2", "50"))),
                 *draw(optional("--error-mode", st.sampled_from(["rss", "sum"]))),
                 *draw(SEEDS), *draw(st.sampled_from([[], ["--out", "{out}/report.json"]]))]
     return argv, files
