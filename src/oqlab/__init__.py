@@ -31,7 +31,14 @@ from .contexts import (
     sequential_probs,
     single_probs,
 )
-from .correlation import G2Histogram, dip_width, g2_zero, g2_zero_error, start_stop_histogram
+from .correlation import (
+    G2Histogram,
+    coherent_expected_counts,
+    dip_width,
+    g2_zero,
+    g2_zero_error,
+    start_stop_histogram,
+)
 from .oq import (
     MAX_NEGATIVITY,
     Quasiprobability,
@@ -85,6 +92,7 @@ __all__ = [
     "analyze",
     "bloch_vector",
     "bootstrap_negativity_error",
+    "coherent_expected_counts",
     "context_table",
     "count_tables_from_csv",
     "count_tables_to_csv",

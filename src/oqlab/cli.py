@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -43,7 +44,13 @@ from .analysis import (
     reads_low_counts,
 )
 from .contexts import SETUPS, _probabilities, context_table
-from .correlation import _StartStopAccumulator, _window, g2_zero, g2_zero_error
+from .correlation import (
+    _labelled_clicks,
+    _StartStopAccumulator,
+    _window,
+    g2_zero,
+    g2_zero_error,
+)
 from .oq import _quasi_rows, oq_distribution
 from .photonsim import (
     NS_PER_S,
@@ -484,17 +491,32 @@ def cmd_simulate(args) -> dict:
 # the fastest) keeps G2_CHUNK_S.
 G2_CHUNK_S = 0.05
 G2_CHUNK_CLICKS = 2**17
+# most chunks a g2 run may take: 2^20 chunks of G2_CHUNK_S are 14.6 h of
+# simulated time and hours of work, so a --duration that asks for more is
+# refused before any click is drawn
+G2_CHUNKS_MAX = 2**20
 
 
 def _g2_chunks(duration_s, chunk_s):
-    """(start, length) in seconds of the chunks that tile [0, duration_s)."""
-    n = max(1, math.ceil(duration_s / chunk_s))
+    """(start, length) in seconds of the chunks that tile [0, duration_s).
+
+    More than G2_CHUNKS_MAX chunks are refused here, not when the first is
+    taken. The count is compared before the ceil, so that an infinite
+    quotient is refused too.
+    """
+    count = duration_s / chunk_s
+    if count > G2_CHUNKS_MAX:
+        raise ValueError(
+            f"--duration {duration_s:g} s takes {count:.4g} chunks of {chunk_s:g} s, more "
+            f"than the {G2_CHUNKS_MAX} allowed"
+        )
+    n = max(1, math.ceil(count))
     while n > 1 and (n - 1) * chunk_s >= duration_s:
         n -= 1
-    for k in range(n - 1):
-        yield k * chunk_s, chunk_s
-    start = (n - 1) * chunk_s
-    yield start, duration_s - start
+    last = (n - 1) * chunk_s
+    return itertools.chain(
+        ((k * chunk_s, chunk_s) for k in range(n - 1)), [(last, duration_s - last)]
+    )
 
 
 def _g2_chunk_s(src, det, span_ns: float) -> float:
@@ -546,13 +568,13 @@ def cmd_g2(args) -> dict:
     for k, (start_s, length_s) in enumerate(_g2_chunks(args.duration, chunk_s)):
         seed = np.random.SeedSequence(args.seed, spawn_key=(k,))
         streams = generate_click_streams(src, length_s, det=det, seed=seed)
-        offset_ns = start_s * NS_PER_S
-        acc.add(
-            streams[0].times_ns + offset_ns,
-            streams[1].times_ns + offset_ns,
-            end_ns=offset_ns + length_s * NS_PER_S,
-        )
+        times, is_stop = _labelled_clicks(*streams)
         del streams
+        # in place: the stream is the chunk's own, merged or drawn labelled
+        offset_ns = start_s * NS_PER_S
+        times += offset_ns
+        acc.add_labelled(times, is_stop, end_ns=offset_ns + length_s * NS_PER_S)
+        del times, is_stop
     hist = acc.histogram()
     value = g2_zero(hist, window_ns=window)
     error = g2_zero_error(hist, window_ns=window)

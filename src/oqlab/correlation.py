@@ -9,15 +9,20 @@ the other channel after it adds nothing, and neither does a click tied
 with one of the other channel: each side looks for the next click
 strictly after, so a zero delay is counted on neither side.
 
-Both lookups come from a linear merge of the two sorted channels: a
-stable argsort of their concatenation, stop clicks first, which timsort
-does in linear time. A click's merged position less its own rank is the
-count of clicks of the other channel before it, and so the index of the
-next one. For a stop click tied with a start click the merge order puts
-the start click after it, so such stop clicks alone are looked up again
-by binary search. A chunk is merged in blocks, split at times common to
-both channels, that end at every MERGE_BLOCK-th click of either channel,
-so the merge's temporaries stay small.
+The tally reads both channels as one time-sorted click stream with a
+label per click. A click can have a delay of at most max_delay_ns only
+if the next click of the stream is that close, and one diff finds those
+few clicks. Each is resolved exactly: FORWARD_STEPS steps along the
+stream to the first later click of the other label, then, for a click
+still open, a binary search in the other label's clicks. The cost is
+linear in the clicks for every input, however the labels fall.
+
+The stream comes from one stable merge of the two sorted channels (a
+stable argsort of their concatenation, which timsort does in linear
+time), done in blocks split at times common to both channels that end
+at every MERGE_BLOCK-th click of either channel, so the merge's
+temporaries stay small. A weak-coherent run is drawn in this form to
+begin with (photonsim.generate_click_streams) and skips the merge.
 
 Normalization uses the histogram's own far tail: bins with |tau| in the
 outer fifth of the delay range average to the accidental level of an
@@ -32,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .photonsim import ClickStream, _require_in_range
+from .photonsim import NS_PER_S, ClickStream, WeakCoherent, _coherent_rates_hz, _require_in_range
 
 TAIL_FRACTION = 0.8
 
@@ -40,9 +45,18 @@ TAIL_FRACTION = 0.8
 # larger ceil(max_delay_ns / bin_width_ns) is refused before any allocation
 MAX_HALF_BINS = 2**20
 
-# clicks per channel between the ends of the tally's merge blocks; a block
-# this size keeps the argsort's input and permutation (256 KB each) in cache
-MERGE_BLOCK = 2**14
+# clicks per channel between the ends of the merge's blocks; a block this
+# size keeps the argsort's input and permutation at 64 KB each, so that the
+# merge's temporaries stay well below those of a chunk's click draw
+MERGE_BLOCK = 2**12
+
+# clicks the tally steps along the stream from a near click before it looks
+# the next click of the other label up by binary search
+FORWARD_STEPS = 4
+
+# clicks per block of the tally's first pass, so that its gaps (512 KB) do
+# not grow with a one-shot record
+TALLY_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -68,64 +82,90 @@ class G2Histogram:
         object.__setattr__(self, "g2", np.asarray(self.g2, dtype=float))
 
 
-def _next_clicks(a, b, block_a: slice, block_b: slice):
-    """Index of the next b-click after each of a[block_a], and of the next
-    a-click after each of b[block_b]; the array's size where none follows.
+def _merge(start_ns, stop_ns):
+    """Both channels' clicks as one time-sorted stream, and a label per
+    click that is True for a stop click.
 
-    Equal to searchsorted(b, a[block_a], "right") and searchsorted(a,
-    b[block_b], "right"), from one merge of the two blocks. The blocks
-    must hold the clicks of both channels in one time range, so that a
-    count within the blocks plus the other block's start is a count over
-    the whole channel.
+    A stable merge (start clicks first on ties), in blocks that each hold
+    the clicks of both channels in one time range.
     """
-    sa, sb = a[block_a], b[block_b]
-    # b first, so a stop click equal to a start click sorts before it; the
-    # permutation is dropped as soon as its labels are read
-    is_a = np.argsort(np.concatenate((sb, sa)), kind="stable") >= sb.size
-    # merged position less own rank: the count of b <= a_i ...
-    ia = np.flatnonzero(is_a)
-    ia -= np.arange(sa.size)
-    ia += block_b.start
-    # ... and of a < b_j, which misses the a-clicks tied with b_j
-    ib = np.flatnonzero(~is_a)
-    del is_a
-    ib -= np.arange(sb.size)
-    ib += block_a.start
-    tied = np.flatnonzero(a.take(ib, mode="clip") == sb)
-    if tied.size:
-        ib.put(tied, np.searchsorted(a, sb.take(tied), side="right"))
-    return ia, ib
-
-
-def _delays(a, b, idx, max_delay_ns):
-    """Delays b[idx] - a up to max_delay_ns, for the a-clicks with idx < b.size."""
-    # idx never decreases, so the clicks with a next click are a prefix
-    n = int(np.searchsorted(idx, b.size))
-    delays = b.take(idx[:n])
-    delays -= a[:n]
-    return delays.compress(delays <= max_delay_ns)
-
-
-def _tally(a, b, na, nb, max_delay_ns):
-    """Delays from each of a[:na] to the next b-click (positive) and from
-    each of b[:nb] to the next a-click (negative), up to max_delay_ns.
-
-    a[:na] and b[:nb] must be the clicks before one time, the cut.
-    """
-    # blocks end at every MERGE_BLOCK-th click of either channel and at the
-    # cut, each the clicks of both channels in [previous end, end)
-    ends = np.concatenate((a[MERGE_BLOCK:na:MERGE_BLOCK], b[MERGE_BLOCK:nb:MERGE_BLOCK]))
+    na, nb = start_ns.size, stop_ns.size
+    times = np.empty(na + nb)
+    is_stop = np.empty(na + nb, dtype=bool)
+    ends = np.concatenate((start_ns[MERGE_BLOCK::MERGE_BLOCK], stop_ns[MERGE_BLOCK::MERGE_BLOCK]))
     ends.sort()
     block_ends = zip(
-        [*np.searchsorted(a, ends).tolist(), na], [*np.searchsorted(b, ends).tolist(), nb]
+        [*np.searchsorted(start_ns, ends).tolist(), na],
+        [*np.searchsorted(stop_ns, ends).tolist(), nb],
     )
-    delays = []
     i0 = j0 = 0
     for i1, j1 in block_ends:
-        ia, ib = _next_clicks(a, b, slice(i0, i1), slice(j0, j1))
-        delays.append(_delays(a[i0:i1], b, ia, max_delay_ns))
-        delays.append(-_delays(b[j0:j1], a, ib, max_delay_ns))
+        block = np.concatenate((start_ns[i0:i1], stop_ns[j0:j1]))
+        order = np.argsort(block, kind="stable")
+        k0, k1 = i0 + j0, i1 + j1
+        block.take(order, out=times[k0:k1])
+        np.greater_equal(order, i1 - i0, out=is_stop[k0:k1])
         i0, j0 = i1, j1
+    return times, is_stop
+
+
+def _labelled_clicks(start: ClickStream, stop: ClickStream):
+    """(times, is_stop): the clicks of both streams as one time-sorted
+    stream, and a label per click that is True for a stop click.
+
+    Two channels of one generate_click_streams call that share their
+    labelled stream (see ClickStream) return it as it is, or its labels
+    negated when the channels come in the other order; any other pair is
+    merged. The shared times are the streams' own array, not a copy.
+    """
+    a, b = start._labelled, stop._labelled
+    if a is not None and b is not None and a[0] is b[0] and a[2] != b[2]:
+        times, in_1, channel = a
+        return times, (~in_1 if channel else in_1)
+    return _merge(start.times_ns, stop.times_ns)
+
+
+def _tally(times, is_stop, lo, m, max_delay_ns):
+    """Delays from each of the clicks times[lo:m] to the next click of the
+    other label strictly after it, up to max_delay_ns: positive from a
+    start click, negative from a stop click.
+
+    times must hold every click within max_delay_ns after those.
+    """
+    # only a click whose next click is this close can have a delay in range
+    near = np.concatenate([
+        k + np.flatnonzero(np.diff(times[k:min(k + TALLY_BLOCK, m) + 1]) <= max_delay_ns)
+        for k in range(lo, m, TALLY_BLOCK)
+    ] or [np.empty(0, dtype=np.intp)])
+    at, from_stop = times.take(near), is_stop.take(near)
+    delays = [np.empty(0)]
+    for step in range(1, FORWARD_STEPS + 1):
+        if not near.size:
+            return np.concatenate(delays)
+        # near is sorted, so the clicks with no click step places on are its tail
+        keep = int(np.searchsorted(near, times.size - step))
+        near, at, from_stop = near[:keep], at[:keep], from_stop[:keep]
+        nxt = near + step
+        gap = times.take(nxt)
+        gap -= at
+        in_range = gap <= max_delay_ns
+        # the first later click of the other label ends the search; a tie is not later
+        hit = in_range & (gap > 0.0) & (is_stop.take(nxt) != from_stop)
+        delays.append(np.where(from_stop, -gap, gap).compress(hit))
+        open_ = in_range & ~hit
+        near, at, from_stop = near.compress(open_), at.compress(open_), from_stop.compress(open_)
+    if near.size:
+        # the rest by binary search in the other label's clicks
+        for label, sign in ((False, 1.0), (True, -1.0)):
+            t = at.compress(from_stop == label)
+            if not t.size:
+                continue
+            others = times.compress(is_stop != label)
+            idx = np.searchsorted(others, t, side="right")
+            ok = idx < others.size
+            gap = others.take(idx.compress(ok))
+            gap -= t.compress(ok)
+            delays.append(sign * gap.compress(gap <= max_delay_ns))
     return np.concatenate(delays)
 
 
@@ -135,19 +175,19 @@ class _StartStopAccumulator:
     Each add() takes one chunk of both channels as sorted times on a
     common clock, plus the time end_ns before which no later chunk brings
     a click (less a guard_ns margin, for clicks that detector jitter
-    pushes back across the chunk boundary). A click is tallied once every
-    click within max_delay_ns after it is known, so its delay is the one
-    start_stop_histogram finds on the whole record. The clicks not yet
-    tallied are held back and merged into the next chunk; the rest of the
-    chunk is dropped. A chunk that brings a click before the range
-    already tallied raises ValueError, since its delays could no longer
-    be counted right.
+    pushes back across the chunk boundary); add_labelled() takes the
+    chunk as one labelled click stream instead (_labelled_clicks). A click
+    is tallied once every click within max_delay_ns after it is known, so
+    its delay is the one start_stop_histogram finds on the whole record.
+    The clicks not yet tallied are held back and tallied with the next
+    chunk's first clicks; the rest of the chunk is dropped. A chunk that
+    brings a click before the range already tallied raises ValueError,
+    since its delays could no longer be counted right.
 
-    Each add() finds the next click after every click it tallies by the
-    block merge of the module docstring, so a chunk costs time linear in
-    its clicks and memory set by MERGE_BLOCK. The delays are the ones a
-    binary search per click gives: each runs to the next click of the
-    other channel strictly after, so a tie adds no zero delay.
+    Each chunk is tallied as in the module docstring, in time linear in
+    its clicks and with temporaries set by MERGE_BLOCK and TALLY_BLOCK. The delays are the ones a binary search
+    per click gives: each runs to the next click of the other channel
+    strictly after, so a tie adds no zero delay.
     """
 
     def __init__(self, bin_width_ns: float, max_delay_ns: float, guard_ns: float = 0.0):
@@ -167,35 +207,51 @@ class _StartStopAccumulator:
         self._max_delay_ns = max_delay_ns
         self._guard_ns = guard_ns
         self._horizon_ns = -math.inf
-        self._held = (np.empty(0), np.empty(0))
-
-    def _merge(self, held, times):
-        if times.size and times[0] < self._horizon_ns:
-            raise ValueError(
-                f"chunk brings a click at {times[0]} ns, before {self._horizon_ns} ns "
-                "where the histogram is already tallied"
-            )
-        if not held.size:
-            return times
-        if not times.size:
-            return held
-        merged = np.concatenate((held, times))
-        # jitter may push a chunk's first clicks before the last held ones
-        return merged if held[-1] <= times[0] else np.sort(merged, kind="stable")
+        self._held = (np.empty(0), np.empty(0, dtype=bool))
 
     def add(self, start_ns, stop_ns, end_ns: float = math.inf):
         """Tally one chunk; end_ns = inf marks the last one."""
-        a = self._merge(self._held[0], start_ns)
-        b = self._merge(self._held[1], stop_ns)
+        self.add_labelled(*_merge(start_ns, stop_ns), end_ns)
+
+    def add_labelled(self, times_ns, is_stop, end_ns: float = math.inf):
+        """Tally one chunk given as one time-sorted click stream and a label
+        per click, True for a stop click; end_ns = inf marks the last one."""
+        if times_ns.size and times_ns[0] < self._horizon_ns:
+            raise ValueError(
+                f"chunk brings a click at {times_ns[0]} ns, before {self._horizon_ns} ns "
+                "where the histogram is already tallied"
+            )
         self._horizon_ns = end_ns - self._guard_ns
         cut = self._horizon_ns - self._max_delay_ns
-        na = int(np.searchsorted(a, cut))
-        nb = int(np.searchsorted(b, cut))
-        if a.size and b.size:
-            delays = _tally(a, b, na, nb, self._max_delay_ns)
+        held, held_stop = self._held
+        delays = []
+        lo = 0
+        if held.size:
+            # the held clicks, and the chunk's clicks that jitter put before
+            # the last of them, are tallied on a short stream that reaches
+            # max_delay_ns past them; the chunk's later clicks never look back
+            lo = int(np.searchsorted(times_ns, held[-1]))
+            hi = int(np.searchsorted(times_ns, held[-1] + self._max_delay_ns, side="right"))
+            edge = np.concatenate((held, times_ns[:hi]))
+            edge_stop = np.concatenate((held_stop, is_stop[:hi]))
+            if lo:
+                order = np.argsort(edge, kind="stable")
+                edge, edge_stop = edge.take(order), edge_stop.take(order)
+            k = min(held.size + lo, int(np.searchsorted(edge, cut)))
+            delays.append(_tally(edge, edge_stop, 0, k, self._max_delay_ns))
+            if k < held.size + lo:
+                # the cut falls among them (a chunk shorter than the delay
+                # range and guard), so all from the cut on is held
+                times_ns = np.concatenate((edge[k:], times_ns[hi:]))
+                is_stop = np.concatenate((edge_stop[k:], is_stop[hi:]))
+                lo = 0
+        m = int(np.searchsorted(times_ns, cut))
+        delays.append(_tally(times_ns, is_stop, lo, m, self._max_delay_ns))
+        delays = np.concatenate(delays)
+        if delays.size:
             self._counts += np.histogram(delays, bins=self._edges)[0]
         # copies, so the chunk's arrays are freed
-        self._held = (a[na:].copy(), b[nb:].copy())
+        self._held = (times_ns[m:].copy(), is_stop[m:].copy())
 
     @property
     def tau_ns(self) -> np.ndarray:
@@ -233,8 +289,31 @@ def start_stop_histogram(
     a bin edge so the two sides stay symmetric.
     """
     acc = _StartStopAccumulator(bin_width_ns, max_delay_ns)
-    acc.add(start.times_ns, stop.times_ns)
+    acc.add_labelled(*_labelled_clicks(start, stop))
     return acc.histogram()
+
+
+def coherent_expected_counts(src, det, tau_ns, bin_width_ns: float, n_start, n_stop):
+    """Expected start-stop histogram of a weak-coherent run, in closed form.
+
+    Channel i is a Poisson process at r_i = mean * pulse_rate *
+    efficiency[i] / 2 + dark rate, so the delay from a start click to the
+    next stop click is exponential at the stop rate r, and the bin [l, u)
+    of |tau| expects N_start (e^{-r l} - e^{-r u}) for N_start start
+    clicks; the negative side swaps the channels. tau_ns are the bin
+    centres. Clicks within the delay range of the run's end, which have
+    no next click to find, are left out of the count, a relative bias of
+    about max_delay / duration.
+    """
+    if not isinstance(src, WeakCoherent):
+        raise TypeError(f"the closed form holds for a WeakCoherent source, not {src!r}")
+    r_start, r_stop = (r / NS_PER_S for r in _coherent_rates_hz(src, det))
+    tau_ns = np.asarray(tau_ns, dtype=float)
+    lo, hi = np.abs(tau_ns) - bin_width_ns / 2, np.abs(tau_ns) + bin_width_ns / 2
+    positive = tau_ns > 0
+    n = np.where(positive, n_start, n_stop)
+    r = np.where(positive, r_stop, r_start)
+    return n * (np.exp(-r * lo) - np.exp(-r * hi))
 
 
 def _window(tau_ns, window_ns: float) -> np.ndarray:

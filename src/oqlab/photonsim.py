@@ -33,13 +33,16 @@ one matmul, and the rest, 1 - sum_k Tr[E_k rho], is the photon lost.
 Every run is drawn from its exact distribution, not photon by photon. A
 counting run is one multinomial over the detectors, as photons are
 independent given the systematic draw. In a timing run each weak-coherent
-channel is, by the splitting and superposition theorems, an independent
-Poisson process at mean * pulse_rate * efficiency / 2 + dark_rate_hz, drawn
-as one Poisson count of sorted uniform times in [0, duration); Gaussian
-jitter would leave it Poisson apart from clicks spilling over the ends, so
-none is drawn. Emitter and SPDC emissions, which are not Poisson, each
-take one uniform draw as their branch-and-detection label, and their
-clicks carry explicit jitter and darks.
+channel i is, by the splitting and superposition theorems, an independent
+Poisson process at r_i = mean * pulse_rate * efficiency[i] / 2 +
+dark_rate_hz. By superposition and thinning the pair is one Poisson
+process at r_0 + r_1 whose clicks each fall in channel 1 with probability
+r_1 / (r_0 + r_1), drawn as one Poisson count of sorted uniform times in
+[0, duration) and one uniform per click as its label; Gaussian jitter
+would leave it Poisson apart from clicks spilling over the ends, so none
+is drawn. Emitter and SPDC emissions, which are not Poisson, each take one
+uniform draw as their branch-and-detection label, and their clicks carry
+explicit jitter and darks.
 """
 
 from __future__ import annotations
@@ -227,10 +230,17 @@ class ClickStream:
     """Sorted detection times (ns) of one detector channel.
 
     The results of generate_click_streams and and_gate skip __post_init__.
+    The two weak-coherent channels of one generate_click_streams call keep
+    the stream they were cut from as _labelled: (times, in_1, k), the
+    clicks of both channels in time order, a label per click that is True
+    for channel 1, and the stream's own channel k. Both share the arrays,
+    and correlation._labelled_clicks reads them instead of merging the
+    channels again.
     """
 
     times_ns: np.ndarray
     detector: str = "0"
+    _labelled = None  # not a field
 
     def __post_init__(self):
         t = np.asarray(self.times_ns, dtype=float)
@@ -449,8 +459,9 @@ def _with_darks_and_jitter(times, det: DetectorModel, duration_ns: float, rng):
 
 
 def _poisson_times(rate_hz: float, duration_ns: float, rng):
-    n = rng.poisson(rate_hz * duration_ns / NS_PER_S)
-    return np.sort(rng.uniform(0.0, duration_ns, n))
+    times = rng.uniform(0.0, duration_ns, rng.poisson(rate_hz * duration_ns / NS_PER_S))
+    times.sort()
+    return times
 
 
 def _renewal_times(dead_ns: float, rate_hz: float, duration_ns: float, rng):
@@ -480,6 +491,14 @@ def _renewal_rate_hz(dead_ns: float, rate_hz: float) -> float:
     return rate_hz / (1.0 + rate_hz * dead_ns / NS_PER_S)
 
 
+def _coherent_rates_hz(src: WeakCoherent, det: DetectorModel):
+    """Click rates in Hz of a weak-coherent source's two channels: branch i
+    takes mean * pulse_rate / 2 photons per second, efficiency[i] of them
+    click, and the darks add to that."""
+    branch_hz = src.mean_photons_per_pulse * src.pulse_rate_hz / 2
+    return tuple(branch_hz * e + det.dark_rate_hz for e in det.efficiency[:2])
+
+
 def _click_rate_bound_hz(src, det: DetectorModel) -> float:
     """An upper bound on the mean rate in Hz of either channel's clicks in
     generate_click_streams, and of the emissions the clicks are drawn from.
@@ -488,8 +507,7 @@ def _click_rate_bound_hz(src, det: DetectorModel) -> float:
     channel holds at most every emission, or every pair, plus its darks.
     """
     if isinstance(src, WeakCoherent):
-        branch_hz = src.mean_photons_per_pulse * src.pulse_rate_hz / 2
-        return branch_hz * max(det.efficiency[:2]) + det.dark_rate_hz
+        return max(_coherent_rates_hz(src, det))
     if isinstance(src, SingleEmitter):
         emissions = _renewal_rate_hz(src.excited_lifetime_ns, src.excitation_rate_hz)
     elif isinstance(src, HeraldedSPDC):
@@ -506,7 +524,9 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
     distribution (module docstring) with branch efficiencies 0 and 1 of
     the detector model and its dark rate:
 
-    * WeakCoherent: one Poisson process per channel on [0, duration).
+    * WeakCoherent: one Poisson process per channel on [0, duration),
+      drawn as their superposition with a label per click; both channels
+      keep it as _labelled (ClickStream).
     * SingleEmitter: the renewal emission stream, each emission labelled
       detected in branch 0, detected in branch 1, or lost.
     * HeraldedSPDC: the AND-gate outputs of each signal branch with the
@@ -520,12 +540,16 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
     duration_ns = duration_s * NS_PER_S
 
     if isinstance(src, WeakCoherent):
-        branch_hz = src.mean_photons_per_pulse * src.pulse_rate_hz / 2
-        rates = [branch_hz * e + det.dark_rate_hz for e in det.efficiency[:2]]
-        return [
-            _trusted(ClickStream, _poisson_times(rate, duration_ns, rng), str(i))
-            for i, rate in enumerate(rates)
-        ]
+        r0, r1 = _coherent_rates_hz(src, det)
+        times = _poisson_times(r0 + r1, duration_ns, rng)
+        # a click at all means r0 + r1 > 0
+        in_1 = rng.random(times.size) < (r1 / (r0 + r1) if times.size else 0.0)
+        streams = []
+        for k, t in enumerate((times.compress(~in_1), times.compress(in_1))):
+            stream = _trusted(ClickStream, t, str(k))
+            object.__setattr__(stream, "_labelled", (times, in_1, k))
+            streams.append(stream)
+        return streams
 
     if isinstance(src, SingleEmitter):
         times = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)

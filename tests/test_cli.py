@@ -26,8 +26,9 @@ from oqlab import analysis, cli, qcore
 from oqlab.contexts import context_table
 from oqlab.oq import MAX_NEGATIVITY, negativity, oq_distribution
 from oqlab.analysis import ExperimentRecord, analyze, dark_count_correction
-from oqlab.correlation import G2Histogram, g2_zero_error
+from oqlab.correlation import G2Histogram, _StartStopAccumulator, g2_zero_error
 from oqlab.photonsim import (
+    NS_PER_S,
     CountTable,
     WeakCoherent,
     count_tables_to_csv,
@@ -582,7 +583,23 @@ def sha256_of(path):
 
 class TestSeededOutputBytes:
     """Seeded outputs pinned to the bytes they had when each counting run
-    was still seeded through SeedSequence.spawn."""
+    was still seeded through SeedSequence.spawn, and g2 histograms: the
+    emitter and SPDC ones at the bytes they had when each channel was
+    tallied on its own, the weak-coherent one at those of its labelled
+    draw."""
+
+    @pytest.mark.parametrize(
+        "source,digest",
+        [("heralded-spdc", "a56e2d57d439f91709d671d493f3899cf2849366a502f9516ada2d73b5cf74e9"),
+         ("single-emitter", "4f30f76ca58bdd0d48350dac12a88cf67ecdad768e962e12e5bd0514dc835780"),
+         ("weak-coherent", "025d9791b68e51a5cb598cc80c138cc6b9e4b1cb0107985f275b198c6ba5be30")],
+    )
+    def test_g2_histogram(self, tmp_path, capsys, source, digest):
+        out = tmp_path / "hist.csv"
+        code, _, _ = run_cli(["g2", "--source", source, "--duration", "0.5", "--seed", "3",
+                              "--out", str(out)], capsys)
+        assert code == 0
+        assert sha256_of(out) == digest
 
     def test_weak_field_scan(self, tmp_path, capsys):
         out = tmp_path / "wf.csv"
@@ -996,6 +1013,62 @@ class TestG2Chunks:
     def test_builtin_sources_keep_time_chunks(self, source, det):
         src, model = cli.resolve_source(source), cli.resolve_detector(det)
         assert cli._g2_chunk_s(src, model, 20.0) == cli.G2_CHUNK_S
+
+    @pytest.mark.parametrize("duration", ["1e300", "1e308", repr(0.05 * (2**20 + 1))])
+    def test_too_many_chunks_is_data_error(self, tmp_path, capsys, monkeypatch, duration):
+        def no_clicks(*args, **kwargs):
+            raise AssertionError("clicks drawn for a run of too many chunks")
+
+        monkeypatch.setattr(cli, "generate_click_streams", no_clicks)
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--source", "heralded-spdc", "--duration", duration,
+                                "--out", str(out)], capsys)
+        assert code == 3
+        assert err.startswith("error: --duration ")
+        assert err.endswith(f"chunks of 0.05 s, more than the {cli.G2_CHUNKS_MAX} allowed\n")
+        assert not out.exists()
+
+    def test_chunk_cap_takes_its_own_count(self):
+        chunks = cli._g2_chunks(cli.G2_CHUNK_S * cli.G2_CHUNKS_MAX, cli.G2_CHUNK_S)
+        assert next(chunks) == (0.0, cli.G2_CHUNK_S)
+        assert sum(1 for _ in chunks) == cli.G2_CHUNKS_MAX - 1
+
+    @pytest.mark.parametrize("source", sorted(cli.SOURCE_KINDS))
+    def test_tallied_clicks_are_the_drawn_clicks(self, tmp_path, capsys, monkeypatch, source):
+        # a benchmark counts g2's clicks where cmd_g2 draws them, through
+        # cli.generate_click_streams: each chunk's drawn clicks, offset to
+        # the chunk's start, must be the ones the accumulator tallies
+        drawn, tallied, chunks = [], [], []
+        real_draw, real_chunks = cli.generate_click_streams, cli._g2_chunks
+        real_add = _StartStopAccumulator.add_labelled
+
+        def draw(*args, **kwargs):
+            streams = real_draw(*args, **kwargs)
+            drawn.append([s.times_ns.copy() for s in streams])
+            return streams
+
+        def add_labelled(self, times_ns, is_stop, end_ns=math.inf):
+            tallied.append((times_ns.copy(), is_stop.copy()))
+            return real_add(self, times_ns, is_stop, end_ns)
+
+        def recorded_chunks(*args):
+            chunks.extend(real_chunks(*args))
+            return iter(chunks)
+
+        monkeypatch.setattr(cli, "generate_click_streams", draw)
+        monkeypatch.setattr(cli, "_g2_chunks", recorded_chunks)
+        monkeypatch.setattr(_StartStopAccumulator, "add_labelled", add_labelled)
+        code, _, _ = run_cli(["g2", "--source", source, "--duration", "0.2", "--seed", "4",
+                              "--out", str(tmp_path / "hist.csv")], capsys)
+        assert code == 0
+        assert len(chunks) == len(drawn) == 4
+        # and the closing call of histogram(), which brings no click
+        assert len(tallied) == 5 and tallied[-1][0].size == 0
+        for (start_s, _), channels, (times, is_stop) in zip(chunks, drawn, tallied):
+            offset_ns = start_s * NS_PER_S
+            assert channels[0].size > 100 and channels[1].size > 100
+            np.testing.assert_array_equal(times[~is_stop], channels[0] + offset_ns)
+            np.testing.assert_array_equal(times[is_stop], channels[1] + offset_ns)
 
     def test_too_fast_source_is_data_error(self, tmp_path, capsys, monkeypatch):
         def no_clicks(*args, **kwargs):
@@ -1531,7 +1604,8 @@ class TestParserCache:
 # command also draws small valid values. Values that ask for unbounded work
 # (steps below 1, durations above 0.01 s, more than 10^4 photons, pulses or
 # resamples, source means and rates that ask for more than about 10^5
-# clicks) are left out, so a run stays cheap. An integer flag's 1e308 is a
+# clicks) are left out, so a run stays cheap; durations of 1e300 and 1e308 s
+# are drawn, as g2 refuses their chunk counts before any click. An integer flag's 1e308 is a
 # usage error; a rate or mean of 1e308 fails numpy's size checks before
 # anything is allocated, or meets a dead time that caps the draws.
 DEGENERATE = ["nan", "inf", "-inf", "-1", "0", "", "abc", "1,2", "1e308"]
@@ -1616,7 +1690,7 @@ def cli_calls(draw):
                 "--out-dir", "{out}/sim"]
     elif command == "g2":
         argv = ["g2", "--source", named(draw(source_choice)), "--det", named(draw(detector_choice)),
-                "--duration", draw(flag_values("0.0005", "0.001", exclude=["1e308"])),
+                "--duration", draw(flag_values("0.0005", "0.001", "1e300")),
                 *draw(optional("--bin-width", flag_values("0.5", "1"))),
                 *draw(optional("--max-delay", flag_values("20", "5.5"))),
                 *draw(optional("--window", flag_values("5.5", "2"))),

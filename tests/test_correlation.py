@@ -1,5 +1,7 @@
 import dataclasses
+import inspect
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -11,8 +13,11 @@ from oqlab import cli, correlation
 from oqlab.correlation import (
     MAX_HALF_BINS,
     G2Histogram,
+    _labelled_clicks,
+    _merge,
     _StartStopAccumulator,
     _tally,
+    coherent_expected_counts,
     dip_width,
     g2_zero,
     start_stop_histogram,
@@ -152,7 +157,7 @@ class TestAccumulator:
 
 def forward_delays(a, b, max_delay_ns):
     """Delay from each a-click to the next b-click, capped at max_delay_ns,
-    by one binary search per click: the reference for the merge tally."""
+    by one binary search per click: the reference for the labelled tally."""
     idx = np.searchsorted(b, a, side="right")
     ok = idx < b.size
     delays = b[idx[ok]] - a[ok]
@@ -160,55 +165,51 @@ def forward_delays(a, b, max_delay_ns):
 
 
 def reference_delays(a, b, na, nb, max_delay_ns):
-    """The delays _tally must give, sorted: a[:na] to b, then b[:nb] to a negated."""
+    """The delays the tally must give, sorted: a[:na] to b, then b[:nb] to a negated."""
     pos = forward_delays(a[:na], b, max_delay_ns)
     neg = forward_delays(b[:nb], a, max_delay_ns)
     return np.sort(np.concatenate([pos, -neg]))
 
 
 class ReferenceAccumulator(_StartStopAccumulator):
-    """The accumulator with each chunk tallied by two binary searches."""
+    """The accumulator with each chunk tallied by two binary searches, its
+    clicks held back per channel."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._channels = (np.empty(0), np.empty(0))
 
     def add(self, start_ns, stop_ns, end_ns=math.inf):
-        a = self._merge(self._held[0], start_ns)
-        b = self._merge(self._held[1], stop_ns)
+        if min([*start_ns[:1], *stop_ns[:1]], default=math.inf) < self._horizon_ns:
+            raise ValueError("chunk brings a click before the tallied range")
+        a, b = (np.sort(np.concatenate((held, new)))
+                for held, new in zip(self._channels, (start_ns, stop_ns)))
         self._horizon_ns = end_ns - self._guard_ns
         cut = self._horizon_ns - self._max_delay_ns
         na, nb = np.searchsorted(a, cut), np.searchsorted(b, cut)
         pos = forward_delays(a[:na], b, self._max_delay_ns)
         neg = forward_delays(b[:nb], a, self._max_delay_ns)
         self._counts += np.histogram(np.concatenate([pos, -neg]), bins=self._edges)[0]
-        self._held = (a[na:].copy(), b[nb:].copy())
+        self._channels = (a[na:].copy(), b[nb:].copy())
 
 
-def merge_ranks(first, second):
-    """Merged position less own rank of each click of first and of second,
-    in one stable merge that puts first's clicks first on ties."""
-    in_second = np.argsort(np.concatenate((first, second)), kind="stable") >= first.size
-    return (np.flatnonzero(~in_second) - np.arange(first.size),
-            np.flatnonzero(in_second) - np.arange(second.size))
+def mutant_tally(old, new):
+    """correlation._tally with its one occurrence of old replaced by new."""
+    source = inspect.getsource(correlation._tally)
+    assert source.count(old) == 1, old
+    namespace = dict(vars(correlation))
+    exec(source.replace(old, new), namespace)
+    return namespace["_tally"]
 
 
-def wrong_next_clicks(start_first, stop_first):
-    """A _next_clicks that takes each side's indices from one merge with no
-    tie fix-up: the start clicks placed first on ties (the count of stop
-    clicks before them, searchsorted side "left") or last ("right"), and
-    likewise the stop clicks."""
-    def next_clicks(a, b, block_a, block_b):
-        sa, sb = a[block_a], b[block_b]
-        ia = merge_ranks(sa, sb)[0] if start_first else merge_ranks(sb, sa)[1]
-        ib = merge_ranks(sb, sa)[0] if stop_first else merge_ranks(sa, sb)[1]
-        return ia + block_b.start, ib + block_a.start
-    return next_clicks
-
-
-WRONG_MERGES = {
-    # a tie counted as delay 0 on both sides
-    "tie-as-zero": wrong_next_clicks(start_first=True, stop_first=True),
-    # start clicks with searchsorted side "left"
-    "start-side-left": wrong_next_clicks(start_first=True, stop_first=False),
-    # the right merge order without the stop-click tie fix-up
-    "no-tie-fixup": wrong_next_clicks(start_first=False, stop_first=True),
+# each a deliberately wrong tally, as the edit that makes it
+TALLY_MUTANTS = {
+    # a click tied with one of the other label counted as a zero delay
+    "tie-as-zero": ("(gap > 0.0)", "(gap >= 0.0)"),
+    # the search ends at the first later click, whatever its label
+    "first-later-click": ("open_ = in_range & ~hit", "open_ = in_range & (gap == 0.0)"),
+    # the forward steps alone: a click still open after them is dropped
+    "no-fallback": ("    if near.size:\n", "    if False:\n"),
 }
 
 
@@ -235,27 +236,55 @@ def assert_chunked_matches_reference(chunks, bin_width_ns=0.5, max_delay_ns=20.0
     return int(ref.counts.sum())
 
 
+GRID = st.integers(-20, 160).map(lambda k: k * 0.25)
+
+
 @st.composite
 def click_pair(draw, min_size=0, max_size=60):
     """Two sorted channels on a 0.25 ns grid, from -5 ns on."""
-    grid = st.integers(-20, 160).map(lambda k: k * 0.25)
-    times = st.lists(grid, min_size=min_size, max_size=max_size)
+    times = st.lists(GRID, min_size=min_size, max_size=max_size)
     return tuple(np.sort(np.array(draw(times), dtype=float)) for _ in range(2))
 
 
+@st.composite
+def pushed_feeds(draw):
+    """(chunks, guard_ns): a click pair cut into chunks at grid times, each
+    click fed with the chunk that holds it pushed up to guard_ns later, as
+    jitter pushes a chunk's clicks back across its start."""
+    a, b = draw(click_pair(max_size=120))
+    bounds = [-10.0, *sorted(set(draw(st.lists(GRID, max_size=6)))), math.inf]
+    guard_ns = draw(st.sampled_from([0.0, 0.5, 2.0]))
+
+    def chunk_index(t):
+        shares = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+        push = guard_ns * np.array(draw(st.lists(shares, min_size=t.size, max_size=t.size)))
+        return np.searchsorted(bounds, t + push, side="right") - 1
+
+    ka, kb = chunk_index(a), chunk_index(b)
+    chunks = [(lo, hi - lo, a[ka == k], b[kb == k])
+              for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+    return chunks, guard_ns
+
+
 class TestMergeTally:
-    """The merge tally against two binary searches per chunk."""
+    """The merge and labelled tally against two binary searches per chunk."""
 
     @settings(max_examples=400, deadline=None)
     @given(pair=click_pair(min_size=1), cut=st.integers(-24, 170).map(lambda k: k * 0.25),
            block=st.sampled_from([1, 2, 3, 5, 2**14]),
            max_delay=st.sampled_from([0.5, 3.0, 20.0, 1e9]))
     def test_delays_equal_binary_search(self, pair, cut, block, max_delay):
+        # block sets the blocks of the merge and of the tally's first pass
         a, b = pair
-        na, nb = np.searchsorted(a, cut), np.searchsorted(b, cut)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(correlation, "MERGE_BLOCK", block)
-            got = np.sort(_tally(a, b, na, nb, max_delay))
+            mp.setattr(correlation, "TALLY_BLOCK", block)
+            times, is_stop = _merge(a, b)
+            m = np.searchsorted(times, cut)
+            got = np.sort(_tally(times, is_stop, 0, m, max_delay))
+        np.testing.assert_array_equal(times, np.sort(np.concatenate(pair)))
+        np.testing.assert_array_equal(np.sort(times[is_stop]), b)
+        na, nb = np.searchsorted(a, cut), np.searchsorted(b, cut)
         np.testing.assert_array_equal(got, reference_delays(a, b, na, nb, max_delay))
         assert not np.any(got == 0.0)
 
@@ -276,6 +305,25 @@ class TestMergeTally:
             mp.setattr(correlation, "MERGE_BLOCK", block)
             assert_chunked_matches_reference(chunks, bin_width_ns=0.25, max_delay_ns=6.0,
                                              guard_ns=0.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(feeds=pushed_feeds(), max_delay=st.sampled_from([0.5, 3.0, 6.0]),
+           steps=st.sampled_from([1, 4]), block=st.sampled_from([2, 2**16]))
+    def test_pushed_back_feeds_equal_reference(self, feeds, max_delay, steps, block):
+        # ties across and within channels, held clicks, and clicks a chunk
+        # brings before the last ones held from the one before
+        chunks, guard_ns = feeds
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlation, "FORWARD_STEPS", steps)
+            mp.setattr(correlation, "TALLY_BLOCK", block)
+            assert_chunked_matches_reference(chunks, bin_width_ns=0.25, max_delay_ns=max_delay,
+                                             guard_ns=guard_ns)
+        a = np.sort(np.concatenate([c[2] for c in chunks]))
+        b = np.sort(np.concatenate([c[3] for c in chunks]))
+        hist = start_stop_histogram(ClickStream(a), ClickStream(b), 0.25, max_delay)
+        expected = np.histogram(reference_delays(a, b, a.size, b.size, max_delay),
+                                bins=np.append(hist.tau_ns - 0.125, hist.tau_ns[-1] + 0.125))[0]
+        np.testing.assert_array_equal(hist.counts, expected)
 
     @pytest.mark.parametrize("block", [7, 2**14])
     @pytest.mark.parametrize("seed", range(4))
@@ -299,11 +347,41 @@ class TestMergeTally:
         a, b = np.array(a, dtype=float), np.array(b, dtype=float)
         assert_chunked_matches_reference([(0.0, math.inf, a, b)])
 
-    @pytest.mark.parametrize("merge", sorted(WRONG_MERGES))
-    def test_wrong_merges_fail(self, merge, monkeypatch):
-        monkeypatch.setattr(correlation, "_next_clicks", WRONG_MERGES[merge])
+    @pytest.mark.parametrize("mutant", sorted(TALLY_MUTANTS))
+    def test_wrong_tallies_fail(self, mutant, monkeypatch):
+        monkeypatch.setattr(correlation, "_tally", mutant_tally(*TALLY_MUTANTS[mutant]))
         with pytest.raises(AssertionError):
             assert_chunked_matches_reference(tied_chunks(0))
+
+    @staticmethod
+    def dead_channel_seconds(cls, a, b):
+        """(counts, least of three run times) of one chunk fed to cls."""
+        times = []
+        for _ in range(3):
+            acc = cls(10.0, 1000.0)
+            t0 = time.perf_counter()
+            acc.add(a, b)
+            hist = acc.histogram()
+            times.append(time.perf_counter() - t0)
+        return hist.counts, min(times)
+
+    @pytest.mark.parametrize("unbounded", [False, True], ids=["tally", "unbounded-scan"])
+    def test_dead_channel_costs_linear_time(self, unbounded, monkeypatch):
+        # 20,000 start clicks at 1 per ns and 5 stop clicks: every start
+        # click has 10^3 more of its own channel within max_delay
+        rng = np.random.default_rng(5)
+        a = np.sort(rng.uniform(0.0, 2.0e4, 20_000))
+        b = np.sort(rng.uniform(0.0, 2.0e4, 5))
+        if unbounded:
+            # forward steps until every click is resolved, with no binary
+            # search: right, but about 10^3 steps over every start click
+            monkeypatch.setattr(correlation, "FORWARD_STEPS", 10**6)
+        counts, seconds = self.dead_channel_seconds(_StartStopAccumulator, a, b)
+        ref_counts, ref_seconds = self.dead_channel_seconds(ReferenceAccumulator, a, b)
+        np.testing.assert_array_equal(counts, ref_counts)
+        assert counts.sum() > 1000
+        fast = seconds <= 10 * ref_seconds + 0.01
+        assert fast != unbounded, (seconds, ref_seconds)
 
     @pytest.mark.parametrize("held", [False, True], ids=["first-chunk", "with-held-clicks"])
     def test_peak_memory_within_reference(self, held):
@@ -314,20 +392,62 @@ class TestMergeTally:
         ]
         chunk_ns = 0.05 * NS_PER_S
 
-        def peak(cls):
+        def peak(cls, merged=False):
             acc = cls(0.5, 20.0, guard_ns=20.0 * det.timing_jitter_ns + 1.0)
             if held:
                 acc.add(streams[0][0].times_ns, streams[0][1].times_ns, end_ns=chunk_ns)
             a, b = (s.times_ns + held * chunk_ns for s in streams[1])
+            stream = _merge(a, b) if merged else None
             tracemalloc.start()
             try:
-                acc.add(a, b, end_ns=(1 + held) * chunk_ns)
+                if merged:
+                    acc.add_labelled(*stream, end_ns=(1 + held) * chunk_ns)
+                else:
+                    acc.add(a, b, end_ns=(1 + held) * chunk_ns)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         assert streams[1][0].times_ns.size > 40_000
+        # the merge and the labelled tally against two binary searches
         assert peak(_StartStopAccumulator) <= 1.1 * peak(ReferenceAccumulator)
+        # the tally of a labelled stream takes about the stream's own size
+        clicks = sum(s.times_ns.size for s in streams[1])
+        assert peak(_StartStopAccumulator, merged=True) <= 1.1 * 9 * clicks
+
+
+class TestLabelledClicks:
+    """The one click stream a pair of channels is tallied as."""
+
+    def test_weak_coherent_channels_share_their_stream(self):
+        s0, s1 = generate_click_streams(WeakCoherent(0.5), 0.01, seed=3)
+        times, is_stop = _labelled_clicks(s0, s1)
+        assert times is s0._labelled[0] is s1._labelled[0]
+        assert np.all(np.diff(times) >= 0.0)
+        np.testing.assert_array_equal(times[~is_stop], s0.times_ns)
+        np.testing.assert_array_equal(times[is_stop], s1.times_ns)
+        # the channels the other way round: the same times, labels negated
+        swapped, stop_is_0 = _labelled_clicks(s1, s0)
+        assert swapped is times
+        np.testing.assert_array_equal(stop_is_0, ~is_stop)
+
+    def test_other_pairs_are_merged(self):
+        w0, w1 = generate_click_streams(WeakCoherent(0.5), 0.01, seed=3)
+        v0, _ = generate_click_streams(WeakCoherent(0.5), 0.01, seed=4)
+        e0, e1 = generate_click_streams(SingleEmitter(), 0.01, seed=3)
+        assert ClickStream._labelled is None and e0._labelled is None
+        # a public copy keeps no stream
+        assert dataclasses.replace(w1)._labelled is None
+        for a, b in [(e0, e1), (w0, w0), (w0, v0), (dataclasses.replace(w0), w1), (e1, w0)]:
+            times, is_stop = _labelled_clicks(a, b)
+            assert times is not w0._labelled[0]
+            np.testing.assert_array_equal(times, np.sort(np.concatenate([a.times_ns, b.times_ns])))
+            np.testing.assert_array_equal(times[~is_stop], a.times_ns)
+            np.testing.assert_array_equal(times[is_stop], b.times_ns)
+
+    def test_oracle_is_for_weak_coherent_sources(self):
+        with pytest.raises(TypeError, match="WeakCoherent"):
+            coherent_expected_counts(SingleEmitter(), DetectorModel(), [0.25], 0.5, 10, 10)
 
 
 class TestNormalization:
@@ -436,26 +556,6 @@ ORACLE_DURATION_S = 0.2
 ORACLE_SEEDS = range(6)
 
 
-def coherent_expected_counts(tau_ns, bin_width_ns, n_start, n_stop, det, src=ORACLE_SOURCE):
-    """Closed-form expected start-stop histogram of a weak-coherent source.
-
-    Channel i is a Poisson process at r_i = mean * pulse_rate *
-    efficiency[i] / 2 + dark rate, so the delay from a start click to the
-    next stop click is exponential at the stop rate r, and the bin [l, u)
-    expects N_start (e^{-r l} - e^{-r u}); the negative side swaps the
-    channels.
-    """
-    r_start, r_stop = (
-        (src.mean_photons_per_pulse * src.pulse_rate_hz * e / 2 + det.dark_rate_hz) / NS_PER_S
-        for e in det.efficiency[:2]
-    )
-    lo, hi = np.abs(tau_ns) - bin_width_ns / 2, np.abs(tau_ns) + bin_width_ns / 2
-    positive = tau_ns > 0
-    n = np.where(positive, n_start, n_stop)
-    r = np.where(positive, r_stop, r_start)
-    return n * (np.exp(-r * lo) - np.exp(-r * hi))
-
-
 def oracle_fit(counts, expected):
     """(chi-square per bin, max |z|) of counts against their expectation."""
     z = (counts - expected) / np.sqrt(expected)
@@ -476,16 +576,35 @@ def assert_fits_oracle(fits):
     assert np.all(max_z < MAX_ABS_Z), fits
 
 
-def one_shot_fit(det, seed, generator_det=None):
-    """Oracle fit under det of a run drawn with generator_det (default det)."""
-    s0, s1 = generate_click_streams(
-        ORACLE_SOURCE, ORACLE_DURATION_S, det=generator_det or det, seed=seed
-    )
+def oracle_streams(det, seed):
+    return generate_click_streams(ORACLE_SOURCE, ORACLE_DURATION_S, det=det, seed=seed)
+
+
+def one_shot_fit(det, seed, generate=oracle_streams):
+    """Oracle fit under det of a run drawn by generate(det, seed)."""
+    s0, s1 = generate(det, seed)
     hist = start_stop_histogram(s0, s1)
     expected = coherent_expected_counts(
-        hist.tau_ns, hist.bin_width_ns, s0.times_ns.size, s1.times_ns.size, det
+        ORACLE_SOURCE, det, hist.tau_ns, hist.bin_width_ns, s0.times_ns.size, s1.times_ns.size
     )
     return oracle_fit(hist.counts, expected)
+
+
+def half_labelled_streams(det, seed):
+    """The labelled draw with each click put in channel 1 at probability
+    1/2, whatever the efficiencies: a deliberately wrong generator."""
+    times = oracle_streams(det, seed)[0]._labelled[0]
+    in_1 = np.random.default_rng(seed).random(times.size) < 0.5
+    return ClickStream(times[~in_1], "0"), ClickStream(times[in_1], "1")
+
+
+# each deliberately wrong generator of the oracle source
+WRONG_ORACLE_GENERATORS = {
+    "no-darks": lambda det, seed: oracle_streams(dataclasses.replace(det, dark_rate_hz=0.0), seed),
+    "efficiency-ignored": lambda det, seed: oracle_streams(
+        dataclasses.replace(det, efficiency=(1.0, 1.0, 1.0, 1.0)), seed),
+    "half-labels": half_labelled_streams,
+}
 
 
 class TestCoherentOracle:
@@ -522,18 +641,14 @@ class TestCoherentOracle:
                              "--out", str(out)])
             assert code == 0
             rows = np.loadtxt(out, delimiter=",", comments="#", skiprows=4)
-            expected = coherent_expected_counts(rows[:, 0], 0.5, clicks[0], clicks[1], det)
+            expected = coherent_expected_counts(ORACLE_SOURCE, det, rows[:, 0], 0.5, *clicks)
             fits.append(oracle_fit(rows[:, 1], expected))
         capsys.readouterr()
         assert_fits_oracle(fits)
 
-    @pytest.mark.parametrize(
-        "fault", [{"dark_rate_hz": 0.0}, {"efficiency": (1.0, 1.0, 1.0, 1.0)}],
-        ids=["no-darks", "efficiency-ignored"],
-    )
+    @pytest.mark.parametrize("fault", sorted(WRONG_ORACLE_GENERATORS))
     def test_rejects_wrong_generators(self, fault):
         det = ORACLE_DETECTORS["lossy-dark"]
-        wrong = dataclasses.replace(det, **fault)
         for seed in ORACLE_SEEDS:
-            chi2_dof, max_z = one_shot_fit(det, seed, generator_det=wrong)
+            chi2_dof, max_z = one_shot_fit(det, seed, WRONG_ORACLE_GENERATORS[fault])
             assert chi2_dof >= MAX_CHI2_DOF or max_z >= MAX_ABS_Z
