@@ -498,7 +498,7 @@ G2_CHUNKS_MAX = 2**20
 
 
 def _g2_chunks(duration_s, chunk_s):
-    """(start, length) in seconds of the chunks that tile [0, duration_s).
+    """Lengths in seconds of the chunks that tile [0, duration_s).
 
     More than G2_CHUNKS_MAX chunks are refused here, not when the first is
     taken. The count is compared before the ceil, so that an infinite
@@ -513,10 +513,7 @@ def _g2_chunks(duration_s, chunk_s):
     n = max(1, math.ceil(count))
     while n > 1 and (n - 1) * chunk_s >= duration_s:
         n -= 1
-    last = (n - 1) * chunk_s
-    return itertools.chain(
-        ((k * chunk_s, chunk_s) for k in range(n - 1)), [(last, duration_s - last)]
-    )
+    return itertools.chain(itertools.repeat(chunk_s, n - 1), [duration_s - (n - 1) * chunk_s])
 
 
 def _g2_chunk_s(src, det, span_ns: float) -> float:
@@ -562,19 +559,14 @@ def cmd_g2(args) -> dict:
             f"{name} of {window:g} ns is narrower than one histogram bin "
             f"(--bin-width {args.bin_width:g} ns)"
         ) from None
-    chunk_s = _g2_chunk_s(src, det, args.max_delay + guard_ns)
-    # each chunk restarts the source at its start, seeded by its index the
-    # way the weak-field scan seeds each grid point
-    for k, (start_s, length_s) in enumerate(_g2_chunks(args.duration, chunk_s)):
+    chunk_s = _g2_chunk_s(src, det, acc.span_ns + guard_ns)
+    # each chunk restarts the source at 0 on its own clock, seeded by its
+    # index the way the weak-field scan seeds each grid point; no chunk is
+    # held while the next one is drawn
+    for k, length_s in enumerate(_g2_chunks(args.duration, chunk_s)):
         seed = np.random.SeedSequence(args.seed, spawn_key=(k,))
-        streams = generate_click_streams(src, length_s, det=det, seed=seed)
-        times, is_stop = _labelled_clicks(*streams)
-        del streams
-        # in place: the stream is the chunk's own, merged or drawn labelled
-        offset_ns = start_s * NS_PER_S
-        times += offset_ns
-        acc.add_labelled(times, is_stop, end_ns=offset_ns + length_s * NS_PER_S)
-        del times, is_stop
+        acc.add(*_labelled_clicks(*generate_click_streams(src, length_s, det=det, seed=seed)),
+                length_s * NS_PER_S)
     hist = acc.histogram()
     value = g2_zero(hist, window_ns=window)
     error = g2_zero_error(hist, window_ns=window)

@@ -7,11 +7,13 @@ At click rates well below one per delay range this start-stop record is
 an unbiased estimate of the cross-correlation. A click with no click of
 the other channel after it adds nothing, and neither does a click tied
 with one of the other channel: each side looks for the next click
-strictly after, so a zero delay is counted on neither side.
+strictly after, so a zero delay is counted on neither side. The bins are
+whole: max_delay_ns is rounded up to whole bins, and every delay up to
+that outer edge is tallied, so the outermost bins fill like the rest.
 
 The tally reads both channels as one time-sorted click stream with a
-label per click. A click can have a delay of at most max_delay_ns only
-if the next click of the stream is that close, and one diff finds those
+label per click. A click can have a delay in range only if the next
+click of the stream is that close, and one diff finds those
 few clicks. Each is resolved exactly: FORWARD_STEPS steps along the
 stream to the first later click of the other label, then, for a click
 still open, a binary search in the other label's clicks. The cost is
@@ -22,7 +24,9 @@ stable argsort of their concatenation, which timsort does in linear
 time), done in blocks split at times common to both channels that end
 at every MERGE_BLOCK-th click of either channel, so the merge's
 temporaries stay small. A weak-coherent run is drawn in this form to
-begin with (photonsim.generate_click_streams) and skips the merge.
+begin with (photonsim.generate_click_streams) and skips the merge. A long
+record is tallied chunk by chunk, each on its own clock
+(_StartStopAccumulator).
 
 Normalization uses the histogram's own far tail: bins with |tau| in the
 outer fifth of the delay range average to the accidental level of an
@@ -170,24 +174,26 @@ def _tally(times, is_stop, lo, m, max_delay_ns):
 
 
 class _StartStopAccumulator:
-    """Start-stop histogram fed with consecutive chunks of two channels.
+    """Start-stop histogram fed with consecutive chunks of one record.
 
-    Each add() takes one chunk of both channels as sorted times on a
-    common clock, plus the time end_ns before which no later chunk brings
-    a click (less a guard_ns margin, for clicks that detector jitter
-    pushes back across the chunk boundary); add_labelled() takes the
-    chunk as one labelled click stream instead (_labelled_clicks). A click
-    is tallied once every click within max_delay_ns after it is known, so
-    its delay is the one start_stop_histogram finds on the whole record.
-    The clicks not yet tallied are held back and tallied with the next
-    chunk's first clicks; the rest of the chunk is dropped. A chunk that
-    brings a click before the range already tallied raises ValueError,
-    since its delays could no longer be counted right.
+    Each add() takes one chunk as one time-sorted labelled click stream
+    (_labelled_clicks) on the chunk's own clock: its clicks fall in
+    [0, length_ns), and detector jitter may push them at most guard_ns
+    past either end. A click is tallied once every click within span_ns
+    after it is known, so its delay is the one start_stop_histogram finds
+    on the whole record. The clicks not yet tallied are held back, moved
+    length_ns earlier onto the next chunk's clock and tallied with its
+    first clicks; the rest of the chunk is dropped. So no time the tally
+    sees exceeds one chunk and the guard, and a delay is rounded at that
+    scale however long the record. A chunk that brings a click before
+    -guard_ns, where the tally may already have reached, raises
+    ValueError, since its delays could no longer be counted right.
 
     Each chunk is tallied as in the module docstring, in time linear in
-    its clicks and with temporaries set by MERGE_BLOCK and TALLY_BLOCK. The delays are the ones a binary search
-    per click gives: each runs to the next click of the other channel
-    strictly after, so a tie adds no zero delay.
+    its clicks and with temporaries set by TALLY_BLOCK. The delays are the
+    ones a binary search per click gives: each runs to the next click of
+    the other channel strictly after, so a tie adds no zero delay. span_ns
+    is the outer edge of the bins, max_delay_ns rounded up to whole bins.
     """
 
     def __init__(self, bin_width_ns: float, max_delay_ns: float, guard_ns: float = 0.0):
@@ -204,41 +210,37 @@ class _StartStopAccumulator:
         self._edges = bin_width_ns * np.arange(-half_bins, half_bins + 1)
         self._counts = np.zeros(2 * half_bins, dtype=np.int64)
         self._bin_width_ns = float(bin_width_ns)
-        self._max_delay_ns = max_delay_ns
+        self.span_ns = float(self._edges[-1])
         self._guard_ns = guard_ns
         self._horizon_ns = -math.inf
         self._held = (np.empty(0), np.empty(0, dtype=bool))
 
-    def add(self, start_ns, stop_ns, end_ns: float = math.inf):
-        """Tally one chunk; end_ns = inf marks the last one."""
-        self.add_labelled(*_merge(start_ns, stop_ns), end_ns)
-
-    def add_labelled(self, times_ns, is_stop, end_ns: float = math.inf):
-        """Tally one chunk given as one time-sorted click stream and a label
-        per click, True for a stop click; end_ns = inf marks the last one."""
+    def add(self, times_ns, is_stop, length_ns: float = math.inf):
+        """Tally one chunk: one time-sorted click stream on the chunk's clock
+        and a label per click, True for a stop click. length_ns = inf marks
+        the last chunk."""
         if times_ns.size and times_ns[0] < self._horizon_ns:
             raise ValueError(
                 f"chunk brings a click at {times_ns[0]} ns, before {self._horizon_ns} ns "
                 "where the histogram is already tallied"
             )
-        self._horizon_ns = end_ns - self._guard_ns
-        cut = self._horizon_ns - self._max_delay_ns
+        cut = length_ns - self._guard_ns - self.span_ns
         held, held_stop = self._held
         delays = []
         lo = 0
         if held.size:
             # the held clicks, and the chunk's clicks that jitter put before
             # the last of them, are tallied on a short stream that reaches
-            # max_delay_ns past them; the chunk's later clicks never look back
+            # span_ns past them; the chunk's later clicks never look back
             lo = int(np.searchsorted(times_ns, held[-1]))
-            hi = int(np.searchsorted(times_ns, held[-1] + self._max_delay_ns, side="right"))
+            hi = int(np.searchsorted(times_ns, held[-1] + self.span_ns, side="right"))
             edge = np.concatenate((held, times_ns[:hi]))
             edge_stop = np.concatenate((held_stop, is_stop[:hi]))
             if lo:
                 order = np.argsort(edge, kind="stable")
                 edge, edge_stop = edge.take(order), edge_stop.take(order)
             k = min(held.size + lo, int(np.searchsorted(edge, cut)))
-            delays.append(_tally(edge, edge_stop, 0, k, self._max_delay_ns))
+            delays.append(_tally(edge, edge_stop, 0, k, self.span_ns))
             if k < held.size + lo:
                 # the cut falls among them (a chunk shorter than the delay
                 # range and guard), so all from the cut on is held
@@ -246,12 +248,13 @@ class _StartStopAccumulator:
                 is_stop = np.concatenate((edge_stop[k:], is_stop[hi:]))
                 lo = 0
         m = int(np.searchsorted(times_ns, cut))
-        delays.append(_tally(times_ns, is_stop, lo, m, self._max_delay_ns))
+        delays.append(_tally(times_ns, is_stop, lo, m, self.span_ns))
         delays = np.concatenate(delays)
         if delays.size:
             self._counts += np.histogram(delays, bins=self._edges)[0]
-        # copies, so the chunk's arrays are freed
-        self._held = (times_ns[m:].copy(), is_stop[m:].copy())
+        # on the next chunk's clock, as new arrays, so the chunk's are freed
+        self._held = (times_ns[m:] - length_ns, is_stop[m:].copy())
+        self._horizon_ns = -self._guard_ns if length_ns < math.inf else math.inf
 
     @property
     def tau_ns(self) -> np.ndarray:
@@ -260,10 +263,10 @@ class _StartStopAccumulator:
 
     def histogram(self) -> G2Histogram:
         """Normalized histogram of the whole record; no chunk may follow."""
-        self.add(np.empty(0), np.empty(0))
+        self.add(np.empty(0), np.empty(0, dtype=bool))
         counts = self._counts
         centers = self.tau_ns
-        tail = np.abs(centers) >= TAIL_FRACTION * self._max_delay_ns
+        tail = np.abs(centers) >= TAIL_FRACTION * self.span_ns
         baseline = counts[tail].mean() if np.any(tail) else 0.0
         low = baseline <= 0.0
         g2 = counts / baseline if not low else np.zeros_like(counts, dtype=float)
@@ -285,11 +288,12 @@ def start_stop_histogram(
 ) -> G2Histogram:
     """Two-sided start-stop histogram between two click streams.
 
-    Returns bins covering (-max_delay_ns, max_delay_ns); tau = 0 falls on
-    a bin edge so the two sides stay symmetric.
+    Returns whole bins covering (-max_delay_ns, max_delay_ns), the outer
+    ones reaching past it when it is no whole number of bins; tau = 0
+    falls on a bin edge so the two sides stay symmetric.
     """
     acc = _StartStopAccumulator(bin_width_ns, max_delay_ns)
-    acc.add_labelled(*_labelled_clicks(start, stop))
+    acc.add(*_labelled_clicks(start, stop))
     return acc.histogram()
 
 

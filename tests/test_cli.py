@@ -29,6 +29,7 @@ from oqlab.analysis import ExperimentRecord, analyze, dark_count_correction
 from oqlab.correlation import G2Histogram, _StartStopAccumulator, g2_zero_error
 from oqlab.photonsim import (
     NS_PER_S,
+    ClickStream,
     CountTable,
     WeakCoherent,
     count_tables_to_csv,
@@ -1030,45 +1031,72 @@ class TestG2Chunks:
 
     def test_chunk_cap_takes_its_own_count(self):
         chunks = cli._g2_chunks(cli.G2_CHUNK_S * cli.G2_CHUNKS_MAX, cli.G2_CHUNK_S)
-        assert next(chunks) == (0.0, cli.G2_CHUNK_S)
+        assert next(chunks) == cli.G2_CHUNK_S
         assert sum(1 for _ in chunks) == cli.G2_CHUNKS_MAX - 1
 
     @pytest.mark.parametrize("source", sorted(cli.SOURCE_KINDS))
     def test_tallied_clicks_are_the_drawn_clicks(self, tmp_path, capsys, monkeypatch, source):
         # a benchmark counts g2's clicks where cmd_g2 draws them, through
-        # cli.generate_click_streams: each chunk's drawn clicks, offset to
-        # the chunk's start, must be the ones the accumulator tallies
-        drawn, tallied, chunks = [], [], []
-        real_draw, real_chunks = cli.generate_click_streams, cli._g2_chunks
-        real_add = _StartStopAccumulator.add_labelled
+        # cli.generate_click_streams: each chunk's drawn clicks, on the
+        # chunk's own clock, must be the ones the accumulator tallies
+        drawn, tallied = [], []
+        real_draw, real_add = cli.generate_click_streams, _StartStopAccumulator.add
 
-        def draw(*args, **kwargs):
-            streams = real_draw(*args, **kwargs)
-            drawn.append([s.times_ns.copy() for s in streams])
+        def draw(src, duration_s, det=None, seed=0):
+            streams = real_draw(src, duration_s, det=det, seed=seed)
+            drawn.append((duration_s * NS_PER_S, [s.times_ns.copy() for s in streams]))
             return streams
 
-        def add_labelled(self, times_ns, is_stop, end_ns=math.inf):
-            tallied.append((times_ns.copy(), is_stop.copy()))
-            return real_add(self, times_ns, is_stop, end_ns)
-
-        def recorded_chunks(*args):
-            chunks.extend(real_chunks(*args))
-            return iter(chunks)
+        def add(self, times_ns, is_stop, length_ns=math.inf):
+            tallied.append((times_ns.copy(), is_stop.copy(), length_ns, self._guard_ns))
+            return real_add(self, times_ns, is_stop, length_ns)
 
         monkeypatch.setattr(cli, "generate_click_streams", draw)
-        monkeypatch.setattr(cli, "_g2_chunks", recorded_chunks)
-        monkeypatch.setattr(_StartStopAccumulator, "add_labelled", add_labelled)
+        monkeypatch.setattr(_StartStopAccumulator, "add", add)
         code, _, _ = run_cli(["g2", "--source", source, "--duration", "0.2", "--seed", "4",
                               "--out", str(tmp_path / "hist.csv")], capsys)
         assert code == 0
-        assert len(chunks) == len(drawn) == 4
+        assert len(drawn) == 4
         # and the closing call of histogram(), which brings no click
-        assert len(tallied) == 5 and tallied[-1][0].size == 0
-        for (start_s, _), channels, (times, is_stop) in zip(chunks, drawn, tallied):
-            offset_ns = start_s * NS_PER_S
+        assert len(tallied) == 5 and tallied[-1][0].size == 0 and tallied[-1][2] == math.inf
+        for (length_ns, channels), (times, is_stop, length, guard_ns) in zip(drawn, tallied):
+            assert length == length_ns
             assert channels[0].size > 100 and channels[1].size > 100
-            np.testing.assert_array_equal(times[~is_stop], channels[0] + offset_ns)
-            np.testing.assert_array_equal(times[is_stop], channels[1] + offset_ns)
+            np.testing.assert_array_equal(times[~is_stop], channels[0])
+            np.testing.assert_array_equal(times[is_stop], channels[1])
+            # no time handed to the tally leaves the chunk and its guard
+            assert -guard_ns <= times[0] and times[-1] <= length_ns + guard_ns
+
+    def test_delays_keep_the_precision_of_their_chunk(self, tmp_path, capsys, monkeypatch):
+        # chunks of 10^4 s, where the float spacing of an absolute time is
+        # 0.002 ns, fed the same clicks each: pairs 1e-7 ns either side of a
+        # 0.01 ns bin edge, and a start 0.25 ns before each chunk's end whose
+        # next stop is 0.5 ns into the next chunk
+        monkeypatch.setattr(cli, "G2_CHUNK_S", 1e4)
+        edges = _StartStopAccumulator(0.01, 20.0)._edges
+        near = np.add.outer(edges[[2007, 2013, 2101, 2777, 3999]], [-1e-7, 1e-7]).ravel()
+        bases = 50.0 + 100.0 * np.arange(2 * near.size)
+        pos, neg = bases[:near.size], bases[near.size:]
+
+        def clicks(src, duration_s, det=None, seed=0):
+            end = duration_s * NS_PER_S
+            start = np.sort(np.concatenate(([1.0, end - 0.25], pos, neg + near)))
+            stop = np.sort(np.concatenate(([0.5, end - 1.0], pos + near, neg)))
+            return [ClickStream(start), ClickStream(stop)]
+
+        monkeypatch.setattr(cli, "generate_click_streams", clicks)
+        cfg = tmp_path / "slow.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 1e-6\n")
+        out = tmp_path / "hist.csv"
+        code, _, _ = run_cli(["g2", "--source", str(cfg), "--det", "ideal", "--duration", "3e4",
+                              "--bin-width", "0.01", "--out", str(out)], capsys)
+        assert code == 0
+        # in each chunk the stop at 0.5 ns, the pairs and the stop 1 ns
+        # before the end; the start before the end in all but the last
+        chunk = np.concatenate(([-0.5], (pos + near) - pos, -((neg + near) - neg), [-0.75]))
+        delays = np.concatenate((chunk, [0.75], chunk, [0.75], chunk))
+        counts = np.loadtxt(out, delimiter=",", comments="#", skiprows=4)[:, 1]
+        np.testing.assert_array_equal(counts, np.histogram(delays, bins=edges)[0])
 
     def test_too_fast_source_is_data_error(self, tmp_path, capsys, monkeypatch):
         def no_clicks(*args, **kwargs):
@@ -1085,6 +1113,22 @@ class TestG2Chunks:
             "error: source clicks at up to 1.9e+13 Hz per channel, so chunks of 131072 clicks "
             "last 6.899 ns, shorter than the 21 ns of --max-delay plus the jitter guard\n"
         )
+        assert not out.exists()
+
+    def test_chunks_outlast_the_outer_bin_edge(self, tmp_path, capsys, monkeypatch):
+        def no_clicks(*args, **kwargs):
+            raise AssertionError("clicks drawn for chunks shorter than the delay range")
+
+        monkeypatch.setattr(cli, "generate_click_streams", no_clicks)
+        # chunks of 21.15 ns: longer than --max-delay and the 1 ns guard, but
+        # not than the 20.3 ns outer edge of 0.7 ns bins and the guard
+        cfg = tmp_path / "wc.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 3.2617e6\n")
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--source", str(cfg), "--det", "ideal", "--duration", "1e-7",
+                                "--bin-width", "0.7", "--out", str(out)], capsys)
+        assert code == 3
+        assert "last 21.15 ns, shorter than the 21.3 ns of --max-delay" in err
         assert not out.exists()
 
     def test_module_runs_as_script(self):

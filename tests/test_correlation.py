@@ -123,8 +123,8 @@ class TestAccumulator:
         rng = np.random.default_rng(len(lengths_ns) + int(10 * jitter_ns))
         chunks = jittered_chunks(lengths_ns, 0.3, jitter_ns, rng)
         acc = _StartStopAccumulator(0.5, 20.0, guard_ns=20.0 * jitter_ns + 1.0)
-        for start, length, a, b in chunks:
-            acc.add(a, b, end_ns=start + length)
+        for chunk in chunks:
+            feed(acc, *chunk)
         hist = acc.histogram()
 
         whole_a = np.sort(np.concatenate([c[2] for c in chunks]))
@@ -140,19 +140,19 @@ class TestAccumulator:
     @pytest.mark.parametrize("channel", [0, 1])
     def test_click_before_tallied_range_raises(self, channel):
         acc = _StartStopAccumulator(0.5, 20.0, guard_ns=1.0)
-        acc.add(np.array([10.0, 50.0, 90.0]), np.array([12.0, 95.0]), end_ns=100.0)
+        feed(acc, 0.0, 100.0, np.array([10.0, 50.0, 90.0]), np.array([12.0, 95.0]))
         late = [np.array([120.0]), np.array([121.0])]
         # 60 ns is before 100 - 1 ns, where this chunk's tally may reach
         late[channel] = np.array([60.0, 120.0])
         with pytest.raises(ValueError, match="before"):
-            acc.add(*late, end_ns=200.0)
+            feed(acc, 100.0, 100.0, *late)
 
     def test_no_chunk_follows_the_histogram(self):
         acc = _StartStopAccumulator(0.5, 20.0)
-        acc.add(np.array([1.0]), np.array([2.0]), end_ns=10.0)
+        feed(acc, 0.0, 10.0, np.array([1.0]), np.array([2.0]))
         acc.histogram()
         with pytest.raises(ValueError, match="before"):
-            acc.add(np.array([1e12]), np.array([1e12]))
+            feed(acc, 0.0, math.inf, np.array([1e12]), np.array([1e12]))
 
 
 def forward_delays(a, b, max_delay_ns):
@@ -173,7 +173,7 @@ def reference_delays(a, b, na, nb, max_delay_ns):
 
 class ReferenceAccumulator(_StartStopAccumulator):
     """The accumulator with each chunk tallied by two binary searches, its
-    clicks held back per channel."""
+    clicks held back per channel, all on the whole record's clock."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -185,12 +185,22 @@ class ReferenceAccumulator(_StartStopAccumulator):
         a, b = (np.sort(np.concatenate((held, new)))
                 for held, new in zip(self._channels, (start_ns, stop_ns)))
         self._horizon_ns = end_ns - self._guard_ns
-        cut = self._horizon_ns - self._max_delay_ns
+        cut = self._horizon_ns - self.span_ns
         na, nb = np.searchsorted(a, cut), np.searchsorted(b, cut)
-        pos = forward_delays(a[:na], b, self._max_delay_ns)
-        neg = forward_delays(b[:nb], a, self._max_delay_ns)
+        pos = forward_delays(a[:na], b, self.span_ns)
+        neg = forward_delays(b[:nb], a, self.span_ns)
         self._counts += np.histogram(np.concatenate([pos, -neg]), bins=self._edges)[0]
         self._channels = (a[na:].copy(), b[nb:].copy())
+
+
+def feed(acc, start, length, a, b):
+    """Add the chunk [start, start + length) of the channels a and b of a
+    record: merged on the chunk's own clock to the accumulator, as they are
+    to the reference."""
+    if isinstance(acc, ReferenceAccumulator):
+        acc.add(a, b, end_ns=start + length)
+    else:
+        acc.add(*_merge(a - start, b - start), length)
 
 
 def mutant_tally(old, new):
@@ -227,9 +237,9 @@ def assert_chunked_matches_reference(chunks, bin_width_ns=0.5, max_delay_ns=20.0
     """The accumulator and the reference, fed the same chunks, agree bin for bin."""
     accs = [cls(bin_width_ns, max_delay_ns, guard_ns=guard_ns)
             for cls in (_StartStopAccumulator, ReferenceAccumulator)]
-    for start, length, a, b in chunks:
+    for chunk in chunks:
         for acc in accs:
-            acc.add(a, b, end_ns=start + length)
+            feed(acc, *chunk)
     hist, ref = (acc.histogram() for acc in accs)
     np.testing.assert_array_equal(hist.counts, ref.counts)
     np.testing.assert_array_equal(hist.g2, ref.g2)
@@ -360,7 +370,7 @@ class TestMergeTally:
         for _ in range(3):
             acc = cls(10.0, 1000.0)
             t0 = time.perf_counter()
-            acc.add(a, b)
+            feed(acc, 0.0, math.inf, a, b)
             hist = acc.histogram()
             times.append(time.perf_counter() - t0)
         return hist.counts, min(times)
@@ -395,15 +405,20 @@ class TestMergeTally:
         def peak(cls, merged=False):
             acc = cls(0.5, 20.0, guard_ns=20.0 * det.timing_jitter_ns + 1.0)
             if held:
-                acc.add(streams[0][0].times_ns, streams[0][1].times_ns, end_ns=chunk_ns)
-            a, b = (s.times_ns + held * chunk_ns for s in streams[1])
+                feed(acc, 0.0, chunk_ns, *(s.times_ns for s in streams[0]))
+            # each chunk on its own clock, the reference's on the record's
+            a, b = (s.times_ns for s in streams[1])
+            if cls is ReferenceAccumulator:
+                a, b = a + held * chunk_ns, b + held * chunk_ns
             stream = _merge(a, b) if merged else None
             tracemalloc.start()
             try:
                 if merged:
-                    acc.add_labelled(*stream, end_ns=(1 + held) * chunk_ns)
-                else:
+                    acc.add(*stream, chunk_ns)
+                elif cls is ReferenceAccumulator:
                     acc.add(a, b, end_ns=(1 + held) * chunk_ns)
+                else:
+                    acc.add(*_merge(a, b), chunk_ns)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -580,10 +595,10 @@ def oracle_streams(det, seed):
     return generate_click_streams(ORACLE_SOURCE, ORACLE_DURATION_S, det=det, seed=seed)
 
 
-def one_shot_fit(det, seed, generate=oracle_streams):
+def one_shot_fit(det, seed, generate=oracle_streams, bin_width_ns=0.5):
     """Oracle fit under det of a run drawn by generate(det, seed)."""
     s0, s1 = generate(det, seed)
-    hist = start_stop_histogram(s0, s1)
+    hist = start_stop_histogram(s0, s1, bin_width_ns=bin_width_ns)
     expected = coherent_expected_counts(
         ORACLE_SOURCE, det, hist.tau_ns, hist.bin_width_ns, s0.times_ns.size, s1.times_ns.size
     )
@@ -614,6 +629,15 @@ class TestCoherentOracle:
     def test_one_shot_histogram(self, detector):
         det = ORACLE_DETECTORS[detector]
         assert_fits_oracle([one_shot_fit(det, seed) for seed in ORACLE_SEEDS])
+
+    @pytest.mark.parametrize("bin_width", [0.3, 0.7])
+    @pytest.mark.parametrize("detector", sorted(ORACLE_DETECTORS))
+    def test_outer_bins_are_whole(self, detector, bin_width):
+        # 20 ns is no whole number of these bins: the outer bin on each side
+        # reaches past it and must hold every delay in its range
+        det = ORACLE_DETECTORS[detector]
+        assert_fits_oracle([one_shot_fit(det, seed, bin_width_ns=bin_width)
+                            for seed in ORACLE_SEEDS])
 
     @pytest.mark.parametrize("detector", sorted(ORACLE_DETECTORS))
     def test_chunked_g2_command(self, detector, tmp_path, monkeypatch, capsys):
