@@ -19,7 +19,7 @@ from oqlab import (
     context_table,
     make_pure_state,
     oq_distribution,
-    simulate_counts,
+    simulate_record,
 )
 from oqlab.photonsim import detection_probs
 
@@ -45,18 +45,14 @@ def main(argv=None):
 
     det = DetectorModel.ideal() if args.ideal else DetectorModel()
     rho = make_pure_state(math.radians(args.theta))
-    seeds = np.random.SeedSequence(args.seed).spawn(len(SETUPS))
-    tables = {
-        setup: simulate_counts(rho, setup, args.photons, det=det, seed=seed)
-        for setup, seed in zip(SETUPS, seeds)
-    }
+    rec = simulate_record(rho, args.photons, det, args.seed,
+                          theta_deg=args.theta, source="simulated")
 
     for setup in SETUPS:
-        c = tables[setup].counts
+        c = rec.tables[setup].counts
         print(f"setup (n1={setup[0]}, n2={setup[1]}): "
               f"D00={c[0, 0]:5d}  D01={c[0, 1]:5d}  D10={c[1, 0]:5d}  D11={c[1, 1]:5d}")
 
-    rec = ExperimentRecord(tables=tables, theta_deg=args.theta, source="simulated")
     q, budget = analyze(rec)
     exact = oq_distribution(context_table(rho))
     expected = model_expectation(rho, det, args.photons)

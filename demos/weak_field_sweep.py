@@ -6,36 +6,10 @@ corrected reconstructions against the exact curve.
 """
 
 import argparse
-import math
 
 import numpy as np
 
-from oqlab import (
-    DetectorModel,
-    ExperimentRecord,
-    WeakCoherent,
-    analyze,
-    context_table,
-    dark_count_correction,
-    expected_dark_counts,
-    make_pure_state,
-    oq_distribution,
-    weakfield_run,
-)
-
-
-def sweep_point(theta_deg, mean, pulses, det, seed_seq):
-    theta = math.radians(theta_deg)
-    src = WeakCoherent(mean_photons_per_pulse=mean)
-    tables = {
-        setup: weakfield_run(theta, 0.0, src, setup, pulses, det=det, seed=seed)
-        for setup, seed in zip([(1, 1), (0, 1)], seed_seq.spawn(2))
-    }
-    rec = ExperimentRecord(tables=tables, theta_deg=theta_deg)
-    raw, _ = analyze(rec, n_boot=0)
-    corrected = dark_count_correction(rec, expected_dark_counts(det, pulses))
-    corr, _ = analyze(corrected, n_boot=0)
-    return raw.negativity, corr.negativity
+from oqlab import DetectorModel, weakfield_scan
 
 
 def main(argv=None):
@@ -49,23 +23,13 @@ def main(argv=None):
     det = DetectorModel.ideal(dark_rate_hz=1.0e3)
     means = [float(m) for m in args.means.split(",")]
     thetas = np.arange(0.0, 91.0, 5.0)
-    exact = [
-        oq_distribution(context_table(make_pure_state(math.radians(t)))).negativity
-        for t in thetas
-    ]
-
-    results = {}
+    # raw and dark-corrected negativity of every (theta, mean) point
+    _, exact, raw, corr = weakfield_scan(thetas, means, args.pulses, det, args.seed)
+    exact = exact[:, 0]
     for j, mean in enumerate(means):
-        raw_curve, corr_curve = [], []
-        for i, theta in enumerate(thetas):
-            seq = np.random.SeedSequence(args.seed, spawn_key=(i, j))
-            raw, corr = sweep_point(theta, mean, args.pulses, det, seq)
-            raw_curve.append(raw)
-            corr_curve.append(corr)
-        results[mean] = (np.array(raw_curve), np.array(corr_curve))
-        worst = np.max(np.abs(results[mean][1] - exact))
-        print(f"mean {mean:g}: peak raw {max(raw_curve):.4f}, "
-              f"peak corrected {max(corr_curve):.4f}, worst |corr - exact| {worst:.4f}")
+        worst = np.max(np.abs(corr[:, j] - exact))
+        print(f"mean {mean:g}: peak raw {raw[:, j].max():.4f}, "
+              f"peak corrected {corr[:, j].max():.4f}, worst |corr - exact| {worst:.4f}")
 
     try:
         import matplotlib
@@ -78,11 +42,10 @@ def main(argv=None):
 
     fig, axes = plt.subplots(1, len(means), figsize=(4 * len(means), 3.5), sharey=True)
     axes = np.atleast_1d(axes)
-    for ax, mean in zip(axes, means):
-        raw_curve, corr_curve = results[mean]
+    for j, (ax, mean) in enumerate(zip(axes, means)):
         ax.plot(thetas, exact, "k-", lw=1, label="exact")
-        ax.plot(thetas, raw_curve, "o", ms=3, label="uncorrected")
-        ax.plot(thetas, corr_curve, "s", ms=3, label="corrected")
+        ax.plot(thetas, raw[:, j], "o", ms=3, label="uncorrected")
+        ax.plot(thetas, corr[:, j], "s", ms=3, label="corrected")
         ax.set_title(f"mean photons = {mean:g}")
         ax.set_xlabel("theta (deg)")
     axes[0].set_ylabel("negativity")

@@ -5,9 +5,9 @@ simulated photon counting and back: qcore builds states and waveplate
 optics, contexts computes the selective-measurement probabilities, oq
 turns them into the quasiprobability and its negativity, photonsim
 generates stochastic count tables and click streams, correlation
-extracts g2 from timing data, and analysis reconstructs negativity with
-error bars from raw counts. The cli module exposes all of it as the
-oqlab command.
+extracts g2 from timing data, and analysis drives the seeded counting
+runs and reconstructs negativity with error bars from raw counts. The
+cli module exposes all of it as the oqlab command.
 """
 
 from .analysis import (
@@ -23,6 +23,8 @@ from .analysis import (
     negativity_standard_error,
     record_from_csv,
     record_to_csv,
+    simulate_record,
+    weakfield_scan,
 )
 from .contexts import (
     SETUPS,
@@ -120,8 +122,10 @@ __all__ = [
     "rotate_polarization",
     "sequential_probs",
     "simulate_counts",
+    "simulate_record",
     "single_probs",
     "start_stop_histogram",
     "state_from_bloch",
     "weakfield_run",
+    "weakfield_scan",
 ]

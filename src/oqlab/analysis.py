@@ -39,9 +39,13 @@ from operator import mul
 
 import numpy as np
 
-from .contexts import SETUPS, ProbabilitySet, _split, validate_setup
+from .contexts import SETUPS, ProbabilitySet, _probabilities, _split, validate_setup
 from .oq import _EQ1_MATRIX, _quasi_rows, oq_distribution
-from .photonsim import CountTable, _require_in_range, count_tables_from_csv, count_tables_to_csv
+from .photonsim import (
+    CountTable, DetectorModel, _require_in_range, _weakfield_counts, count_tables_from_csv,
+    count_tables_to_csv, expected_dark_counts, simulate_counts,
+)
+from .qcore import _pure_states
 
 COMPONENT_ERRORS = {
     "hwp": 0.011,
@@ -458,3 +462,73 @@ def record_from_csv(path, calibration=(1.0, 1.0, 1.0, 1.0), **metadata) -> Exper
 def record_to_csv(rec: ExperimentRecord, path):
     """Write all tables of a record to one combined count CSV."""
     count_tables_to_csv([rec.tables[s] for s in SETUPS if s in rec.tables], path)
+
+
+def simulate_record(rho, n_photons: int, det: DetectorModel | None = None, seed=0, **metadata):
+    """simulate_counts of n_photons through every setup as one ExperimentRecord
+    with metadata, setup k of SETUPS from SeedSequence(seed, spawn_key=(k,)),
+    the child SeedSequence.spawn would give, built directly."""
+    seeds = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(len(SETUPS)))
+    tables = {s: simulate_counts(rho, s, n_photons, det, seq) for s, seq in zip(SETUPS, seeds)}
+    return ExperimentRecord(tables=tables, **metadata)
+
+
+# most points (angles times means) weakfield_scan may hold, at 2.2 KB a point
+# for their generators and tables; a larger grid is refused before any seed
+WEAKFIELD_POINTS_MAX = 2**16
+
+
+def _weak_field_batch(thetas_deg, means, n_pulses, det, run_seeds):
+    """weakfield_scan on a flat list of points, unchecked: point i at thetas_deg[i]
+    and means[i], run_seeds[i] the seeds of its (1, 1) and (0, 1) runs."""
+    theta = np.radians(np.asarray(thetas_deg, dtype=float))
+    rho = _pure_states(theta, np.zeros_like(theta))
+    joint, off = (
+        _weakfield_counts(rho, means, setup, n_pulses, det, [s[k] for s in run_seeds])
+        for k, setup in enumerate(REQUIRED_SETUPS)
+    )
+    dark = expected_dark_counts(det, n_pulses)
+    runs = [(joint, off), (np.maximum(joint - dark, 0), np.maximum(off - dark, 0))]
+    unit = (1.0, 1.0, 1.0, 1.0)
+    (raw, raw_ok), (corrected, corrected_ok) = (_estimate_rows(run, unit) for run in runs)
+    if not (raw_ok & corrected_ok).all():
+        i = np.argmin(raw_ok & corrected_ok)
+        for run in runs:
+            for setup, counts in zip(REQUIRED_SETUPS, run):
+                _read_table(setup, counts[i].tolist(), unit)
+    w, corrected, _, _ = _quasi_rows(corrected)
+    return w, _quasi_rows(_probabilities(rho))[1], _quasi_rows(raw)[1], corrected
+
+
+def weakfield_scan(thetas_deg, means, n_pulses: int, det: DetectorModel | None = None, seed=0):
+    """Weak-field runs of the pure states at thetas_deg (degrees, phi = 0)
+    times the mean photon numbers means, every point in one batch.
+
+    Point (i, j) runs setups (1, 1) and (0, 1), run k drawn as weakfield_run
+    draws it, from SeedSequence(seed, spawn_key=(i, j, k)); the tables are
+    read as analyze reads them, raw and dark-corrected, and the first point
+    analyze would refuse raises its error. Inputs are checked before any
+    seed. Returns, on the (len(thetas_deg), len(means)) grid, the corrected
+    w (..., 2, 2) and the exact, uncorrected and corrected negativity.
+    """
+    thetas = np.asarray(thetas_deg, dtype=float)
+    if not np.isfinite(thetas).all():
+        raise ValueError(f"thetas_deg must be finite, got {thetas[~np.isfinite(thetas)][0]}")
+    for mean in means:
+        _require_in_range("means", mean)
+    if not 1 <= n_pulses < 2**63:
+        raise ValueError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
+    shape = (len(thetas), len(means))
+    if not all(shape):
+        raise ValueError(f"thetas_deg and means give an empty {shape[0]} x {shape[1]} grid")
+    if shape[0] * shape[1] > WEAKFIELD_POINTS_MAX:
+        raise ValueError(
+            f"thetas_deg and means give {shape[0]} x {shape[1]} = {shape[0] * shape[1]} "
+            f"weak-field points, more than the {WEAKFIELD_POINTS_MAX} allowed"
+        )
+    theta, mean = (g.ravel() for g in np.meshgrid(thetas, means, indexing="ij"))
+    keys = np.ndindex(shape)
+    seeds = [[np.random.SeedSequence(seed, spawn_key=(i, j, k)) for k in (0, 1)] for i, j in keys]
+    det = det if det is not None else DetectorModel()
+    w, *negativities = _weak_field_batch(theta, mean, n_pulses, det, seeds)
+    return w.reshape(shape + (2, 2)), *(c.reshape(shape) for c in negativities)

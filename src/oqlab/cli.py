@@ -5,11 +5,9 @@ Subcommands: predict (exact quasiprobability at one setting), scan
 plus analysis report), g2 (timing run and correlation histogram), and
 analyze (count CSVs to a JSON report).
 
-Angles are degrees at this boundary and radians everywhere else. Every
-counting run draws from its own seed, SeedSequence(--seed, spawn_key=key)
-with key its position: (k,) for simulate's setup k, (i, j, k) for run k
-of weak-field point (i, j), (k,) for g2 chunk k. These are the children
-SeedSequence.spawn would give, built without their parents.
+Angles are degrees at this boundary and radians everywhere else. The
+analysis drivers seed simulate's and the weak-field scan's runs from
+--seed; g2 chunk k draws from SeedSequence(--seed, spawn_key=(k,)).
 
 Exit codes: 0 success, 2 usage, 3 malformed or degenerate data, 4 I/O.
 A data error names an entry of a config file or count CSV as 'path: line
@@ -35,15 +33,14 @@ import numpy as np
 from . import qcore
 from .analysis import (
     BOOTSTRAP_MAX,
-    REQUIRED_SETUPS,
     ExperimentRecord,
-    _estimate_rows,
-    _read_table,
     analyze,
     dark_count_correction,
     reads_low_counts,
+    simulate_record,
+    weakfield_scan,
 )
-from .contexts import SETUPS, _probabilities, context_table
+from .contexts import _probabilities, context_table
 from .correlation import (
     _labelled_clicks,
     _StartStopAccumulator,
@@ -61,12 +58,9 @@ from .photonsim import (
     WeakCoherent,
     _click_rate_bound_hz,
     _require_in_range,
-    _weakfield_counts,
     count_tables_from_csv,
     count_tables_to_csv,
-    expected_dark_counts,
     generate_click_streams,
-    simulate_counts,
 )
 
 EXIT_OK = 0
@@ -197,19 +191,15 @@ def _json_report(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _quasi_payload(q, theta_deg=None, phi_deg=None) -> dict:
-    payload = {
+def _quasi_payload(q, **fields) -> dict:
+    return {
         "schema_version": SCHEMA_VERSION,
         "w": [[float(v) for v in row] for row in q.w],
         "negativity": float(q.negativity),
         "nsit_dev": [float(v) for v in q.nsit_dev],
         "aot_dev": [float(v) for v in q.aot_dev],
+        **fields,
     }
-    if theta_deg is not None:
-        payload["theta_deg"] = float(theta_deg)
-    if phi_deg is not None:
-        payload["phi_deg"] = float(phi_deg)
-    return payload
 
 
 def _budget_payload(budget) -> dict:
@@ -251,10 +241,9 @@ def _write_table(path, header: str, blocks):
 
 
 def cmd_predict(args) -> dict:
-    theta = math.radians(args.theta)
-    phi = math.radians(args.phi)
-    q = oq_distribution(context_table(qcore.make_pure_state(theta, phi)))
-    return _quasi_payload(q, args.theta, args.phi)
+    rho = qcore.make_pure_state(math.radians(args.theta), math.radians(args.phi))
+    q = oq_distribution(context_table(rho))
+    return _quasi_payload(q, theta_deg=args.theta, phi_deg=args.phi)
 
 
 _QUASI_HEADER = "w00,w01,w10,w11,negativity,nsit_dev,aot_dev"
@@ -280,10 +269,6 @@ def _block_bounds(n: int) -> list:
 # most points a scan axis may hold (8 MB of angles); a flag that asks for
 # more is refused before the axis is built
 SCAN_AXIS_MAX = 2**20
-# most points (angles times means) a weak-field scan may hold: it keeps
-# one generator per run and every point's tables at once, about 2.2 KB a
-# point, so a grid that asks for more is refused before any run is seeded
-SCAN_POINTS_MAX = 2**16
 
 
 def _scan_axis(flag: str, value, start: float, stop: float, step: float) -> np.ndarray:
@@ -323,12 +308,6 @@ def _quasi_columns(rho) -> np.ndarray:
     return np.column_stack((w.reshape(-1, 4), neg, nsit.max(axis=1), aot.max(axis=1)))
 
 
-def _pure_states(half_theta, phi) -> np.ndarray:
-    """make_pure_state(2 * half_theta, phi) for arrays of angles, (N, 2, 2)."""
-    amp = np.stack((np.cos(half_theta), np.exp(1j * phi) * np.sin(half_theta)), axis=1)
-    return amp[:, :, None] * amp.conj()[:, None, :]
-
-
 def _scan_rows_pure_grid(args):
     thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
     phis = _scan_axis("--phi-step", args.phi_step, 0.0, 90.0, args.phi_step)
@@ -338,7 +317,7 @@ def _scan_rows_pure_grid(args):
         # the outer loop
         for idx in _row_blocks(len(thetas) * len(phis)):
             theta, phi = thetas[idx // len(phis)], phis[idx % len(phis)]
-            rho = _pure_states(np.radians(theta) / 2, np.radians(phi))
+            rho = qcore._pure_states(np.radians(theta), np.radians(phi))
             yield np.column_stack((theta, phi, _quasi_columns(rho)))
 
     return "theta_deg,phi_deg," + _QUASI_HEADER, blocks()
@@ -370,65 +349,21 @@ def _scan_rows_bloch_disk(args):
     return "theta1_deg,alpha,x,z," + _QUASI_HEADER, blocks()
 
 
-def _weak_field_batch(thetas_deg, means, pulses, det, run_seeds):
-    """Weak-field scan points in one batch: runs of setups (1, 1) and (0, 1).
-
-    Point i is the pure state at thetas_deg[i] sent at mean photon number
-    means[i] (validated by the caller); run_seeds[i] is the pair of seeds
-    of its (1, 1) and (0, 1) runs, anything default_rng takes. Each run
-    draws from its own generator in the order weakfield_run uses; the
-    rest runs on the whole stack: the runs' cells, dark subtraction with
-    clamping, the lab-mode estimate and eq. (1) on the raw, corrected and
-    exact probabilities. The first point, in grid order, that analyze
-    would reject is read table by table for its message, raw before
-    corrected. Returns (raw negativity, corrected _quasi_rows, exact
-    negativity).
-    """
-    half = np.radians(np.asarray(thetas_deg, dtype=float)) / 2
-    rho = _pure_states(half, np.zeros_like(half))
-    joint, off = (
-        _weakfield_counts(rho, means, setup, pulses, det, [s[k] for s in run_seeds])
-        for k, setup in enumerate(REQUIRED_SETUPS)
-    )
-    dark = expected_dark_counts(det, pulses)
-    runs = [(joint, off), (np.maximum(joint - dark, 0), np.maximum(off - dark, 0))]
-    unit = (1.0, 1.0, 1.0, 1.0)
-    (raw, raw_ok), (corrected, corrected_ok) = (_estimate_rows(run, unit) for run in runs)
-    if not (raw_ok & corrected_ok).all():
-        i = np.argmin(raw_ok & corrected_ok)
-        for run in runs:
-            for setup, counts in zip(REQUIRED_SETUPS, run):
-                _read_table(setup, counts[i].tolist(), unit)
-    _, raw, _, _ = _quasi_rows(raw)
-    corrected = _quasi_rows(corrected)
-    _, exact, _, _ = _quasi_rows(_probabilities(rho))
-    return raw, corrected, exact
-
-
 def _scan_rows_weak_field(args):
     det = resolve_detector(args.det)
     means = _flag_values("--means", args.means)
-    header = (
-        "theta_deg,mean_photons,w00,w01,w10,w11,"
-        "negativity_exact,negativity_uncorrected,negativity_corrected"
-    )
     thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
-    points = len(thetas) * len(means)
-    if points > SCAN_POINTS_MAX:
-        raise ValueError(
-            f"--theta-step {args.theta_step:g} and --means give {len(thetas)} x {len(means)} = "
-            f"{points} weak-field points, more than the {SCAN_POINTS_MAX} allowed"
-        )
+    try:
+        w, *negs = weakfield_scan(thetas, means, args.pulses, det, args.seed)
+    except ValueError as exc:
+        # the driver's grid cap, under the flags' names
+        flags = f"--theta-step {args.theta_step:g} and --means"
+        raise ValueError(str(exc).replace("thetas_deg and means", flags)) from None
     theta, mean = (g.ravel() for g in np.meshgrid(thetas, means, indexing="ij"))
-    # the seeds SeedSequence(args.seed, spawn_key=(i, j)).spawn(2) gives,
-    # built directly
-    run_seeds = [
-        [np.random.SeedSequence(args.seed, spawn_key=(i, j, k)) for k in (0, 1)]
-        for i in range(len(thetas)) for j in range(len(means))
-    ]
-    raw, (w, corrected, _, _), exact = _weak_field_batch(theta, mean, args.pulses, det, run_seeds)
+    header = ("theta_deg,mean_photons,w00,w01,w10,w11,"
+              "negativity_exact,negativity_uncorrected,negativity_corrected")
     # one block: every point is drawn and checked before the file opens
-    return header, [np.column_stack((theta, mean, w.reshape(-1, 4), exact, raw, corrected))]
+    return header, [np.column_stack((theta, mean, w.reshape(-1, 4), *(c.ravel() for c in negs)))]
 
 
 def cmd_scan(args) -> str:
@@ -449,39 +384,22 @@ def cmd_scan(args) -> str:
 
 def cmd_simulate(args) -> dict:
     det = resolve_detector(args.det)
-    theta = math.radians(args.theta)
-    phi = math.radians(args.phi)
-    rho = qcore.make_pure_state(theta, phi)
-    # setup k's seed is the k-th child SeedSequence(args.seed).spawn would give
-    tables = {
-        setup: simulate_counts(
-            rho, setup, args.photons, det=det,
-            seed=np.random.SeedSequence(args.seed, spawn_key=(k,)),
-        )
-        for k, setup in enumerate(SETUPS)
-    }
-    rec = ExperimentRecord(
-        tables=tables, theta_deg=args.theta, phi_deg=args.phi, source="simulated"
-    )
+    rho = qcore.make_pure_state(math.radians(args.theta), math.radians(args.phi))
+    rec = simulate_record(rho, args.photons, det, args.seed,
+                          theta_deg=args.theta, phi_deg=args.phi, source="simulated")
     # analysed before any file is written, so a run it rejects leaves none
     q, budget = analyze(rec, error_mode=args.error_mode)
     os.makedirs(args.out_dir, exist_ok=True)
-    paths = {}
-    for setup, table in tables.items():
-        name = f"counts_{setup[0]}{setup[1]}.csv"
-        path = os.path.join(args.out_dir, name)
-        count_tables_to_csv([table], path)
-        paths[setup] = path
-    payload = _quasi_payload(q, args.theta, args.phi)
-    payload["seed"] = args.seed
-    payload["n_photons"] = args.photons
-    payload["error"] = _budget_payload(budget)
-    payload["error_method"] = _error_method(None)
-    payload["flags"] = ["low_counts"] if reads_low_counts(rec, "lab") else []
-    report_path = os.path.join(args.out_dir, "report.json")
-    _write_text(report_path, _json_report(payload))
-    payload["files"] = sorted(os.path.basename(p) for p in paths.values()) + ["report.json"]
-    return payload
+    files = [f"counts_{n1}{n2}.csv" for n1, n2 in rec.tables] + ["report.json"]
+    for name, table in zip(files, rec.tables.values()):
+        count_tables_to_csv([table], os.path.join(args.out_dir, name))
+    payload = _quasi_payload(
+        q, theta_deg=args.theta, phi_deg=args.phi, seed=args.seed, n_photons=args.photons,
+        error=_budget_payload(budget), error_method=_error_method(None),
+        flags=["low_counts"] if reads_low_counts(rec, "lab") else [],
+    )
+    _write_text(os.path.join(args.out_dir, "report.json"), _json_report(payload))
+    return {**payload, "files": files}
 
 
 # g2 simulates its run as independent chunks (the last one shorter) of at
@@ -516,19 +434,19 @@ def _g2_chunks(duration_s, chunk_s):
     return itertools.chain(itertools.repeat(chunk_s, n - 1), [duration_s - (n - 1) * chunk_s])
 
 
-def _g2_chunk_s(src, det, span_ns: float) -> float:
+def _g2_chunk_s(src, det, edge_ns: float, guard_ns: float) -> float:
     """Chunk length for a source: G2_CHUNK_S, or the time the source takes
     to reach G2_CHUNK_CLICKS clicks per channel if that is shorter. A
-    chunk must outlast the span_ns a click waits for its delays."""
+    chunk must outlast edge_ns, the outer bin edge, plus guard_ns."""
     rate_hz = _click_rate_bound_hz(src, det)
     if rate_hz * G2_CHUNK_S <= G2_CHUNK_CLICKS:
         return G2_CHUNK_S
     chunk_s = G2_CHUNK_CLICKS / rate_hz
-    if chunk_s * NS_PER_S < span_ns:
+    if chunk_s * NS_PER_S < edge_ns + guard_ns:
         raise ValueError(
             f"source clicks at up to {rate_hz:.4g} Hz per channel, so chunks of "
             f"{G2_CHUNK_CLICKS} clicks last {chunk_s * NS_PER_S:.4g} ns, shorter than the "
-            f"{span_ns:.4g} ns of --max-delay plus the jitter guard"
+            f"{edge_ns:.4g} ns outer bin edge plus the {guard_ns:.4g} ns jitter guard"
         )
     return chunk_s
 
@@ -559,7 +477,7 @@ def cmd_g2(args) -> dict:
             f"{name} of {window:g} ns is narrower than one histogram bin "
             f"(--bin-width {args.bin_width:g} ns)"
         ) from None
-    chunk_s = _g2_chunk_s(src, det, acc.span_ns + guard_ns)
+    chunk_s = _g2_chunk_s(src, det, acc.span_ns, guard_ns)
     # each chunk restarts the source at 0 on its own clock, seeded by its
     # index the way the weak-field scan seeds each grid point; no chunk is
     # held while the next one is drawn
@@ -610,14 +528,11 @@ def cmd_analyze(args) -> dict:
     q, budget = analyze(
         rec, mode=args.mode, error_mode=args.error_mode, n_boot=args.bootstrap, seed=args.seed
     )
-    payload = _quasi_payload(q)
-    payload["mode"] = args.mode
-    payload["error"] = _budget_payload(budget)
-    payload["error_method"] = _error_method(args.bootstrap)
-    payload["flags"] = list(rec.flags)
-    if reads_low_counts(rec, args.mode):
-        payload["flags"].append("low_counts")
-    return payload
+    low = ["low_counts"] if reads_low_counts(rec, args.mode) else []
+    return _quasi_payload(
+        q, mode=args.mode, error=_budget_payload(budget),
+        error_method=_error_method(args.bootstrap), flags=[*rec.flags, *low],
+    )
 
 
 # ---------------------------------------------------------------------------

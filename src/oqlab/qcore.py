@@ -120,6 +120,12 @@ def make_pure_state(theta: float, phi: float = 0.0) -> np.ndarray:
     return amp[:, None] * amp.conj()
 
 
+def _pure_states(theta, phi) -> np.ndarray:
+    """make_pure_state for (N,) arrays of angles, unchecked, as (N, 2, 2)."""
+    amp = np.stack((np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)), axis=1)
+    return amp[:, :, None] * amp.conj()[:, None, :]
+
+
 def make_mixed_state(theta1: float, theta2: float, alpha: float) -> np.ndarray:
     """Weighted mixture of two pure states in the phi = 0 plane.
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from oqlab import cli, qcore
+from oqlab import analysis, cli, qcore
 from oqlab.analysis import ExperimentRecord, analyze
 from oqlab.contexts import ProbabilitySet, context_table
 from oqlab.correlation import dip_width, g2_zero, start_stop_histogram
@@ -210,7 +210,7 @@ def test_criterion_07_weak_field_dark_count_correction():
         # (raw, dark-corrected, exact) negativity per theta, point i seeded
         # by spawn key (i,)
         seqs = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(len(thetas))]
-        raw, (_, corr, _, _), exact = cli._weak_field_batch(
+        _, exact, raw, corr = analysis._weak_field_batch(
             thetas, [mean] * len(thetas), pulses, det, [seq.spawn(2) for seq in seqs]
         )
         return raw, corr, exact

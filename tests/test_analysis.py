@@ -26,7 +26,7 @@ from oqlab.analysis import (
     record_from_csv,
     record_to_csv,
 )
-from oqlab.contexts import ProbabilitySet, context_table
+from oqlab.contexts import SETUPS, ProbabilitySet, context_table
 from oqlab.oq import MAX_NEGATIVITY, oq_distribution
 from oqlab.photonsim import CountTable, DetectorModel, simulate_counts
 
@@ -800,3 +800,72 @@ class TestCsvGlue:
         q_a, _ = analyze(rec, n_boot=0)
         q_b, _ = analyze(loaded, n_boot=0)
         np.testing.assert_allclose(q_b.w, q_a.w, atol=1e-15)
+
+
+class NoRandom:
+    """numpy without np.random: building a SeedSequence fails the test."""
+
+    def __getattr__(self, name):
+        if name == "random":
+            raise AssertionError("a SeedSequence was built")
+        return getattr(np, name)
+
+
+class TestDrivers:
+    @pytest.mark.parametrize("seed", [0, 5, 2**40])
+    @pytest.mark.parametrize(
+        "det", [DetectorModel.ideal(), DetectorModel()], ids=["ideal", "bench"]
+    )
+    def test_simulate_record_runs_the_spawned_children(self, det, seed):
+        rho = qcore.make_pure_state(np.radians(30.0), np.radians(10.0))
+        rec = analysis.simulate_record(rho, 10_000, det, seed, theta_deg=30.0, source="simulated")
+        assert (rec.theta_deg, rec.source) == (30.0, "simulated")
+        assert list(rec.tables) == list(SETUPS)
+        for setup, child in zip(SETUPS, np.random.SeedSequence(seed).spawn(4)):
+            expected = simulate_counts(rho, setup, 10_000, det=det, seed=child)
+            np.testing.assert_array_equal(rec.tables[setup].counts, expected.counts)
+            assert rec.tables[setup].total == expected.total
+
+    @pytest.mark.parametrize(
+        "thetas,means,pulses,message",
+        [
+            ([0.0, np.nan], [0.1], 1000, "thetas_deg must be finite, got nan"),
+            ([np.inf], [0.1], 1000, "thetas_deg must be finite, got inf"),
+            ([45.0, -np.inf], [0.1], 1000, "thetas_deg must be finite, got -inf"),
+            ([45.0], [np.nan], 1000, "means must be finite and positive, got nan"),
+            ([45.0], [0.1, np.inf], 1000, "means must be finite and positive, got inf"),
+            ([45.0], [0.0], 1000, "means must be finite and positive, got 0.0"),
+            ([45.0], [-0.1], 1000, "means must be finite and positive, got -0.1"),
+            ([45.0], [0.1], 0, "n_pulses must lie in [1, 2**63), got 0"),
+            ([45.0], [0.1], 2**63, f"n_pulses must lie in [1, 2**63), got {2**63}"),
+            ([], [0.1], 1000, "thetas_deg and means give an empty 0 x 1 grid"),
+            ([45.0, 90.0], [], 1000, "thetas_deg and means give an empty 2 x 0 grid"),
+            (
+                np.zeros(analysis.WEAKFIELD_POINTS_MAX // 2 + 1), [0.1, 0.2], 1000,
+                f"thetas_deg and means give {analysis.WEAKFIELD_POINTS_MAX // 2 + 1} x 2 = "
+                f"{analysis.WEAKFIELD_POINTS_MAX + 2} weak-field points, more than the "
+                f"{analysis.WEAKFIELD_POINTS_MAX} allowed",
+            ),
+        ],
+        ids=["nan-theta", "inf-theta", "minus-inf-theta", "nan-mean", "inf-mean", "zero-mean",
+             "negative-mean", "no-pulses", "too-many-pulses", "no-thetas", "no-means",
+             "over-the-cap"],
+    )
+    def test_weakfield_scan_refuses_before_any_seed(
+        self, monkeypatch, thetas, means, pulses, message
+    ):
+        monkeypatch.setattr(analysis, "np", NoRandom())
+        with pytest.raises(ValueError) as exc:
+            analysis.weakfield_scan(thetas, means, pulses, DetectorModel(), seed=3)
+        assert str(exc.value) == message
+
+    def test_weakfield_scan_grid_and_appended_means(self):
+        # a point's seeds depend on its own key only, so appending a mean
+        # leaves the points already there as they were
+        det = DetectorModel.ideal(dark_rate_hz=1.0e3)
+        thetas = [0.0, 30.0, 45.0]
+        short = analysis.weakfield_scan(thetas, [0.006], 50_000, det, seed=4)
+        long = analysis.weakfield_scan(thetas, [0.006, 0.1], 50_000, det, seed=4)
+        assert [c.shape for c in long] == [(3, 2, 2, 2), (3, 2), (3, 2), (3, 2)]
+        for a, b in zip(short, long):
+            np.testing.assert_allclose(a, b[:, :1], rtol=0, atol=1e-15)

@@ -212,7 +212,7 @@ class TestScanBatchMatchesScalar:
         # negativity in 3,413, so the two agree to rounding, not bit for bit
         thetas = np.arange(0.0, 90.0 + 1e-9, 1.0)
         theta, phi = (g.ravel() for g in np.meshgrid(thetas, thetas, indexing="ij"))
-        batched = cli._quasi_columns(cli._pure_states(np.radians(theta) / 2, np.radians(phi)))
+        batched = cli._quasi_columns(qcore._pure_states(np.radians(theta), np.radians(phi)))
         scalar = np.array([
             scalar_columns(qcore.make_pure_state(math.radians(t), math.radians(p)))
             for t, p in zip(theta, phi)
@@ -233,7 +233,7 @@ def whole_table_scan(kind, theta_step, second):
         thetas = np.arange(0.0, 90.0 + 1e-9, theta_step)
         phis = np.arange(0.0, 90.0 + 1e-9, second)
         theta, phi = (g.ravel() for g in np.meshgrid(thetas, phis, indexing="ij"))
-        rho = cli._pure_states(np.radians(theta) / 2, np.radians(phi))
+        rho = qcore._pure_states(np.radians(theta), np.radians(phi))
         header = "theta_deg,phi_deg,"
         table = np.column_stack((theta, phi, cli._quasi_columns(rho)))
     else:
@@ -331,7 +331,7 @@ class TestScanBlocks:
 
 
 def per_run_weak_field_point(theta_deg, mean, pulses, det, seed_seq):
-    """Reference for one point of cli._weak_field_batch, analysed on its own.
+    """Reference for one point of analysis._weak_field_batch, analysed on its own.
 
     Two weakfield_run tables, analyze on the raw record, then
     dark_count_correction and analyze again, as the scan did point by
@@ -402,7 +402,7 @@ class TestScanWeakField:
         for i, theta in enumerate(np.arange(0.0, 90.0 + 1e-9, 15.0)):
             for j, mean in enumerate([0.001, 0.006, 0.1]):
                 seq = np.random.SeedSequence(11, spawn_key=(i, j))
-                raw, (w, corr, _, _), exact = cli._weak_field_batch(
+                w, exact, raw, corr = analysis._weak_field_batch(
                     [float(theta)], [mean], 200_000, det, [seq.spawn(2)]
                 )
                 expected.append([theta, mean, *w[0].ravel(), exact[0], raw[0], corr[0]])
@@ -477,8 +477,8 @@ class TestScanWeakField:
             )
 
     def test_scan_builds_two_seed_sequences_per_point(self, tmp_path, capsys, monkeypatch):
-        # cli's numpy, with every SeedSequence it builds, or spawns from
-        # one it built, counted
+        # the numpy of analysis, which seeds the scan, with every
+        # SeedSequence it builds, or spawns from one it built, counted
         built = []
 
         class CountingSeedSequence(np.random.SeedSequence):
@@ -495,7 +495,7 @@ class TestScanWeakField:
                 return getattr(np, name)
 
         monkeypatch.setattr(
-            cli, "np", CountingNumpy(random=CountingRandom(SeedSequence=CountingSeedSequence))
+            analysis, "np", CountingNumpy(random=CountingRandom(SeedSequence=CountingSeedSequence))
         )
         code, _, _ = run_cli(
             ["scan", "--kind", "weak-field", "--theta-step", "45", "--means", "0.05,0.2",
@@ -537,20 +537,20 @@ class TestScanWeakField:
                     raise AssertionError("a SeedSequence was built")
                 return getattr(np, name)
 
-        monkeypatch.setattr(cli, "np", NoSeedSequence())
-        # one mean and SCAN_POINTS_MAX + 1 angles
-        step = (90.0 + 1e-9) / (cli.SCAN_POINTS_MAX + 0.5)
+        monkeypatch.setattr(analysis, "np", NoSeedSequence())
+        # one mean and WEAKFIELD_POINTS_MAX + 1 angles
+        step = (90.0 + 1e-9) / (analysis.WEAKFIELD_POINTS_MAX + 0.5)
         out = tmp_path / "x.csv"
         code, _, err = run_cli(
             ["scan", "--kind", "weak-field", "--theta-step", repr(step), "--means", "0.1",
              "--out", str(out)],
             capsys,
         )
-        points = cli.SCAN_POINTS_MAX + 1
+        points = analysis.WEAKFIELD_POINTS_MAX + 1
         assert (code, err) == (
             3,
             f"error: --theta-step {step:g} and --means give {points} x 1 = {points} "
-            f"weak-field points, more than the {cli.SCAN_POINTS_MAX} allowed\n",
+            f"weak-field points, more than the {analysis.WEAKFIELD_POINTS_MAX} allowed\n",
         )
         assert not out.exists()
 
@@ -558,7 +558,7 @@ class TestScanWeakField:
         out = str(tmp_path / "wf.csv")
         assert run_cli(["scan", "--kind", "weak-field", "--out", out], capsys)[0] == 0
         _, rows = parse_scan_csv(out)
-        assert len(rows) == 91 * 3 <= cli.SCAN_POINTS_MAX
+        assert len(rows) == 91 * 3 <= analysis.WEAKFIELD_POINTS_MAX
 
     def test_zero_pulses_is_data_error(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -1013,7 +1013,7 @@ class TestG2Chunks:
     @pytest.mark.parametrize("source", sorted(cli.SOURCE_KINDS))
     def test_builtin_sources_keep_time_chunks(self, source, det):
         src, model = cli.resolve_source(source), cli.resolve_detector(det)
-        assert cli._g2_chunk_s(src, model, 20.0) == cli.G2_CHUNK_S
+        assert cli._g2_chunk_s(src, model, 20.0, 1.0) == cli.G2_CHUNK_S
 
     @pytest.mark.parametrize("duration", ["1e300", "1e308", repr(0.05 * (2**20 + 1))])
     def test_too_many_chunks_is_data_error(self, tmp_path, capsys, monkeypatch, duration):
@@ -1111,7 +1111,7 @@ class TestG2Chunks:
         assert code == 3
         assert err == (
             "error: source clicks at up to 1.9e+13 Hz per channel, so chunks of 131072 clicks "
-            "last 6.899 ns, shorter than the 21 ns of --max-delay plus the jitter guard\n"
+            "last 6.899 ns, shorter than the 20 ns outer bin edge plus the 1 ns jitter guard\n"
         )
         assert not out.exists()
 
@@ -1128,7 +1128,7 @@ class TestG2Chunks:
         code, _, err = run_cli(["g2", "--source", str(cfg), "--det", "ideal", "--duration", "1e-7",
                                 "--bin-width", "0.7", "--out", str(out)], capsys)
         assert code == 3
-        assert "last 21.15 ns, shorter than the 21.3 ns of --max-delay" in err
+        assert "last 21.15 ns, shorter than the 20.3 ns outer bin edge plus the 1 ns" in err
         assert not out.exists()
 
     def test_module_runs_as_script(self):
