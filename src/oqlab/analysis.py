@@ -21,7 +21,8 @@ and the weak-field scan read through them.
 Error model: the statistical error of the negativity is its standard
 error under the multinomial covariance of each table the mode reads,
 carried through the linear estimate and eq. (1) by the delta method
-(negativity_standard_error; exact, no resampling). A multinomial
+along the cell the systematic budget follows, the smallest of the w
+reported (negativity_standard_error; exact, no resampling). A multinomial
 bootstrap of the same tables (bootstrap_negativity_error) is kept as
 its oracle and on request. The systematic error: each optical component
 contributes a relative error and is counted once per traversal of the
@@ -335,8 +336,8 @@ def _estimate_rows(counts, calibration, mode: str = "lab") -> tuple:
     return np.concatenate((p_t1, row, joint), axis=1), ok
 
 
-# eq. (1) as Python floats: column k holds the derivatives of w_k (row-major)
-# in the probabilities, p in the _split layout
+# the derivatives of eq. (1) as Python floats: entry k holds those of w_k
+# (row-major) in the probabilities, p in the _split layout
 _W_COLUMNS = _EQ1_MATRIX[:, :4].T.tolist()
 
 
@@ -358,24 +359,23 @@ def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float
     The negativity has a kink where a cell of w crosses 0. Any two cells
     of w sum to a probability (a row or column sum, or pj00 + pj11 and
     pj01 + pj10), so at most one cell is negative, and g is that of minus
-    the smallest cell, the one analyze's systematic budget follows. Where
-    no cell is negative this still gives the error of that cell, so a
-    zero negativity at the edge of the classical region does not get an
-    error of 0 from the kink alone. A table with all its counts in one
-    cell still gives 0; reads_low_counts flags such records.
+    the smallest cell of analyze's w (the first of tied cells), the one
+    its systematic budget follows. Where no cell is negative this still
+    gives the error of that cell, so a zero negativity at the edge of the
+    classical region does not get an error of 0 from the kink alone. A
+    table with all its counts in one cell still gives 0; reads_low_counts
+    flags such records.
 
-    Deterministic (no resampling, no seed) and computed on Python floats.
-    Raises ValueError where estimate_probs would.
+    analyze's default statistical error: deterministic (no resampling, no
+    seed) and computed on Python floats. Raises where estimate_probs would.
     """
-    return _standard_error(*_read(rec, mode), rec.calibration)
+    return analyze(rec, mode)[1].statistical_error
 
 
-def _standard_error(reads, p, cal) -> float:
-    """negativity_standard_error from _read's tables and estimate."""
-    w = [sum(map(mul, p, col)) for col in _W_COLUMNS]
-    # d negativity / d p: any two cells of w sum to a probability, so at
-    # most one is negative, and it is the smallest
-    grad = [-d for d in _W_COLUMNS[min(range(4), key=w.__getitem__)]]
+def _standard_error(reads, cell: int, cal) -> float:
+    """negativity_standard_error from _read's tables, along cell (row-major)
+    of w, the smallest: at most one cell is negative."""
+    grad = [-d for d in _W_COLUMNS[cell]]  # d negativity / d p
     g_joint = grad[4:] if len(reads) == 3 else [grad[4 + i] + grad[i // 2] for i in range(4)]
     var = 0.0
     for (n, total, cells, norm, q), g in zip(reads, (g_joint, grad[2:4], grad[0:2])):
@@ -429,19 +429,20 @@ def analyze(
 ):
     """Full reconstruction: quasiprobability plus an error budget.
 
-    The systematic budget follows the detection path of the most
-    negative cell (the one carrying the negativity) and scales with the
-    negativity itself. The statistical part is negativity_standard_error
-    when n_boot is None, bootstrap_negativity_error(rec, mode, n_boot,
-    seed) when n_boot is set, and 0 when n_boot is 0; seed is read only
-    by the bootstrap. Returns (Quasiprobability, ErrorBudget).
+    Eq. (1) is evaluated once. The systematic budget follows the
+    detection path of the smallest cell of w (the one carrying the
+    negativity) and scales with the negativity itself. The statistical
+    part is the delta-method error along that cell when n_boot is None,
+    bootstrap_negativity_error(rec, mode, n_boot, seed) when n_boot is
+    set, and 0 when n_boot is 0; seed is read only by the bootstrap.
+    Returns (Quasiprobability, ErrorBudget).
     """
     reads, p = _read(rec, mode)
     q = oq_distribution(ProbabilitySet(*_split(np.array(p))))
-    a1, a2 = np.unravel_index(np.argmin(q.w), (2, 2))
-    budget = error_budget(path_components(int(a1), int(a2)), error_mode)
+    cell = int(np.argmin(q.w))
+    budget = error_budget(path_components(*divmod(cell, 2)), error_mode)
     if n_boot is None:
-        statistical = _standard_error(reads, p, rec.calibration)
+        statistical = _standard_error(reads, cell, rec.calibration)
     elif n_boot:
         statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
     else:
@@ -464,10 +465,18 @@ def record_to_csv(rec: ExperimentRecord, path):
     count_tables_to_csv([rec.tables[s] for s in SETUPS if s in rec.tables], path)
 
 
+def _check_seed(seed):
+    """Refuse a seed that is not a nonnegative integer, before any SeedSequence."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be a nonnegative integer, got {seed!r}")
+
+
 def simulate_record(rho, n_photons: int, det: DetectorModel | None = None, seed=0, **metadata):
     """simulate_counts of n_photons through every setup as one ExperimentRecord
     with metadata, setup k of SETUPS from SeedSequence(seed, spawn_key=(k,)),
-    the child SeedSequence.spawn would give, built directly."""
+    the child SeedSequence.spawn would give, built directly; seed is a
+    nonnegative integer."""
+    _check_seed(seed)
     seeds = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(len(SETUPS)))
     tables = {s: simulate_counts(rho, s, n_photons, det, seq) for s, seq in zip(SETUPS, seeds)}
     return ExperimentRecord(tables=tables, **metadata)
@@ -507,9 +516,10 @@ def weakfield_scan(thetas_deg, means, n_pulses: int, det: DetectorModel | None =
     Point (i, j) runs setups (1, 1) and (0, 1), run k drawn as weakfield_run
     draws it, from SeedSequence(seed, spawn_key=(i, j, k)); the tables are
     read as analyze reads them, raw and dark-corrected, and the first point
-    analyze would refuse raises its error. Inputs are checked before any
-    seed. Returns, on the (len(thetas_deg), len(means)) grid, the corrected
-    w (..., 2, 2) and the exact, uncorrected and corrected negativity.
+    analyze would refuse raises its error. Inputs, seed a nonnegative
+    integer among them, are checked before any seed is built. Returns, on
+    the (len(thetas_deg), len(means)) grid, the corrected w (..., 2, 2)
+    and the exact, uncorrected and corrected negativity.
     """
     thetas = np.asarray(thetas_deg, dtype=float)
     if not np.isfinite(thetas).all():
@@ -518,6 +528,7 @@ def weakfield_scan(thetas_deg, means, n_pulses: int, det: DetectorModel | None =
         _require_in_range("means", mean)
     if not 1 <= n_pulses < 2**63:
         raise ValueError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
+    _check_seed(seed)
     shape = (len(thetas), len(means))
     if not all(shape):
         raise ValueError(f"thetas_deg and means give an empty {shape[0]} x {shape[1]} grid")

@@ -202,20 +202,18 @@ def _quasi_payload(q, **fields) -> dict:
     }
 
 
-def _budget_payload(budget) -> dict:
-    return {
-        "statistical": float(budget.statistical_error),
-        "systematic": float(budget.systematic_error),
-        "total": float(budget.combined_error()),
-        "mode": budget.mode,
-    }
-
-
-def _error_method(n_boot) -> str:
-    """How analyze(..., n_boot=n_boot) takes the statistical error."""
-    if n_boot is None:
-        return "delta"
-    return "bootstrap" if n_boot else "none"
+def _counting_report(rec, fields: dict, mode="lab", error_mode="rss", n_boot=None, seed=0):
+    """simulate's and analyze's report of rec: the command's own fields,
+    analyze(rec, mode, error_mode, n_boot, seed) with its error and
+    error_method, and rec's flags plus "low_counts" (reads_low_counts)."""
+    q, budget = analyze(rec, mode, error_mode, n_boot, seed)
+    error = {"statistical": float(budget.statistical_error),
+             "systematic": float(budget.systematic_error),
+             "total": float(budget.combined_error()), "mode": budget.mode}
+    method = "delta" if n_boot is None else "bootstrap" if n_boot else "none"
+    low = ["low_counts"] if reads_low_counts(rec, mode) else []
+    return _quasi_payload(q, **fields, error=error, error_method=method,
+                          flags=[*rec.flags, *low])
 
 
 def _write_text(path, text: str):
@@ -290,13 +288,6 @@ def _scan_axis(flag: str, value, start: float, stop: float, step: float) -> np.n
     return np.arange(start, end, step)
 
 
-def _row_blocks(n: int):
-    """The row indices of each _block_bounds block, as arrays."""
-    bounds = _block_bounds(n)
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield np.arange(lo, hi)
-
-
 def _quasi_columns(rho) -> np.ndarray:
     """Exact scan columns of an (N, 2, 2) state stack, in one batch.
 
@@ -308,19 +299,26 @@ def _quasi_columns(rho) -> np.ndarray:
     return np.column_stack((w.reshape(-1, 4), neg, nsit.max(axis=1), aot.max(axis=1)))
 
 
+def _scan_blocks(n: int, m: int, rows):
+    """The rows of an exact n x m scan in _block_bounds blocks, row i * m + j
+    for point (i, j): rows(i, j) maps a block's index arrays to its leading
+    columns and (N, 2, 2) states, whose _quasi_columns follow."""
+    bounds = _block_bounds(n * m)
+    for lo, hi in zip(bounds, bounds[1:]):
+        i, j = np.divmod(np.arange(lo, hi), m)
+        lead, rho = rows(i, j)
+        yield np.column_stack((*lead, _quasi_columns(rho)))
+
+
 def _scan_rows_pure_grid(args):
     thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
     phis = _scan_axis("--phi-step", args.phi_step, 0.0, 90.0, args.phi_step)
 
-    def blocks():
-        # row i is (thetas[i // len(phis)], phis[i % len(phis)]): theta
-        # the outer loop
-        for idx in _row_blocks(len(thetas) * len(phis)):
-            theta, phi = thetas[idx // len(phis)], phis[idx % len(phis)]
-            rho = qcore._pure_states(np.radians(theta), np.radians(phi))
-            yield np.column_stack((theta, phi, _quasi_columns(rho)))
+    def rows(i, j):
+        theta, phi = thetas[i], phis[j]
+        return (theta, phi), qcore._pure_states(np.radians(theta), np.radians(phi))
 
-    return "theta_deg,phi_deg," + _QUASI_HEADER, blocks()
+    return "theta_deg,phi_deg," + _QUASI_HEADER, _scan_blocks(len(thetas), len(phis), rows)
 
 
 def _scan_rows_bloch_disk(args):
@@ -330,23 +328,21 @@ def _scan_rows_bloch_disk(args):
     alphas = np.clip(alphas, -1.0, 1.0)
     # make_mixed_state(t1, t1 + pi, alpha) for every (theta, alpha), theta
     # the outer loop: the two pure branches per theta, then the weights
-    t1 = [math.radians(theta) for theta in thetas]
-    first = np.stack([qcore.make_pure_state(t) for t in t1])
-    second = np.stack([qcore.make_pure_state(t + math.pi) for t in t1])
+    t1 = np.radians(thetas)
+    first = qcore._pure_states(t1, np.zeros_like(t1))
+    second = qcore._pure_states(t1 + math.pi, np.zeros_like(t1))
     w1 = ((1.0 + alphas) / 2.0)[:, None, None]
     w2 = ((1.0 - alphas) / 2.0)[:, None, None]
 
-    def blocks():
-        for idx in _row_blocks(len(thetas) * len(alphas)):
-            i, j = idx // len(alphas), idx % len(alphas)
-            rho = w1[j] * first[i] + w2[j] * second[i]
-            # x and z as bloch_vector computes them, so these columns keep
-            # their bytes
-            x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
-            z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
-            yield np.column_stack((thetas[i], alphas[j], x, z, _quasi_columns(rho)))
+    def rows(i, j):
+        rho = w1[j] * first[i] + w2[j] * second[i]
+        # x and z as bloch_vector computes them, so these columns keep
+        # their bytes
+        x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
+        z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
+        return (thetas[i], alphas[j], x, z), rho
 
-    return "theta1_deg,alpha,x,z," + _QUASI_HEADER, blocks()
+    return "theta1_deg,alpha,x,z," + _QUASI_HEADER, _scan_blocks(len(thetas), len(alphas), rows)
 
 
 def _scan_rows_weak_field(args):
@@ -387,17 +383,13 @@ def cmd_simulate(args) -> dict:
     rho = qcore.make_pure_state(math.radians(args.theta), math.radians(args.phi))
     rec = simulate_record(rho, args.photons, det, args.seed,
                           theta_deg=args.theta, phi_deg=args.phi, source="simulated")
+    fields = dict(theta_deg=args.theta, phi_deg=args.phi, seed=args.seed, n_photons=args.photons)
     # analysed before any file is written, so a run it rejects leaves none
-    q, budget = analyze(rec, error_mode=args.error_mode)
+    payload = _counting_report(rec, fields, error_mode=args.error_mode)
     os.makedirs(args.out_dir, exist_ok=True)
     files = [f"counts_{n1}{n2}.csv" for n1, n2 in rec.tables] + ["report.json"]
     for name, table in zip(files, rec.tables.values()):
         count_tables_to_csv([table], os.path.join(args.out_dir, name))
-    payload = _quasi_payload(
-        q, theta_deg=args.theta, phi_deg=args.phi, seed=args.seed, n_photons=args.photons,
-        error=_budget_payload(budget), error_method=_error_method(None),
-        flags=["low_counts"] if reads_low_counts(rec, "lab") else [],
-    )
     _write_text(os.path.join(args.out_dir, "report.json"), _json_report(payload))
     return {**payload, "files": files}
 
@@ -525,14 +517,8 @@ def cmd_analyze(args) -> dict:
     if args.dark_counts is not None:
         darks = _flag_values("--dark-counts", args.dark_counts, int, four=True, zero_ok=True)
         rec = dark_count_correction(rec, darks)
-    q, budget = analyze(
-        rec, mode=args.mode, error_mode=args.error_mode, n_boot=args.bootstrap, seed=args.seed
-    )
-    low = ["low_counts"] if reads_low_counts(rec, args.mode) else []
-    return _quasi_payload(
-        q, mode=args.mode, error=_budget_payload(budget),
-        error_method=_error_method(args.bootstrap), flags=[*rec.flags, *low],
-    )
+    return _counting_report(rec, {"mode": args.mode}, args.mode, args.error_mode,
+                            args.bootstrap, args.seed)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oqlab import qcore
 from oqlab import analysis
@@ -566,13 +566,13 @@ class TestBootstrap:
             bootstrap_negativity_error(bench_record(45), n_boot=1)
 
 
-def delta_method_reference(rec, mode="lab", step=1e-6):
+def delta_method_reference(rec, mode="lab", step=1e-6, cell=None):
     """The delta-method standard error by finite differences and explicit covariances.
 
-    Differentiates minus the smallest cell of w, estimated from calibrated
-    frequencies the way estimate_probs does and passed through
-    oq_distribution, by central differences in each read table's
-    frequencies f, and contracts that gradient with the table's
+    Differentiates minus cell k (row-major) of w, by default its smallest,
+    estimated from calibrated frequencies the way estimate_probs does and
+    passed through oq_distribution, by central differences in each read
+    table's frequencies f, and contracts that gradient with the table's
     multinomial covariance (diag(f) - f f^T) / N. Empty cells carry no
     variance, so they are not perturbed.
     """
@@ -587,7 +587,7 @@ def delta_method_reference(rec, mode="lab", step=1e-6):
         p_t2 = off[0] / off[0].sum()
         return oq_distribution(ProbabilitySet(p_t1, p_t2, p_joint)).w.ravel()
 
-    k = np.argmin(w_of(freqs))
+    k = np.argmin(w_of(freqs)) if cell is None else cell
     var = 0.0
     for t, setup in enumerate(setups):
         f = freqs[t].ravel()
@@ -620,6 +620,22 @@ def rounded_record(theta_deg, n):
         tables={s: tab(s, np.rint(np.asarray(p) * n)) for s, p in cells.items()},
         calibration=CALIBRATION,
     )
+
+
+# two tables whose w has tied smallest cells, w00 = w01
+TIED_RECORD = ExperimentRecord(tables={(1, 1): tab((1, 1), [[1, 2], [3, 4]]),
+                                       (0, 1): tab((0, 1), [[2, 2], [1, 2]])})
+
+
+@st.composite
+def tie_prone_records(draw):
+    """(record, mode): tables of a few counts a cell, so that cells of w often
+    tie, under unit calibration or CALIBRATION, in lab or strict mode."""
+    cells = st.lists(st.integers(0, 4), min_size=4, max_size=4)
+    tables = {s: tab(s, np.reshape(draw(cells), (2, 2))) for s in ((1, 1), (0, 1), (1, 0))}
+    calibration = draw(st.sampled_from([(1.0, 1.0, 1.0, 1.0), CALIBRATION]))
+    rec = ExperimentRecord(tables=tables, calibration=calibration)
+    return rec, draw(st.sampled_from(["lab", "strict"]))
 
 
 class TestStandardError:
@@ -713,6 +729,35 @@ class TestStandardError:
         assert budget.statistical_error == bootstrap_negativity_error(rec, n_boot=300, seed=4)
         _, budget = analyze(rec, n_boot=0)
         assert budget.statistical_error == 0.0
+
+    def test_tied_cells_take_the_budget_cell(self):
+        # w00 and w01 tie at 0.15 (0.15000000000000002 in both), and the
+        # budget follows the first: the error is taken along w00 too, not
+        # along the w01 (0.17211914478058507) that a second, Python-float
+        # evaluation of eq. (1) picked
+        rec = TIED_RECORD
+        q, budget = analyze(rec)
+        assert q.w.ravel().tolist() == [0.15000000000000002] * 2 + [0.35] * 2
+        assert budget.component_errors == path_components(0, 0)
+        assert budget.statistical_error == 0.15692354826475216
+        assert negativity_standard_error(rec) == budget.statistical_error
+        assert budget.statistical_error == pytest.approx(
+            delta_method_reference(rec, cell=0), rel=1e-7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=tie_prone_records())
+    @example(case=(TIED_RECORD, "lab"))
+    def test_error_follows_the_reported_smallest_cell(self, case):
+        rec, mode = case
+        try:
+            q, budget = analyze(rec, mode)
+        except ValueError:
+            assume(False)
+        cell = int(np.argmin(q.w))
+        assert budget.component_errors == path_components(*divmod(cell, 2))
+        assert negativity_standard_error(rec, mode) == budget.statistical_error
+        assert budget.statistical_error == pytest.approx(
+            delta_method_reference(rec, mode, cell=cell), rel=1e-6, abs=1e-9)
 
 
 # a cell: often 0, so that empty tables, rows and columns are common
@@ -858,6 +903,27 @@ class TestDrivers:
         with pytest.raises(ValueError) as exc:
             analysis.weakfield_scan(thetas, means, pulses, DetectorModel(), seed=3)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2.0, None, "3", [1, 2]],
+                             ids=["negative", "fraction", "float", "none", "text", "list"])
+    def test_drivers_refuse_a_seed_that_is_not_a_nonnegative_integer(self, monkeypatch, seed):
+        monkeypatch.setattr(analysis, "np", NoRandom())
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        with pytest.raises(ValueError) as exc:
+            analysis.simulate_record(qcore.make_pure_state(0.3), 100, DetectorModel(), seed)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            analysis.weakfield_scan([45.0], [0.1], 1000, DetectorModel(), seed)
+        assert str(exc.value) == message
+
+    def test_drivers_take_integer_seeds_of_any_type(self):
+        rho = qcore.make_pure_state(0.3)
+        expected = analysis.simulate_record(rho, 100, seed=7)
+        for seed in (np.int64(7), np.uint8(7)):
+            rec = analysis.simulate_record(rho, 100, seed=seed)
+            for setup in SETUPS:
+                np.testing.assert_array_equal(rec.tables[setup].counts,
+                                              expected.tables[setup].counts)
 
     def test_weakfield_scan_grid_and_appended_means(self):
         # a point's seeds depend on its own key only, so appending a mean

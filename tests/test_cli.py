@@ -300,10 +300,15 @@ class TestScanBlocks:
             # at 2 rows a block, an odd n needs one block of three
             assert sizes.min() >= 2 and sizes.max() <= 3
 
-    def test_row_blocks_tile_the_rows(self, monkeypatch):
+    def test_scan_blocks_tile_the_grid_theta_outer(self, monkeypatch):
         monkeypatch.setattr(cli, "SCAN_BLOCK", 7)
-        for n in (1, 2, 15, 100):
-            np.testing.assert_array_equal(np.concatenate(list(cli._row_blocks(n))), np.arange(n))
+
+        def rows(i, j):
+            return (i, j), qcore._pure_states(np.zeros(len(i)), np.zeros(len(i)))
+
+        for n, m in ((1, 1), (1, 2), (3, 5), (10, 10)):
+            table = np.concatenate(list(cli._scan_blocks(n, m, rows)))
+            np.testing.assert_array_equal(table[:, :2], list(np.ndindex(n, m)))
 
     @pytest.mark.parametrize(
         "kind,coarse,fine",
@@ -1182,6 +1187,30 @@ class TestAnalyze:
             assert payload["error_method"] == method
             assert set(payload["error"]) == {"statistical", "systematic", "total", "mode"}
             assert (payload["error"]["statistical"] == 0.0) == (method == "none")
+
+    @pytest.mark.parametrize(
+        "theta,photons,det,seed,error_mode",
+        [("45", "10000", "ideal", "7", "rss"), ("30", "10000", "bench", "5", "sum"),
+         ("0", "100", "bench", "2", "rss"), ("45", "3", "ideal", "1", "rss")],
+        ids=["ideal-45", "bench-30-sum", "bench-0", "low-counts"],
+    )
+    def test_simulate_and_analyze_report_alike(self, tmp_path, capsys, theta, photons, det,
+                                                seed, error_mode):
+        # one builder makes both reports, so analyze of simulate's count
+        # CSVs repeats simulate's quasiprobability, error and flags
+        out_dir = tmp_path / "run"
+        code, _, _ = run_cli(["simulate", "--theta", theta, "--photons", photons, "--det", det,
+                              "--seed", seed, "--error-mode", error_mode,
+                              "--out-dir", str(out_dir)], capsys)
+        assert code == 0
+        simulated = json.loads((out_dir / "report.json").read_text())
+        inputs = [str(out_dir / f"counts_{n1}{n2}.csv") for n1 in (0, 1) for n2 in (0, 1)]
+        code, out, _ = run_cli(["analyze", *inputs, "--error-mode", error_mode], capsys)
+        assert code == 0
+        analyzed = json.loads(out)
+        keys = ["w", "negativity", "nsit_dev", "aot_dev", "error", "error_method", "flags"]
+        assert {k: analyzed[k] for k in keys} == {k: simulated[k] for k in keys}
+        assert analyzed["flags"] == (["low_counts"] if photons == "3" else [])
 
     @pytest.mark.parametrize("n_boot,code", [("-1", 3), ("1", 3), ("0", 0), ("2", 0)])
     def test_bootstrap_count_is_named_by_its_flag(self, tmp_path, capsys, n_boot, code):
