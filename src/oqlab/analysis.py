@@ -14,9 +14,9 @@ the cells read from their own table, never by a nominal constant. A mode
 reads all four cells of (1,1), the a1 = 0 row of (0,1) and, in strict
 mode, the a2 = 0 column of (1,0) (_READ_CELLS); a record is refused at
 the first of these tables that is missing, empty or empty in the cells
-read. _read applies this rule to one record and _estimate_rows to a
-stack of them, bit for bit alike; the estimate, both statistical errors
-and the weak-field scan read through them.
+read. _estimate_rows reads a stack of records by this rule at once and
+_standard_errors takes their delta-method errors; a single record is a
+stack of one, so the estimate, both errors and the weak-field scan agree.
 
 Error model: the statistical error of the negativity is its standard
 error under the multinomial covariance of each table the mode reads,
@@ -36,15 +36,14 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
-from operator import mul
 
 import numpy as np
 
 from .contexts import SETUPS, ProbabilitySet, _probabilities, _split, validate_setup
 from .oq import _EQ1_MATRIX, _quasi_rows, oq_distribution
 from .photonsim import (
-    CountTable, DetectorModel, _require_in_range, _weakfield_counts, count_tables_from_csv,
-    count_tables_to_csv, expected_dark_counts, simulate_counts,
+    CountTable, DetectorModel, _require_count, _require_in_range, _weakfield_counts,
+    count_tables_from_csv, count_tables_to_csv, expected_dark_counts, simulate_counts,
 )
 from .qcore import _pure_states
 
@@ -62,10 +61,10 @@ REQUIRED_SETUPS = ((1, 1), (0, 1))
 # flag such a record "low_counts".
 LOW_COUNTS = 20
 
-# most resamples bootstrap_negativity_error draws: each takes about 340
-# bytes at the peak (its draws, calibrated cells, estimate and eq. (1)),
-# so 2**18 of them take about 90 MB, and a count that asks for more is
-# refused before any draw
+# most resamples bootstrap_negativity_error draws: each takes about 280
+# bytes at the peak in strict mode (its draws, calibrated cells and
+# estimate), so 2**18 of them take about 75 MB, and a count that asks for
+# more is refused before any draw
 BOOTSTRAP_MAX = 2**18
 
 
@@ -201,8 +200,7 @@ def estimate_probs(rec: ExperimentRecord, mode: str = "lab") -> ProbabilitySet:
     probabilities always come from the a1 = 0 row of the (0,1) table,
     which is where photons land with the first splitter removed.
     """
-    _, p = _read(rec, mode)
-    return ProbabilitySet(*_split(np.array(p)))
+    return ProbabilitySet(*_split(_read_record(rec, mode)[1][0]))
 
 
 def estimate_calibration(reference: CountTable) -> tuple:
@@ -268,77 +266,74 @@ def reads_low_counts(rec: ExperimentRecord, mode: str = "lab") -> bool:
     )
 
 
-# the cells of each table that the estimate reads (row-major indices), and
-# the part of the table they form
+# the cells of each table that the estimate reads (row-major indices), the
+# part of the table they form, and where they go in the _split layout
 _READ_CELLS = {
-    (1, 1): ((0, 1, 2, 3), "the table"),
-    (0, 1): ((0, 1), "the a1 = 0 row"),
-    (1, 0): ((0, 2), "the a2 = 0 column"),
+    (1, 1): ((0, 1, 2, 3), "the table", 4),
+    (0, 1): ((0, 1), "the a1 = 0 row", 2),
+    (1, 0): ((0, 2), "the a2 = 0 column", 0),
 }
 
 
-def _read_table(setup, n: list, cal) -> tuple:
-    """One table as the estimate reads it, from its four counts n (row-major).
-
-    Returns (n, total, cells, norm, q): the cells read, their calibrated
-    sum c.n and the normalised calibrated cells q = c*n / (c.n), all on
-    Python numbers. Raises ValueError if the table or the part read holds
-    no counts.
-    """
-    total = sum(n)
-    if total <= 0:
-        raise ValueError(f"setup {setup}: table holds no counts")
-    cells, part = _READ_CELLS[setup]
-    norm = 0.0
-    for i in cells:
-        norm += cal[i] * n[i]
-    if norm <= 0:
-        raise ValueError(f"setup {setup}: no counts in {part}")
-    return n, total, cells, norm, [cal[i] * n[i] / norm for i in cells]
+def _estimate_matrix(mode: str) -> np.ndarray:
+    """The (S, 4, 8) 0/1 map from the normalised cells of the S tables a mode
+    reads to the estimate; p_t1 is the a2-marginal of (1,1) in lab mode."""
+    setups = _read_setups(mode)
+    m = np.zeros((len(setups), 4, 8))
+    for k, (cells, _, start) in enumerate(_READ_CELLS[s] for s in setups):
+        m[k, cells, range(start, start + len(cells))] = 1.0
+    if mode == "lab":
+        m[0, range(4), (0, 0, 1, 1)] = 1.0
+    return m
 
 
-def _read(rec: ExperimentRecord, mode: str = "lab") -> tuple:
-    """Every table the mode reads, in _read_setups order, and the estimate.
+_ESTIMATE = {mode: _estimate_matrix(mode) for mode in ("lab", "strict")}
+_READ_MASK = {mode: m.any(axis=2) * 1.0 for mode, m in _ESTIMATE.items()}  # 1.0 on cells read
+# per mode, the gradient of -w_k in the normalised cells, (4, S, 4) for k row-major
+_GRADIENTS = {mode: -np.moveaxis(m @ _EQ1_MATRIX[:, :4], 2, 0) for mode, m in _ESTIMATE.items()}
 
-    Returns (reads, p): a _read_table tuple per table and the eight
-    probabilities (p_t1, p_t2, p_joint row-major) as Python floats, p_t1
-    the a2-marginal of (1,1) in lab mode. Raises ValueError at the first
-    table that is missing or cannot be read.
-    """
-    reads = []
-    for setup in _read_setups(mode):
-        if setup not in rec.tables:
-            raise ValueError(f"record is missing the required setup {setup}")
-        reads.append(_read_table(setup, rec.tables[setup].counts.ravel().tolist(), rec.calibration))
-    joint, row, *first = (q for *_, q in reads)
-    p_t1 = first[0] if first else [joint[0] + joint[1], joint[2] + joint[3]]
-    return reads, p_t1 + row + joint
+
+def _normalised(counts, calibration, mode: str) -> tuple:
+    """The calibrated cells c*n of an (N, S, 4) stack, 0 on cells not read,
+    divided by their sum c.n where it is positive, and c.n (N, S)."""
+    q = counts * (_READ_MASK[mode] * calibration)
+    norm = q.sum(axis=2)
+    np.divide(q, norm[..., None], out=q, where=norm[..., None] > 0)
+    return q, norm
 
 
 def _estimate_rows(counts, calibration, mode: str = "lab") -> tuple:
-    """_read of N records at once, on numpy arrays.
-
-    counts holds one (N, 4) array of row-major tables per setup of
-    _read_setups(mode), in that order. Returns the (N, 8) estimates,
-    bit-identical to _read's, and an (N,) mask of the records _read
-    accepts; a refused record's row is not an estimate.
-    """
-    cal = np.asarray(calibration, dtype=float)
-    parts, ok = [], True
-    for setup, c in zip(_read_setups(mode), counts):
-        cells = list(_READ_CELLS[setup][0])
-        read = c[:, cells] * cal[cells]
-        norm = read.sum(axis=1, keepdims=True)
-        ok = ok & (norm[:, 0] > 0)
-        parts.append(np.divide(read, norm, out=np.zeros_like(read), where=norm > 0))
-    joint, row, *first = parts
-    p_t1 = first[0] if first else joint[:, 0::2] + joint[:, 1::2]
-    return np.concatenate((p_t1, row, joint), axis=1), ok
+    """The (N, 8) estimates (_split layout) of an (N, S, 4) stack of records,
+    each the row-major tables of _read_setups(mode) in order, and an (N,)
+    mask of the records read; a refused record's row is not an estimate."""
+    q, norm = _normalised(counts, calibration, mode)
+    return q.reshape(len(q), -1) @ _ESTIMATE[mode].reshape(-1, 8), norm.all(axis=1)
 
 
-# the derivatives of eq. (1) as Python floats: entry k holds those of w_k
-# (row-major) in the probabilities, p in the _split layout
-_W_COLUMNS = _EQ1_MATRIX[:, :4].T.tolist()
+def _refuse(setups, tables):
+    """Raise the estimate's ValueError at the first of tables, the row-major
+    counts of the first setups, that it cannot read, or else at the setup
+    after the last table, which is missing."""
+    for setup, n in zip(setups, tables):
+        cells, part, _ = _READ_CELLS[setup]
+        if not n.any():
+            raise ValueError(f"setup {setup}: table holds no counts")
+        if not n[list(cells)].any():
+            raise ValueError(f"setup {setup}: no counts in {part}")
+    raise ValueError(f"record is missing the required setup {setups[len(tables)]}")
+
+
+def _read_record(rec: ExperimentRecord, mode: str = "lab") -> tuple:
+    """rec's tables as a stack of one, and its (1, 8) estimate; raises at the
+    first table, in _read_setups order, that is missing or refused."""
+    setups = _read_setups(mode)
+    tables = [rec.tables[s].counts.ravel() if s in rec.tables else np.zeros(4, int) for s in setups]
+    counts = np.array([tables])
+    p, ok = _estimate_rows(counts, rec.calibration, mode)
+    if not ok[0]:
+        # every record holds REQUIRED_SETUPS: only (1, 0), read last, can be missing
+        _refuse(setups, [n for s, n in zip(setups, tables) if s in rec.tables])
+    return counts, p
 
 
 def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float:
@@ -367,28 +362,27 @@ def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float
     flags such records.
 
     analyze's default statistical error: deterministic (no resampling, no
-    seed) and computed on Python floats. Raises where estimate_probs would.
+    seed), the one-record case of the batched _standard_errors. Raises
+    where estimate_probs would.
     """
     return analyze(rec, mode)[1].statistical_error
 
 
-def _standard_error(reads, cell: int, cal) -> float:
-    """negativity_standard_error from _read's tables, along cell (row-major)
-    of w, the smallest: at most one cell is negative."""
-    grad = [-d for d in _W_COLUMNS[cell]]  # d negativity / d p
-    g_joint = grad[4:] if len(reads) == 3 else [grad[4 + i] + grad[i // 2] for i in range(4)]
-    var = 0.0
-    for (n, total, cells, norm, q), g in zip(reads, (g_joint, grad[2:4], grad[0:2])):
-        gq = sum(map(mul, g, q))
-        fh = fh2 = 0.0  # sums of f_i h_i and f_i h_i^2
-        for i, gi in zip(cells, g):
-            f = n[i] / total
-            h = cal[i] * (gi - gq) * total / norm
-            fh += f * h
-            fh2 += f * h * h
-        var += (fh2 - fh * fh) / total
+def _standard_errors(counts, calibration, mode: str, cells) -> np.ndarray:
+    """negativity_standard_error of N records at once, record k taken along
+    cell cells[k] (row-major) of w; _estimate_rows must accept every record
+    of counts. numpy adds an axis this short from left to right, so each
+    sum runs in cell order, then table order, as a loop over them does."""
+    q, norm = _normalised(counts, calibration, mode)
+    g = _GRADIENTS[mode].take(cells, axis=0)  # d negativity / d q, (N, S, 4)
+    gq = (g * q).sum(axis=2, keepdims=True)
+    total = counts.sum(axis=2, keepdims=True).astype(float)
+    h = _READ_MASK[mode] * calibration * (g - gq) * total / norm[..., None]
+    fh = counts / total * h  # f_i h_i
+    fh_sum = fh.sum(axis=2)
+    var = (((fh * h).sum(axis=2) - fh_sum * fh_sum) / total[..., 0]).sum(axis=1)
     # rounding can leave the zero variance of a one-cell table a hair below 0
-    return math.sqrt(max(var, 0.0))
+    return np.sqrt(np.maximum(var, 0.0))
 
 
 def bootstrap_negativity_error(
@@ -401,23 +395,24 @@ def bootstrap_negativity_error(
     given by the observed frequencies. All resamples are re-analyzed at
     once, as estimate_probs and oq_distribution would one by one, and the
     spread of their negativities is returned (sample standard deviation).
-    n_boot runs from 2 to BOOTSTRAP_MAX. A resample that _read would
-    refuse, its (0,1) row or (1,0) column empty, is dropped.
+    n_boot runs from 2 to BOOTSTRAP_MAX and seed is a nonnegative integer.
+    A resample that the estimate refuses, its (0,1) row or (1,0) column
+    empty, is dropped.
     """
     if n_boot < 2:
         raise ValueError("n_boot must be at least 2")
     if n_boot > BOOTSTRAP_MAX:
         raise ValueError(f"n_boot must be at most {BOOTSTRAP_MAX}, got {n_boot}")
+    _check_seed(seed)
     tables = [rec.tables.get(setup) for setup in _read_setups(mode)]
     if any(table is None or table.total <= 0 for table in tables):
         raise ValueError("too few valid bootstrap resamples")
     rng = np.random.default_rng(seed)
-    draws = [rng.multinomial(t.total, t.counts.ravel() / t.total, size=n_boot) for t in tables]
-    p, valid = _estimate_rows(draws, rec.calibration, mode)
+    draws = (rng.multinomial(t.total, t.counts.ravel() / t.total, size=n_boot) for t in tables)
+    p, valid = _estimate_rows(np.stack(list(draws), axis=1), rec.calibration, mode)
     if np.count_nonzero(valid) < 2:
         raise ValueError("too few valid bootstrap resamples")
-    _, neg, _, _ = _quasi_rows(p[valid])
-    return float(np.std(neg, ddof=1))
+    return float(np.std(_quasi_rows(p[valid])[1], ddof=1))
 
 
 def analyze(
@@ -437,12 +432,12 @@ def analyze(
     set, and 0 when n_boot is 0; seed is read only by the bootstrap.
     Returns (Quasiprobability, ErrorBudget).
     """
-    reads, p = _read(rec, mode)
-    q = oq_distribution(ProbabilitySet(*_split(np.array(p))))
+    counts, p = _read_record(rec, mode)
+    q = oq_distribution(ProbabilitySet(*_split(p[0])))
     cell = int(np.argmin(q.w))
     budget = error_budget(path_components(*divmod(cell, 2)), error_mode)
     if n_boot is None:
-        statistical = _standard_error(reads, cell, rec.calibration)
+        statistical = float(_standard_errors(counts, rec.calibration, mode, [cell])[0])
     elif n_boot:
         statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
     else:
@@ -497,16 +492,14 @@ def _weak_field_batch(thetas_deg, means, n_pulses, det, run_seeds):
         for k, setup in enumerate(REQUIRED_SETUPS)
     )
     dark = expected_dark_counts(det, n_pulses)
-    runs = [(joint, off), (np.maximum(joint - dark, 0), np.maximum(off - dark, 0))]
-    unit = (1.0, 1.0, 1.0, 1.0)
-    (raw, raw_ok), (corrected, corrected_ok) = (_estimate_rows(run, unit) for run in runs)
-    if not (raw_ok & corrected_ok).all():
-        i = np.argmin(raw_ok & corrected_ok)
-        for run in runs:
-            for setup, counts in zip(REQUIRED_SETUPS, run):
-                _read_table(setup, counts[i].tolist(), unit)
-    w, corrected, _, _ = _quasi_rows(corrected)
-    return w, _quasi_rows(_probabilities(rho))[1], _quasi_rows(raw)[1], corrected
+    # row 2i raw, 2i + 1 dark-corrected: the first refused row is the scan's first failure
+    runs = np.stack((joint, off), axis=1)
+    counts = np.stack((runs, np.maximum(runs - dark, 0)), axis=1).reshape(-1, 2, 4)
+    p, ok = _estimate_rows(counts, (1.0, 1.0, 1.0, 1.0))
+    if not ok.all():
+        _refuse(REQUIRED_SETUPS, counts[np.argmin(ok)])
+    w, corrected, _, _ = _quasi_rows(p[1::2])
+    return w, _quasi_rows(_probabilities(rho))[1], _quasi_rows(p[0::2])[1], corrected
 
 
 def weakfield_scan(thetas_deg, means, n_pulses: int, det: DetectorModel | None = None, seed=0):
@@ -526,8 +519,7 @@ def weakfield_scan(thetas_deg, means, n_pulses: int, det: DetectorModel | None =
         raise ValueError(f"thetas_deg must be finite, got {thetas[~np.isfinite(thetas)][0]}")
     for mean in means:
         _require_in_range("means", mean)
-    if not 1 <= n_pulses < 2**63:
-        raise ValueError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
+    _require_count("n_pulses", n_pulses)
     _check_seed(seed)
     shape = (len(thetas), len(means))
     if not all(shape):

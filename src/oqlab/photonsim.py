@@ -48,6 +48,7 @@ explicit jitter and darks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -60,6 +61,14 @@ NS_PER_S = 1.0e9
 
 # ---------------------------------------------------------------------------
 # parameter bundles
+
+
+def _require_count(name: str, n):
+    """Reject a photon or pulse count that is not an integer in [1, 2**63)."""
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    if not 1 <= n < 2**63:
+        raise ValueError(f"{name} must lie in [1, 2**63), got {n}")
 
 
 def _require_in_range(name: str, value, high: float = math.inf, *, zero_ok=False, high_ok=False):
@@ -324,8 +333,7 @@ def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None
     window. Reproducible for a fixed seed. Raises ValueError when photons
     and darks together reach 2**63, past what the int64 table holds.
     """
-    if not 1 <= n_photons < 2**63:
-        raise ValueError(f"n_photons must lie in [1, 2**63), got {n_photons}")
+    _require_count("n_photons", n_photons)
     det = det if det is not None else DetectorModel()
     rng = np.random.default_rng(seed)
     mis = _draw_misalignment(det, rng)
@@ -367,8 +375,7 @@ def _weakfield_counts(rho, means, setup, n_pulses: int, det: DetectorModel, seed
     between those draws runs on the whole stack: one detection_probs
     call, then the idle and single-click cells as arrays.
     """
-    if not 1 <= n_pulses < 2**63:
-        raise ValueError(f"n_pulses must lie in [1, 2**63), got {n_pulses}")
+    _require_count("n_pulses", n_pulses)
     rngs = [np.random.default_rng(seed) for seed in seeds]
     prep, arms = zip(*(_draw_misalignment(det, rng) for rng in rngs))
     probs, _ = detection_probs(rho, setup, det, (np.array(prep), np.array(arms)))

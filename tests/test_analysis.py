@@ -30,6 +30,8 @@ from oqlab.contexts import SETUPS, ProbabilitySet, context_table
 from oqlab.oq import MAX_NEGATIVITY, oq_distribution
 from oqlab.photonsim import CountTable, DetectorModel, simulate_counts
 
+from helpers import read_reference, standard_error_reference
+
 
 def tab(setup, cells):
     counts = np.asarray(cells, dtype=np.int64)
@@ -136,6 +138,15 @@ class TestEstimateProbs:
     def test_strict_mode_requires_the_first_table(self):
         with pytest.raises(ValueError, match=r"missing the required setup \(1, 0\)"):
             estimate_probs(bench_record(45), mode="strict")
+        # tables are refused in reading order: (1,1) and (0,1) before the missing (1,0)
+        for joint, off, message in (
+            ([[0, 0], [0, 0]], [[1, 1], [0, 0]], "setup (1, 1): table holds no counts"),
+            ([[1, 0], [0, 0]], [[0, 0], [3, 0]], "setup (0, 1): no counts in the a1 = 0 row"),
+        ):
+            rec = ExperimentRecord(tables={(1, 1): tab((1, 1), joint), (0, 1): tab((0, 1), off)})
+            with pytest.raises(ValueError) as exc:
+                estimate_probs(rec, mode="strict")
+            assert str(exc.value) == message
 
     def test_zero_total_is_degenerate(self):
         rec = ExperimentRecord(
@@ -561,6 +572,20 @@ class TestBootstrap:
         b = bootstrap_negativity_error(rec, seed=7)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, 1.5], ids=["negative", "fraction"])
+    def test_refuses_a_seed_that_is_not_a_nonnegative_integer(self, monkeypatch, seed):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        rec = bench_record(45)
+        message = f"seed must be a nonnegative integer, got {seed!r}"
+        for call in (lambda: bootstrap_negativity_error(rec, n_boot=10, seed=seed),
+                     lambda: analyze(rec, n_boot=10, seed=seed)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == message
+
     def test_rejects_tiny_resample_count(self):
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_negativity_error(bench_record(45), n_boot=1)
@@ -767,70 +792,111 @@ factor = st.one_of(st.just(1.0), st.floats(1e-3, 1e3))
 
 @st.composite
 def read_batches(draw):
-    """(mode, calibration, counts): one (N, 4) table per setup the mode reads."""
+    """(mode, calibration, counts): an (N, S, 4) stack of the S tables the mode reads."""
     mode = draw(st.sampled_from(["lab", "strict"]))
     n = draw(st.integers(1, 12))
     setups = analysis._read_setups(mode)
     flat = draw(st.lists(cell, min_size=4 * n * len(setups), max_size=4 * n * len(setups)))
-    counts = np.array(flat, dtype=np.int64).reshape(len(setups), n, 4)
-    return mode, tuple(draw(st.lists(factor, min_size=4, max_size=4))), list(counts)
+    counts = np.array(flat, dtype=np.int64).reshape(n, len(setups), 4)
+    return mode, tuple(draw(st.lists(factor, min_size=4, max_size=4))), counts
 
 
-def check_rows_against_read(mode, calibration, counts):
-    """_estimate_rows against _read and estimate_probs, record by record."""
+def stack_record(mode, calibration, tables):
+    """The ExperimentRecord of one row of a stack."""
     setups = analysis._read_setups(mode)
+    recs = {s: tab(s, c.reshape(2, 2)) for s, c in zip(setups, tables)}
+    # lab records carry a (1, 0) table too, which they must not read
+    recs.setdefault((1, 0), tab((1, 0), [[0, 0], [0, 0]]))
+    return ExperimentRecord(tables=recs, calibration=calibration)
+
+
+def check_stack(mode, calibration, counts):
+    """_estimate_rows and _standard_errors on a stack against each record
+    alone and against the Python-float loops of read_reference and
+    standard_error_reference."""
     p, ok = analysis._estimate_rows(counts, calibration, mode)
-    assert p.shape == (len(counts[0]), 8) and ok.shape == (len(counts[0]),)
-    for k in range(len(counts[0])):
-        tables = {s: tab(s, c[k].reshape(2, 2)) for s, c in zip(setups, counts)}
-        # lab records carry a (1, 0) table too, which they must not read
-        tables.setdefault((1, 0), tab((1, 0), [[0, 0], [0, 0]]))
-        rec = ExperimentRecord(tables=tables, calibration=calibration)
+    assert p.shape == (len(counts), 8) and ok.shape == (len(counts),)
+    accepted, cells, errors = [], [], []
+    for k, tables in enumerate(counts):
+        rec = stack_record(mode, calibration, tables)
         try:
-            estimate_probs(rec, mode)
-        except ValueError:
+            reads, reference = read_reference(rec, mode)
+        except ValueError as exc:
             assert not ok[k]
-            with pytest.raises(ValueError):
-                analysis._read(rec, mode)
+            with pytest.raises(ValueError) as refused:
+                estimate_probs(rec, mode)
+            assert str(refused.value) == str(exc)
             continue
         assert ok[k]
-        assert np.array(analysis._read(rec, mode)[1]).tobytes() == p[k].tobytes()
+        alone, _ = analysis._estimate_rows(tables[None], calibration, mode)
+        ps = estimate_probs(rec, mode)
+        assert p[k].tobytes() == alone[0].tobytes() == np.array(reference).tobytes()
+        assert np.concatenate((ps.p_t1, ps.p_t2, ps.p_joint.ravel())).tobytes() == p[k].tobytes()
+        q, budget = analyze(rec, mode)
+        cell = int(np.argmin(q.w))
+        # n_i / total is an exact quotient in the loop, a float one in numpy
+        if max(sum(n) for n, *_ in reads) < 2**53:
+            assert standard_error_reference(reads, cell, calibration) == budget.statistical_error
+        accepted.append(k)
+        cells.append(cell)
+        errors.append(budget.statistical_error)
+    if accepted:
+        stacked = analysis._standard_errors(counts[accepted], calibration, mode, cells)
+        assert stacked.tobytes() == np.array(errors).tobytes()
 
 
 class TestReaders:
+    # the scalar reader is the Python-float loop of helpers.read_reference
     @settings(max_examples=300, deadline=None)
     @given(batch=read_batches())
     def test_batched_reader_is_the_scalar_reader(self, batch):
-        check_rows_against_read(*batch)
+        check_stack(*batch)
 
     @pytest.mark.parametrize("mode", ["lab", "strict"])
     def test_batched_reader_on_a_large_stack(self, mode):
         # numpy may reduce a long stack differently from a short one
         rng = np.random.default_rng(8)
         n = 3000
-        counts = [
-            rng.integers(0, 3, size=(n, 4)) * rng.integers(1, 2**50, size=(n, 4))
-            for _ in analysis._read_setups(mode)
-        ]
+        shape = (n, len(analysis._read_setups(mode)), 4)
+        counts = rng.integers(0, 3, size=shape) * rng.integers(1, 2**50, size=shape)
         calibration = tuple(rng.uniform(0.2, 5.0, size=4))
         _, ok = analysis._estimate_rows(counts, calibration, mode)
         assert 0 < np.count_nonzero(ok) < n
-        check_rows_against_read(mode, calibration, counts)
+        check_stack(mode, calibration, counts)
+
+    @pytest.mark.parametrize("mode", ["lab", "strict"])
+    @pytest.mark.parametrize("calibration", [(1.0, 1.0, 1.0, 1.0), CALIBRATION])
+    def test_stacked_errors_take_each_row_along_its_cell(self, mode, calibration):
+        # small tables, so that cells of w often tie; every row along each
+        # of the four cells of w, against the finite-difference reference
+        rng = np.random.default_rng(3)
+        counts = rng.integers(0, 6, size=(40, len(analysis._read_setups(mode)), 4))
+        counts = counts[analysis._estimate_rows(counts, calibration, mode)[1]]
+        for cell in range(4):
+            errors = analysis._standard_errors(counts, calibration, mode, [cell] * len(counts))
+            for tables, error in zip(counts, errors):
+                rec = stack_record(mode, calibration, tables)
+                assert error == pytest.approx(
+                    delta_method_reference(rec, mode, cell=cell), rel=1e-6, abs=1e-9)
+                reads, _ = read_reference(rec, mode)
+                assert error == standard_error_reference(reads, cell, calibration)
 
     def test_analyze_reads_the_record_once(self, monkeypatch):
+        # one stack of one record, and the bootstrap's resamples in one more
         calls = []
-        read = analysis._read
+        read = analysis._estimate_rows
 
-        def counting_read(rec, mode="lab"):
-            calls.append(mode)
-            return read(rec, mode)
+        def counting_read(counts, calibration, mode="lab"):
+            calls.append(counts.shape)
+            return read(counts, calibration, mode)
 
-        monkeypatch.setattr(analysis, "_read", counting_read)
+        monkeypatch.setattr(analysis, "_estimate_rows", counting_read)
         for rec, mode in ((bench_record(45), "lab"), (strict_bench_record(), "strict")):
+            setups = len(analysis._read_setups(mode))
             for n_boot in (None, 0, 50):
                 calls.clear()
                 analyze(rec, mode, n_boot=n_boot)
-                assert calls == [mode]
+                assert calls == [(1, setups, 4)] + ([(50, setups, 4)] if n_boot else [])
 
 
 class TestCsvGlue:
@@ -882,6 +948,7 @@ class TestDrivers:
             ([45.0], [0.0], 1000, "means must be finite and positive, got 0.0"),
             ([45.0], [-0.1], 1000, "means must be finite and positive, got -0.1"),
             ([45.0], [0.1], 0, "n_pulses must lie in [1, 2**63), got 0"),
+            ([45.0], [0.1], 1000.7, "n_pulses must be an integer, got 1000.7"),
             ([45.0], [0.1], 2**63, f"n_pulses must lie in [1, 2**63), got {2**63}"),
             ([], [0.1], 1000, "thetas_deg and means give an empty 0 x 1 grid"),
             ([45.0, 90.0], [], 1000, "thetas_deg and means give an empty 2 x 0 grid"),
@@ -893,8 +960,8 @@ class TestDrivers:
             ),
         ],
         ids=["nan-theta", "inf-theta", "minus-inf-theta", "nan-mean", "inf-mean", "zero-mean",
-             "negative-mean", "no-pulses", "too-many-pulses", "no-thetas", "no-means",
-             "over-the-cap"],
+             "negative-mean", "no-pulses", "fractional-pulses", "too-many-pulses", "no-thetas",
+             "no-means", "over-the-cap"],
     )
     def test_weakfield_scan_refuses_before_any_seed(
         self, monkeypatch, thetas, means, pulses, message
@@ -915,6 +982,13 @@ class TestDrivers:
         with pytest.raises(ValueError) as exc:
             analysis.weakfield_scan([45.0], [0.1], 1000, DetectorModel(), seed)
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("n", [10.5, 100.0])
+    def test_simulate_record_refuses_a_photon_count_that_is_not_an_integer(self, n):
+        # a fraction was once truncated: 10.5 photons drew 10 per setup
+        with pytest.raises(ValueError) as exc:
+            analysis.simulate_record(qcore.make_pure_state(0.3), n, DetectorModel(), 1)
+        assert str(exc.value) == f"n_photons must be an integer, got {n!r}"
 
     def test_drivers_take_integer_seeds_of_any_type(self):
         rho = qcore.make_pure_state(0.3)

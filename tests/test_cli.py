@@ -592,7 +592,8 @@ class TestSeededOutputBytes:
     was still seeded through SeedSequence.spawn, and g2 histograms: the
     emitter and SPDC ones at the bytes they had when each channel was
     tallied on its own, the weak-coherent one at those of its labelled
-    draw."""
+    draw. analyze reports are pinned at the bytes they had when a record
+    was read by a scalar loop and only stacks by the batched reader."""
 
     @pytest.mark.parametrize(
         "source,digest",
@@ -631,6 +632,29 @@ class TestSeededOutputBytes:
             "counts_11.csv": "29b5e7f7399a34d0529cda9f253272ff9321a00a14c684e49495bb31310f642a",
             "report.json": "433d26dcf97e0eb8e5b5fa2170dad581044a9fc702bbba531bd9bbc360ca8b52",
         }
+
+    @pytest.mark.parametrize(
+        "extra,digest",
+        [(["--mode", "strict"],
+          "b5099dea01a980d8de361d9a17330820a5a39bf92f83a98d4463520fdb3a8371"),
+         (["--calibration", "1.1,0.9,1.05,0.95", "--dark-counts", "3,1,2,5"],
+          "a4d2fd06c507c81daf0cca22949904b1b9cfbd2d3bf22f2e9f4c0ac2ea24be6d"),
+         (["--error-mode", "sum"],
+          "f89e257d58d78715a27af9f6452346baaa40f0d38eaf623185cc986f04c9495a"),
+         (["--bootstrap", "50", "--seed", "4"],
+          "1d52b1e168054fa93a58cc17beee6a3e3874db414bb87c6f24800f0d2444c452")],
+        ids=["strict", "calibrated-dark", "sum", "bootstrap"],
+    )
+    def test_analyze_report(self, tmp_path, capsys, extra, digest):
+        # the count tables of test_simulate_directory
+        run_cli(["simulate", "--theta", "30", "--phi", "10", "--det", "bench", "--seed", "5",
+                 "--out-dir", str(tmp_path)], capsys)
+        inputs = [str(tmp_path / f"counts_{name}.csv") for name in ("11", "01", "10")]
+        out = tmp_path / "analysis.json"
+        code, stdout, _ = run_cli(["analyze", *inputs, *extra, "--out", str(out)], capsys)
+        assert code == 0
+        assert stdout == out.read_text()
+        assert sha256_of(out) == digest
 
     @pytest.mark.parametrize("k", range(4))
     def test_simulate_setup_seed_is_the_spawned_child(self, k):

@@ -328,6 +328,20 @@ class TestSimulateCounts:
         with pytest.raises(ValueError, match=re.escape(message)):
             simulate_counts(qcore.make_pure_state(0.0), (1, 1), n)
 
+    @pytest.mark.parametrize("n", [2.9, 10.0, np.float64(100.0), "10", None])
+    def test_rejects_photon_count_that_is_not_an_integer(self, n):
+        # a fraction was once truncated: 2.9 photons drew 2
+        with pytest.raises(ValueError) as exc:
+            simulate_counts(qcore.make_pure_state(0.0), (1, 1), n)
+        assert str(exc.value) == f"n_photons must be an integer, got {n!r}"
+
+    @pytest.mark.parametrize("n", [np.int64(100), np.uint16(100), np.int8(100)])
+    def test_takes_photon_counts_of_any_integer_type(self, n):
+        rho = qcore.make_pure_state(0.4)
+        expected = simulate_counts(rho, (1, 1), 100, seed=3)
+        table = simulate_counts(rho, (1, 1), n, seed=3)
+        np.testing.assert_array_equal(table.counts, expected.counts)
+
     def test_rejects_counts_past_int64_instead_of_wrapping(self):
         # both values at the detector's caps: a dark mean of 1e18 per detector
         det = DetectorModel(dark_rate_hz=1e12, integration_time_s=1e6)
@@ -667,6 +681,12 @@ class TestWeakFieldRun:
     def test_rejects_pulse_count_out_of_range(self, n):
         with pytest.raises(ValueError, match="n_pulses"):
             weakfield_run(0.0, 0.0, WeakCoherent(), (1, 1), n)
+
+    @pytest.mark.parametrize("n", [1000.7, 1000.0, "1000"])
+    def test_rejects_pulse_count_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError) as exc:
+            weakfield_run(0.0, 0.0, WeakCoherent(), (1, 1), n)
+        assert str(exc.value) == f"n_pulses must be an integer, got {n!r}"
 
     def test_expected_dark_counts_helper(self):
         det = DetectorModel(dark_rate_hz=1.0e3, pulse_window_ns=125.0)

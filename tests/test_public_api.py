@@ -1,6 +1,10 @@
 """The public API, pinned: a name joins or leaves oqlab.__all__ only by
 changing PUBLIC_API here as well."""
 
+from pathlib import Path
+
+import pytest
+
 import oqlab
 
 PUBLIC_API = [
@@ -72,3 +76,10 @@ def test_every_name_imports():
 
 def test_all_is_the_pinned_list():
     assert oqlab.__all__ == PUBLIC_API
+
+
+def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib", reason="tomllib is new in Python 3.11")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert oqlab.__version__ == tomllib.load(fh)["project"]["version"]
