@@ -15,8 +15,8 @@ reads all four cells of (1,1), the a1 = 0 row of (0,1) and, in strict
 mode, the a2 = 0 column of (1,0) (_READ_CELLS); a record is refused at
 the first of these tables that is missing, empty or empty in the cells
 read. _estimate_rows reads a stack of records by this rule at once and
-_standard_errors takes their delta-method errors; a single record is a
-stack of one, so the estimate, both errors and the weak-field scan agree.
+_standard_errors their delta-method errors from the same normalised
+cells; a record is a stack of one, so estimate, errors and scan agree.
 
 Error model: the statistical error of the negativity is its standard
 error under the multinomial covariance of each table the mode reads,
@@ -39,11 +39,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .contexts import SETUPS, ProbabilitySet, _probabilities, _split, validate_setup
+from .contexts import SETUPS, ProbabilitySet, _probabilities, _split, _trusted, validate_setup
 from .oq import _EQ1_MATRIX, _quasi_rows, oq_distribution
 from .photonsim import (
-    CountTable, DetectorModel, _require_count, _require_in_range, _weakfield_counts,
-    count_tables_from_csv, count_tables_to_csv, expected_dark_counts, simulate_counts,
+    CountTable, DetectorModel, _counting_runs, _require_count, _require_in_range,
+    _weakfield_counts, count_tables_from_csv, count_tables_to_csv, expected_dark_counts,
 )
 from .qcore import _pure_states
 
@@ -191,6 +191,11 @@ def path_components(a1: int, a2: int):
     return tuple(comps)
 
 
+# analyze's systematic budget of each cell of w (row-major) and error mode
+_PATH_BUDGETS = {(cell, mode): error_budget(path_components(*divmod(cell, 2)), mode)
+                 for cell in range(4) for mode in ("rss", "sum")}
+
+
 def estimate_probs(rec: ExperimentRecord, mode: str = "lab") -> ProbabilitySet:
     """Reconstruct the three context distributions from measured counts.
 
@@ -303,11 +308,11 @@ def _normalised(counts, calibration, mode: str) -> tuple:
 
 
 def _estimate_rows(counts, calibration, mode: str = "lab") -> tuple:
-    """The (N, 8) estimates (_split layout) of an (N, S, 4) stack of records,
-    each the row-major tables of _read_setups(mode) in order, and an (N,)
-    mask of the records read; a refused record's row is not an estimate."""
+    """The (N, 8) estimates (_split layout), the (N,) mask of the records read
+    and the _normalised cells of an (N, S, 4) stack of records, each the
+    row-major tables of _read_setups(mode); a refused row is no estimate."""
     q, norm = _normalised(counts, calibration, mode)
-    return q.reshape(len(q), -1) @ _ESTIMATE[mode].reshape(-1, 8), norm.all(axis=1)
+    return q.reshape(len(q), -1) @ _ESTIMATE[mode].reshape(-1, 8), norm.all(axis=1), (q, norm)
 
 
 def _refuse(setups, tables):
@@ -324,16 +329,16 @@ def _refuse(setups, tables):
 
 
 def _read_record(rec: ExperimentRecord, mode: str = "lab") -> tuple:
-    """rec's tables as a stack of one, and its (1, 8) estimate; raises at the
-    first table, in _read_setups order, that is missing or refused."""
+    """rec's tables as a stack of one, its (1, 8) estimate and _normalised cells;
+    raises at the first table, in _read_setups order, missing or refused."""
     setups = _read_setups(mode)
     tables = [rec.tables[s].counts.ravel() if s in rec.tables else np.zeros(4, int) for s in setups]
     counts = np.array([tables])
-    p, ok = _estimate_rows(counts, rec.calibration, mode)
+    p, ok, normalised = _estimate_rows(counts, rec.calibration, mode)
     if not ok[0]:
         # every record holds REQUIRED_SETUPS: only (1, 0), read last, can be missing
         _refuse(setups, [n for s, n in zip(setups, tables) if s in rec.tables])
-    return counts, p
+    return counts, p, normalised
 
 
 def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float:
@@ -368,12 +373,12 @@ def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float
     return analyze(rec, mode)[1].statistical_error
 
 
-def _standard_errors(counts, calibration, mode: str, cells) -> np.ndarray:
+def _standard_errors(counts, q, norm, calibration, mode: str, cells) -> np.ndarray:
     """negativity_standard_error of N records at once, record k taken along
     cell cells[k] (row-major) of w; _estimate_rows must accept every record
-    of counts. numpy adds an axis this short from left to right, so each
-    sum runs in cell order, then table order, as a loop over them does."""
-    q, norm = _normalised(counts, calibration, mode)
+    of counts, and q, norm are the _normalised cells it read them from.
+    numpy adds an axis this short from left to right, so each sum runs in
+    cell order, then table order, as a loop over them does."""
     g = _GRADIENTS[mode].take(cells, axis=0)  # d negativity / d q, (N, S, 4)
     gq = (g * q).sum(axis=2, keepdims=True)
     total = counts.sum(axis=2, keepdims=True).astype(float)
@@ -409,7 +414,7 @@ def bootstrap_negativity_error(
         raise ValueError("too few valid bootstrap resamples")
     rng = np.random.default_rng(seed)
     draws = (rng.multinomial(t.total, t.counts.ravel() / t.total, size=n_boot) for t in tables)
-    p, valid = _estimate_rows(np.stack(list(draws), axis=1), rec.calibration, mode)
+    p, valid = _estimate_rows(np.stack(list(draws), axis=1), rec.calibration, mode)[:2]
     if np.count_nonzero(valid) < 2:
         raise ValueError("too few valid bootstrap resamples")
     return float(np.std(_quasi_rows(p[valid])[1], ddof=1))
@@ -432,21 +437,22 @@ def analyze(
     set, and 0 when n_boot is 0; seed is read only by the bootstrap.
     Returns (Quasiprobability, ErrorBudget).
     """
-    counts, p = _read_record(rec, mode)
+    counts, p, normalised = _read_record(rec, mode)
     q = oq_distribution(ProbabilitySet(*_split(p[0])))
     cell = int(np.argmin(q.w))
-    budget = error_budget(path_components(*divmod(cell, 2)), error_mode)
+    _check_mode(error_mode)
+    budget = _PATH_BUDGETS[cell, error_mode]
     if n_boot is None:
-        statistical = float(_standard_errors(counts, rec.calibration, mode, [cell])[0])
+        statistical = float(_standard_errors(counts, *normalised, rec.calibration, mode, [cell])[0])
     elif n_boot:
         statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
     else:
         statistical = 0.0
-    return q, replace(
-        budget,
-        statistical_error=statistical,
-        systematic_error=budget.total_error * q.negativity,
-    )
+    systematic = budget.total_error * q.negativity
+    _require_in_range("statistical_error", statistical, zero_ok=True)
+    _require_in_range("systematic_error", systematic, zero_ok=True)
+    return q, _trusted(ErrorBudget, budget.component_errors, budget.total_error, budget.mode,
+                       statistical, systematic)
 
 
 def record_from_csv(path, calibration=(1.0, 1.0, 1.0, 1.0), **metadata) -> ExperimentRecord:
@@ -470,11 +476,11 @@ def simulate_record(rho, n_photons: int, det: DetectorModel | None = None, seed=
     """simulate_counts of n_photons through every setup as one ExperimentRecord
     with metadata, setup k of SETUPS from SeedSequence(seed, spawn_key=(k,)),
     the child SeedSequence.spawn would give, built directly; seed is a
-    nonnegative integer."""
+    nonnegative integer; the four runs are drawn in one batch."""
     _check_seed(seed)
-    seeds = (np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(len(SETUPS)))
-    tables = {s: simulate_counts(rho, s, n_photons, det, seq) for s, seq in zip(SETUPS, seeds)}
-    return ExperimentRecord(tables=tables, **metadata)
+    seeds = [np.random.SeedSequence(seed, spawn_key=(k,)) for k in range(len(SETUPS))]
+    tables = _counting_runs(rho, SETUPS, n_photons, det, seeds)
+    return ExperimentRecord(tables=dict(zip(SETUPS, tables)), **metadata)
 
 
 # most points (angles times means) weakfield_scan may hold, at 2.2 KB a point
@@ -495,7 +501,7 @@ def _weak_field_batch(thetas_deg, means, n_pulses, det, run_seeds):
     # row 2i raw, 2i + 1 dark-corrected: the first refused row is the scan's first failure
     runs = np.stack((joint, off), axis=1)
     counts = np.stack((runs, np.maximum(runs - dark, 0)), axis=1).reshape(-1, 2, 4)
-    p, ok = _estimate_rows(counts, (1.0, 1.0, 1.0, 1.0))
+    p, ok = _estimate_rows(counts, (1.0, 1.0, 1.0, 1.0))[:2]
     if not ok.all():
         _refuse(REQUIRED_SETUPS, counts[np.argmin(ok)])
     w, corrected, _, _ = _quasi_rows(p[1::2])

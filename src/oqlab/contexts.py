@@ -72,31 +72,27 @@ def _effective_operators(setup, prep=0.0, arms=(0.0, 0.0), leaks=(0.0, 0.0),
       rotation by prep, so E_k becomes R^T E_k R, which turns (ez, ex)
       by 2 * prep.
 
-    prep has shape (...) and arms (..., 2). Row i of the result follows
-    the flattened rho (rho00, rho01, rho10, rho11), column k the
+    setup is (n1, n2) or an (N, 2) stack, each row's branches picked by
+    np.where; prep has shape (...) and arms (..., 2). Row i of the result
+    follows the flattened rho (rho00, rho01, rho10, rho11), column k the
     detectors in D00, D01, D10, D11 order.
     """
-    n1, n2 = setup
+    n1, n2 = (np.asarray(setup).T == 1)[..., None, None]
     fr, ft = leaks
     # with flip = [[1 - fr, fr], [ft, 1 - ft]], half the sum and half the
     # difference of its rows: over o they give A's identity and Pauli
     # parts, over a the first stage's
     g = 1.0 - fr - ft
     mean, half_diff = np.array([[1.0 - fr + ft, 1.0 + fr - ft], [g, -g]]) / 2.0
-    if n2 == 1:
-        # |D><D| - |A><A| = cos 2b sigma_z + sin 2b sigma_x at b = pi/4 +
-        # arms[a], so cos 2b = -sin 2 arms[a] and sin 2b = cos 2 arms[a]
-        turn = 2.0 * np.asarray(arms, dtype=float)[..., :, None]
-        a0, az, ax = mean, -half_diff * np.sin(turn), half_diff * np.cos(turn)
-    else:
-        a0, az, ax = _FIRST_OUTCOME, 0.0, 0.0
-    if n1 == 1:
-        # diagonal, with entries flip[H, a] <H|A|H> and flip[V, a] <V|A|V>
-        m, d = mean[:, None], half_diff[:, None]
-        e0, ez, ex = m * a0 + d * az, d * a0 + m * az, 0.0
-    else:
-        arm0 = _FIRST_OUTCOME[:, None]
-        e0, ez, ex = arm0 * a0, arm0 * az, arm0 * ax
+    # |D><D| - |A><A| = cos 2b sigma_z + sin 2b sigma_x at b = pi/4 +
+    # arms[a], so cos 2b = -sin 2 arms[a] and sin 2b = cos 2 arms[a]
+    turn = 2.0 * np.asarray(arms, dtype=float)[..., :, None]
+    a0, az, ax = (np.where(n2, on, off) for on, off in (
+        (mean, _FIRST_OUTCOME), (-half_diff * np.sin(turn), 0.0), (half_diff * np.cos(turn), 0.0)))
+    # n1 = 1: diagonal, with entries flip[H, a] <H|A|H> and flip[V, a] <V|A|V>
+    m, d, arm0 = mean[:, None], half_diff[:, None], _FIRST_OUTCOME[:, None]
+    e0, ez, ex = (np.where(n1, on, off) for on, off in (
+        (m * a0 + d * az, arm0 * a0), (d * a0 + m * az, arm0 * az), (0.0, arm0 * ax)))
     eff = np.reshape(efficiency, (2, 2))
     twice = 2.0 * np.asarray(prep, dtype=float)[..., None, None]
     c, s = np.cos(twice), np.sin(twice)
@@ -109,11 +105,8 @@ def _effective_operators(setup, prep=0.0, arms=(0.0, 0.0), leaks=(0.0, 0.0),
 
 # the ideal operators, entries exactly 0, +-1/2 or 1: p_t1 from D00 and D10
 # of setup (1, 0), p_t2 from D00 and D01 of (0, 1), the joint from (1, 1)
-_TRACE_MATRIX = np.concatenate(
-    (_effective_operators((1, 0))[:, [0, 2]], _effective_operators((0, 1))[:, :2],
-     _effective_operators((1, 1))),
-    axis=1,
-)
+_TRACE_MATRIX = np.hstack(_effective_operators([(1, 0), (0, 1), (1, 1)])).take(
+    [0, 2, 4, 5, 8, 9, 10, 11], axis=1)
 _BASIS_SLICES = {HV: slice(0, 2), DA: slice(2, 4)}
 
 

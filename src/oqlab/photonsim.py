@@ -32,17 +32,18 @@ one matmul, and the rest, 1 - sum_k Tr[E_k rho], is the photon lost.
 
 Every run is drawn from its exact distribution, not photon by photon. A
 counting run is one multinomial over the detectors, as photons are
-independent given the systematic draw. In a timing run each weak-coherent
-channel i is, by the splitting and superposition theorems, an independent
-Poisson process at r_i = mean * pulse_rate * efficiency[i] / 2 +
-dark_rate_hz. By superposition and thinning the pair is one Poisson
-process at r_0 + r_1 whose clicks each fall in channel 1 with probability
+independent given the systematic draw; a record's runs are drawn in one
+batch, each from its own generator. A weak-coherent timing channel i is,
+by the splitting and superposition theorems, an independent Poisson
+process at r_i = mean * pulse_rate * efficiency[i] / 2 + dark_rate_hz.
+By superposition and thinning the pair is one Poisson process at
+r_0 + r_1 whose clicks each fall in channel 1 with probability
 r_1 / (r_0 + r_1), drawn as one Poisson count of sorted uniform times in
 [0, duration) and one uniform per click as its label; Gaussian jitter
 would leave it Poisson apart from clicks spilling over the ends, so none
-is drawn. Emitter and SPDC emissions, which are not Poisson, each take one
-uniform draw as their branch-and-detection label, and their clicks carry
-explicit jitter and darks.
+is drawn. Emitter and SPDC emissions, which are not Poisson, each take
+one uniform draw as their branch-and-detection label, and their clicks
+carry explicit jitter and darks.
 """
 
 from __future__ import annotations
@@ -216,7 +217,7 @@ class CountTable:
     with the first splitter out (n1 = 0) real photons land on row a1 = 0
     and any row-1 entries are dark or leakage strays.
 
-    simulate_counts's results skip __post_init__.
+    The results of simulate_counts and count_tables_from_csv skip __post_init__.
     """
 
     setup: tuple
@@ -289,9 +290,9 @@ def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
     photon being counted at detector D_{a1,a2} and lost the (...)
     probability of no count. misalignment is the (prep_rotation,
     arm_rotations) pair drawn once per run; None means perfectly
-    aligned. rho is one state or a (..., 2, 2) stack, prep_rotation a
-    scalar or a (...) array and arm_rotations a (..., 2) array; their
-    leading shapes broadcast.
+    aligned. rho is one state or a (..., 2, 2) stack, setup one setup or
+    an (N, 2) sequence of them, prep_rotation a scalar or a (...) array
+    and arm_rotations a (..., 2) array; their leading shapes broadcast.
 
     The detector is an effective POVM: four operators E_k
     (contexts._effective_operators) fold in the rotated preparation, the
@@ -304,9 +305,10 @@ def detection_probs(rho, setup, det: DetectorModel, misalignment=None):
         qcore._validate_states(rho.reshape(-1, 2, 2))
     else:
         rho = qcore.validate_state(rho)
+    setup = [validate_setup(s) for s in setup] if np.ndim(setup) == 2 else validate_setup(setup)
     prep, arms = misalignment if misalignment is not None else (0.0, (0.0, 0.0))
     leaks = (det.pbs_reflect_leak, det.pbs_transmit_leak)
-    ops = _effective_operators(validate_setup(setup), prep, arms, leaks, det.efficiency)
+    ops = _effective_operators(setup, prep, arms, leaks, det.efficiency)
     # E_k is real and symmetric, so Tr[E_k rho] = sum_ij (E_k)_ij Re rho_ij
     p = (rho.real.reshape(rho.shape[:-2] + (1, 4)) @ ops)[..., 0, :]
     probs = np.maximum(p, 0.0).reshape(p.shape[:-1] + (2, 2))
@@ -325,31 +327,45 @@ def expected_counts(rho, setup, det: DetectorModel, n, misalignment=None):
     return n * probs + det.dark_rate_hz * det.integration_time_s
 
 
+def _counting_runs(rho, setups, n_photons: int, det: DetectorModel | None, seeds) -> list:
+    """CountTables of runs of one state, run i through setups[i] and drawing from
+    default_rng(seeds[i]) its misalignment, then, after one detection_probs call
+    for all runs, its multinomial and darks. Checks n_photons, seeds, state, setups."""
+    _require_count("n_photons", n_photons)
+    det = det if det is not None else DetectorModel()
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    prep, arms = zip(*(_draw_misalignment(det, rng) for rng in rngs))
+    rho = qcore.validate_state(rho)
+    setups = [validate_setup(setup) for setup in setups]
+    probs, lost = detection_probs(rho, setups, det, (np.array(prep), np.array(arms)))
+    pvals = np.concatenate((probs.reshape(-1, 4), lost.reshape(-1, 1)), axis=1)
+    pvals /= pvals.sum(axis=1, keepdims=True)
+    dark_mean = det.dark_rate_hz * det.integration_time_s
+    tables = []
+    for setup, rng, p in zip(setups, rngs, pvals):
+        counts = rng.multinomial(int(n_photons), p)[:4]
+        # Python ints, so photons and darks past int64 are caught, not wrapped
+        total = sum(counts.tolist())
+        if dark_mean > 0.0:
+            darks = rng.poisson(dark_mean, size=4)
+            total += sum(darks.tolist())
+            if total >= 2**63:
+                raise ValueError(f"setup {setup}: counts reach 2**63")
+            counts = counts + darks
+        tables.append(_trusted(CountTable, setup, counts.reshape(2, 2), total))
+    return tables
+
+
 def simulate_counts(rho, setup, n_photons: int, det: DetectorModel | None = None, seed=0) -> CountTable:
     """Counting run: n_photons identical photons through one setup.
 
     Photons are routed by the exact context probabilities perturbed by
     the detector model; dark counts accumulate over the integration
-    window. Reproducible for a fixed seed. Raises ValueError when photons
-    and darks together reach 2**63, past what the int64 table holds.
+    window. Reproducible for a fixed seed; the one-run case of
+    _counting_runs. Raises ValueError when photons and darks together
+    reach 2**63, past what the int64 table holds.
     """
-    _require_count("n_photons", n_photons)
-    det = det if det is not None else DetectorModel()
-    rng = np.random.default_rng(seed)
-    mis = _draw_misalignment(det, rng)
-    probs, lost = detection_probs(rho, setup, det, mis)
-    pvals = np.append(probs.ravel(), lost)
-    pvals /= pvals.sum()
-    draws = rng.multinomial(int(n_photons), pvals)
-    counts = draws[:4].reshape(2, 2)
-    dark_mean = det.dark_rate_hz * det.integration_time_s
-    if dark_mean > 0.0:
-        darks = rng.poisson(dark_mean, size=4)
-        # Python ints, so photons and darks past int64 are caught, not wrapped
-        if sum(draws[:4].tolist()) + sum(darks.tolist()) >= 2**63:
-            raise ValueError(f"setup {validate_setup(setup)}: counts reach 2**63")
-        counts = counts + darks.reshape(2, 2)
-    return _trusted(CountTable, validate_setup(setup), counts, int(counts.sum()))
+    return _counting_runs(rho, [setup], n_photons, det, [seed])[0]
 
 
 def dark_click_prob(det: DetectorModel) -> float:
@@ -641,7 +657,7 @@ def count_tables_from_csv(path):
         raise ValueError(f"{path}: line 1: empty file, expected header '{COUNT_CSV_HEADER}'")
     if not acc:
         raise ValueError(f"{path}: no data rows found")
-    return {
-        setup: CountTable(setup=setup, counts=np.reshape(cells, (2, 2)), total=sum(cells))
+    return {  # every field was checked above, line by line
+        setup: _trusted(CountTable, setup, np.array(cells, np.int64).reshape(2, 2), sum(cells))
         for setup, cells in sorted(acc.items())
     }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from oqlab import qcore
-from oqlab import analysis
+from oqlab import analysis, photonsim
 from oqlab.analysis import (
     BOOTSTRAP_MAX,
     COMPONENT_ERRORS,
@@ -814,7 +814,7 @@ def check_stack(mode, calibration, counts):
     """_estimate_rows and _standard_errors on a stack against each record
     alone and against the Python-float loops of read_reference and
     standard_error_reference."""
-    p, ok = analysis._estimate_rows(counts, calibration, mode)
+    p, ok, normalised = analysis._estimate_rows(counts, calibration, mode)
     assert p.shape == (len(counts), 8) and ok.shape == (len(counts),)
     accepted, cells, errors = [], [], []
     for k, tables in enumerate(counts):
@@ -828,7 +828,7 @@ def check_stack(mode, calibration, counts):
             assert str(refused.value) == str(exc)
             continue
         assert ok[k]
-        alone, _ = analysis._estimate_rows(tables[None], calibration, mode)
+        alone, _, _ = analysis._estimate_rows(tables[None], calibration, mode)
         ps = estimate_probs(rec, mode)
         assert p[k].tobytes() == alone[0].tobytes() == np.array(reference).tobytes()
         assert np.concatenate((ps.p_t1, ps.p_t2, ps.p_joint.ravel())).tobytes() == p[k].tobytes()
@@ -841,7 +841,8 @@ def check_stack(mode, calibration, counts):
         cells.append(cell)
         errors.append(budget.statistical_error)
     if accepted:
-        stacked = analysis._standard_errors(counts[accepted], calibration, mode, cells)
+        stacked = analysis._standard_errors(
+            counts[accepted], *(a[accepted] for a in normalised), calibration, mode, cells)
         assert stacked.tobytes() == np.array(errors).tobytes()
 
 
@@ -860,7 +861,7 @@ class TestReaders:
         shape = (n, len(analysis._read_setups(mode)), 4)
         counts = rng.integers(0, 3, size=shape) * rng.integers(1, 2**50, size=shape)
         calibration = tuple(rng.uniform(0.2, 5.0, size=4))
-        _, ok = analysis._estimate_rows(counts, calibration, mode)
+        _, ok, _ = analysis._estimate_rows(counts, calibration, mode)
         assert 0 < np.count_nonzero(ok) < n
         check_stack(mode, calibration, counts)
 
@@ -871,9 +872,11 @@ class TestReaders:
         # of the four cells of w, against the finite-difference reference
         rng = np.random.default_rng(3)
         counts = rng.integers(0, 6, size=(40, len(analysis._read_setups(mode)), 4))
-        counts = counts[analysis._estimate_rows(counts, calibration, mode)[1]]
+        _, ok, (q, norm) = analysis._estimate_rows(counts, calibration, mode)
+        counts, q, norm = counts[ok], q[ok], norm[ok]
         for cell in range(4):
-            errors = analysis._standard_errors(counts, calibration, mode, [cell] * len(counts))
+            errors = analysis._standard_errors(
+                counts, q, norm, calibration, mode, [cell] * len(counts))
             for tables, error in zip(counts, errors):
                 rec = stack_record(mode, calibration, tables)
                 assert error == pytest.approx(
@@ -897,6 +900,58 @@ class TestReaders:
                 calls.clear()
                 analyze(rec, mode, n_boot=n_boot)
                 assert calls == [(1, setups, 4)] + ([(50, setups, 4)] if n_boot else [])
+
+    def test_analyze_normalises_once_and_builds_no_budget(self, monkeypatch):
+        # the delta error reuses the reader's cells, and the budget is a copy
+        # of a checked constant, so neither runs again per record
+        normalised, post_inits = [], []
+        normalise, post_init = analysis._normalised, ErrorBudget.__post_init__
+
+        def counting_normalise(*args):
+            normalised.append(1)
+            return normalise(*args)
+
+        def counting_post_init(self):
+            post_inits.append(1)
+            post_init(self)
+
+        monkeypatch.setattr(analysis, "_normalised", counting_normalise)
+        monkeypatch.setattr(ErrorBudget, "__post_init__", counting_post_init)
+        for rec, mode in ((bench_record(45), "lab"), (strict_bench_record(), "strict")):
+            for error_mode in ("rss", "sum"):
+                normalised.clear()
+                analyze(rec, mode, error_mode)
+                assert normalised == [1]
+        assert post_inits == []
+
+    @pytest.mark.parametrize("error_mode", ["rss", "sum"])
+    @pytest.mark.parametrize("n_boot", [None, 0, 30])
+    def test_budget_is_the_checked_path_budget(self, error_mode, n_boot):
+        # the four angles put the negativity in each of the four cells of w
+        cells = set()
+        for theta in (45, 135, 225, 315):
+            rho = qcore.make_pure_state(np.radians(theta))
+            rec = analysis.simulate_record(rho, 10_000, DetectorModel(), seed=theta)
+            q, budget = analyze(rec, "lab", error_mode, n_boot, seed=2)
+            cell = int(np.argmin(q.w))
+            cells.add(cell)
+            expected = replace(
+                error_budget(path_components(*divmod(cell, 2)), error_mode),
+                statistical_error=budget.statistical_error,
+                systematic_error=budget.total_error * q.negativity,
+            )
+            assert type(budget) is ErrorBudget
+            assert vars(budget) == vars(expected)
+            assert [type(v) for v in vars(budget).values()] == [
+                type(v) for v in vars(expected).values()]
+        assert cells == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-3])
+    def test_a_bad_error_still_fails_the_budget_check(self, monkeypatch, bad):
+        monkeypatch.setattr(analysis, "_standard_errors", lambda *args: np.array([bad]))
+        with pytest.raises(ValueError) as exc:
+            analyze(bench_record(45))
+        assert str(exc.value) == f"statistical_error must be finite and nonnegative, got {bad}"
 
 
 class TestCsvGlue:
@@ -936,6 +991,25 @@ class TestDrivers:
             expected = simulate_counts(rho, setup, 10_000, det=det, seed=child)
             np.testing.assert_array_equal(rec.tables[setup].counts, expected.counts)
             assert rec.tables[setup].total == expected.total
+
+    def test_simulate_record_builds_the_operators_once(self, monkeypatch):
+        # one operator build for the four setups, and one generator per setup
+        builds, generators = [], []
+        build, default_rng = photonsim._effective_operators, np.random.default_rng
+
+        def counting_build(setup, *args):
+            builds.append(np.shape(setup))
+            return build(setup, *args)
+
+        def counting_rng(seed):
+            generators.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(photonsim, "_effective_operators", counting_build)
+        monkeypatch.setattr(np.random, "default_rng", counting_rng)
+        analysis.simulate_record(qcore.make_pure_state(0.3), 1000, DetectorModel(), 4)
+        assert builds == [(4, 2)]
+        assert [s.spawn_key for s in generators] == [(k,) for k in range(4)]
 
     @pytest.mark.parametrize(
         "thetas,means,pulses,message",

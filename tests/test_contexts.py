@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -39,6 +41,41 @@ class TestTraceMatrix:
         ops = [*hv, *da, *(hv[a1] @ da[a2] @ hv[a1] for a1 in (0, 1) for a2 in (0, 1))]
         products = np.stack([m.T.ravel() for m in ops], axis=1)
         assert np.abs(contexts._TRACE_MATRIX - products).max() <= 2.3e-16
+
+    def test_bytes_are_pinned(self):
+        # the bytes, signed zeros included (np.maximum(p, 0.0) keeps a -0.0
+        # that the scans would print), and the layout the kernel's matmul reads
+        m = contexts._TRACE_MATRIX
+        assert m.flags.c_contiguous
+        assert hashlib.sha256(m.tobytes()).hexdigest() == (
+            "055d037c7f68fb52c60eabbbea0dff49840a680cc0e451b6ae478c4606cf0703")
+
+
+turns = st.floats(-0.2, 0.2, allow_nan=False)
+
+
+class TestStackedBuilder:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        setups=st.lists(st.sampled_from(contexts.SETUPS), min_size=1, max_size=6),
+        data=st.data(),
+        leaks=st.tuples(*[st.floats(0.0, 0.5, exclude_max=True)] * 2),
+        efficiency=st.tuples(*[st.floats(1e-3, 1.0)] * 4),
+    )
+    def test_each_row_is_its_single_setup_build(self, setups, data, leaks, efficiency):
+        n = len(setups)
+        prep = np.array(data.draw(st.lists(turns, min_size=n, max_size=n)))
+        arms = np.array(data.draw(st.lists(st.tuples(turns, turns), min_size=n, max_size=n)))
+        stacked = contexts._effective_operators(setups, prep, arms, leaks, efficiency)
+        assert stacked.shape == (n, 4, 4)
+        for k, setup in enumerate(setups):
+            single = contexts._effective_operators(setup, prep[k], arms[k], leaks, efficiency)
+            assert stacked[k].tobytes() == single.tobytes()
+
+    def test_ideal_stack_is_the_ideal_single_builds(self):
+        stacked = contexts._effective_operators(list(contexts.SETUPS))
+        for k, setup in enumerate(contexts.SETUPS):
+            assert stacked[k].tobytes() == contexts._effective_operators(setup).tobytes()
 
 
 class TestSingleProbs:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from oqlab import qcore
+from oqlab import photonsim, qcore
 from oqlab.contexts import SETUPS, context_table, sequential_probs, single_probs
 from oqlab.correlation import _StartStopAccumulator, g2_zero, start_stop_histogram
 from oqlab.photonsim import (
@@ -351,6 +351,53 @@ class TestSimulateCounts:
         # far below the limit the same detector still counts
         table = simulate_counts(rho, (1, 1), 10**6, det, seed=2)
         assert table.total == sum(table.counts.ravel().tolist()) > 4 * 10**18 - 10**10
+
+    @pytest.mark.parametrize(
+        "n,seed,rho,setup,message",
+        [
+            (0, -1, np.eye(2), (2, 0), "n_photons must lie in [1, 2**63), got 0"),
+            (10, -1, np.eye(2), (2, 0), "expected non-negative integer"),
+            (10, 1, np.eye(2), (2, 0), "density matrix"),
+            (10, 1, np.eye(2) / 2, (2, 0), "setup must be one of"),
+            (10, 1, np.eye(2) / 2, "ab", "got 'ab'"),
+        ],
+        ids=["photons", "seed", "state", "setup", "setup-text"],
+    )
+    def test_refuses_photons_then_seed_then_state_then_setup(self, n, seed, rho, setup, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simulate_counts(rho, setup, n, seed=seed)
+
+    def test_refuses_a_stack_of_states(self):
+        # a stack once passed, its runs' probabilities drawn as one table
+        rho = qcore.make_pure_state(0.3)
+        with pytest.raises(ValueError, match=re.escape("density matrix must be 2x2")):
+            simulate_counts(np.stack([rho, rho]), (1, 1), 100)
+
+
+class TestCountingRuns:
+    @pytest.mark.parametrize("det", [DetectorModel.ideal(), DetectorModel()], ids=["ideal", "bench"])
+    def test_each_run_is_its_one_run_draw(self, det):
+        # the batch against the one-run case, run for run, any setup order
+        rho = qcore.make_pure_state(0.7, 0.3)
+        setups = [(1, 1), (0, 0), (1, 1), (0, 1), (1, 0)]
+        seeds = [5, 2**40, np.random.SeedSequence(3, spawn_key=(1,)), 0, 9]
+        tables = photonsim._counting_runs(rho, setups, 20_000, det, seeds)
+        for table, setup, seed in zip(tables, setups, seeds):
+            alone = photonsim._counting_runs(rho, [setup], 20_000, det, [seed])[0]
+            assert table.setup == alone.setup == setup
+            assert table.counts.tobytes() == alone.counts.tobytes()
+            assert type(table.total) is int and table.total == alone.total
+
+    def test_refuses_at_the_first_setup_that_is_not_one(self):
+        rho = qcore.make_pure_state(0.3)
+        with pytest.raises(ValueError, match=re.escape("got (1, 2)")):
+            photonsim._counting_runs(rho, [(1, 1), (1, 2), (3, 0)], 100, None, [1, 2, 3])
+
+    def test_refuses_at_the_first_run_past_int64(self):
+        det = DetectorModel(dark_rate_hz=1e12, integration_time_s=1e6)
+        rho = qcore.make_pure_state(0.3)
+        with pytest.raises(ValueError, match=re.escape("setup (0, 1): counts reach 2**63")):
+            photonsim._counting_runs(rho, [(0, 1), (1, 1)], 2**63 - 1, det, [1, 2])
 
 
 def literal_misalignment(det, rng):
@@ -1089,6 +1136,25 @@ class TestCsvRoundTrip:
         path.write_text(content)
         with pytest.raises(ValueError, match=message):
             count_tables_from_csv(path)
+
+    def test_read_tables_are_checked_tables(self, tmp_path):
+        # the reader's own checks stand in for CountTable's, up to cells of 2**62
+        cells = {(1, 1): [2**62 - 5, 0, 3, 2**60], (0, 1): [7, 2**61, 0, 0], (1, 0): [0, 0, 0, 0]}
+        path = tmp_path / "counts.csv"
+        lines = ["n1,n2,a1,a2,counts"] + [
+            f"{n1},{n2},{k // 2},{k % 2},{c}" for (n1, n2), row in cells.items()
+            for k, c in enumerate(row)]
+        path.write_text("\n".join(lines) + "\n")
+        loaded = count_tables_from_csv(path)
+        assert list(loaded) == sorted(cells)
+        for setup, row in cells.items():
+            checked = CountTable(setup=setup, counts=np.reshape(row, (2, 2)), total=sum(row))
+            table = loaded[setup]
+            assert table.setup == checked.setup and type(table.setup[0]) is int
+            assert table.counts.dtype == checked.counts.dtype == np.int64
+            assert table.counts.shape == (2, 2)
+            assert table.counts.tobytes() == checked.counts.tobytes()
+            assert type(table.total) is int and table.total == checked.total
 
     def test_error_names_the_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
