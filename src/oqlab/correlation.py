@@ -19,14 +19,17 @@ stream to the first later click of the other label, then, for a click
 still open, a binary search in the other label's clicks. The cost is
 linear in the clicks for every input, however the labels fall.
 
-The stream comes from one stable merge of the two sorted channels (a
-stable argsort of their concatenation, which timsort does in linear
-time), done in blocks split at times common to both channels that end
-at every MERGE_BLOCK-th click of either channel, so the merge's
-temporaries stay small. A weak-coherent run is drawn in this form to
-begin with (photonsim.generate_click_streams) and skips the merge. A long
-record is tallied chunk by chunk, each on its own clock
-(_StartStopAccumulator).
+A weak-coherent or single-emitter run is drawn in this form to begin
+with (photonsim.generate_click_streams). Any other pair of channels, a
+heralded-SPDC run or streams from elsewhere, goes through one stable
+merge of the two sorted channels (a stable argsort of their
+concatenation, which timsort does in linear time), done in blocks split
+at times common to both channels that end at every MERGE_BLOCK-th click
+of either channel, so the merge's temporaries stay small. The merge puts
+start clicks first among equal times, the emitter's stream puts them in
+emission order; the tally's delays do not depend on that order, as a
+tie is never a delay. A long record is tallied chunk by chunk, each on
+its own clock (_StartStopAccumulator).
 
 Normalization uses the histogram's own far tail: bins with |tau| in the
 outer fifth of the delay range average to the accidental level of an

@@ -43,7 +43,10 @@ r_1 / (r_0 + r_1), drawn as one Poisson count of sorted uniform times in
 would leave it Poisson apart from clicks spilling over the ends, so none
 is drawn. Emitter and SPDC emissions, which are not Poisson, each take
 one uniform draw as their branch-and-detection label, and their clicks
-carry explicit jitter and darks.
+carry explicit jitter and darks. An emitter run is drawn as one labelled
+stream too: its clicks are the jittered emissions in emission order with
+the darks merged in, in time order as long as the jitter is far below
+the gaps.
 """
 
 from __future__ import annotations
@@ -58,6 +61,15 @@ from . import qcore
 from .contexts import _effective_operators, _trusted, validate_setup
 
 NS_PER_S = 1.0e9
+
+# clicks per block of _channels, so that its index temporaries (at most
+# 512 KB) do not grow with a one-shot run; a weak-coherent g2 chunk is one
+# block
+_CHANNEL_BLOCK = 2**16
+# emissions and clicks per block of an emitter run's jitter and channel
+# split: their temporaries (at most 128 KB) fit in the memory the renewal
+# draw of a g2 chunk leaves (_emitter_stream)
+_EMITTER_BLOCK = 2**14
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +252,13 @@ class ClickStream:
     """Sorted detection times (ns) of one detector channel.
 
     The results of generate_click_streams and and_gate skip __post_init__.
-    The two weak-coherent channels of one generate_click_streams call keep
-    the stream they were cut from as _labelled: (times, in_1, k), the
-    clicks of both channels in time order, a label per click that is True
-    for channel 1, and the stream's own channel k. Both share the arrays,
-    and correlation._labelled_clicks reads them instead of merging the
-    channels again.
+    The two weak-coherent or single-emitter channels of one
+    generate_click_streams call keep the stream they were cut from as
+    _labelled: (times, in_1, k), the clicks of both channels in time order,
+    a label per click that is True for channel 1, and the stream's own
+    channel k. Both share the arrays, and correlation._labelled_clicks
+    reads them instead of merging the channels again. Clicks at equal
+    times may come in either channel order.
     """
 
     times_ns: np.ndarray
@@ -540,6 +553,111 @@ def _click_rate_bound_hz(src, det: DetectorModel) -> float:
     return emissions + det.dark_rate_hz
 
 
+def _channels(times, in_1, block_size):
+    """The clicks of each label of a labelled stream, channel 0 (in_1
+    False) first. A longer stream than block_size clicks is taken in
+    blocks of that size, so that the index temporaries stay small however
+    long it is; mode="clip" (every index is in range) writes into the
+    channel itself, where the default mode would stage it in a copy."""
+    if times.size <= block_size:
+        return times.compress(~in_1), times.compress(in_1)
+    n_1 = int(np.count_nonzero(in_1))
+    channels = np.empty(times.size - n_1), np.empty(n_1)
+    filled = [0, 0]
+    for lo in range(0, times.size, block_size):
+        block, labels = times[lo:lo + block_size], in_1[lo:lo + block_size]
+        for k in (0, 1):
+            at = (labels if k else ~labels).nonzero()[0]
+            block.take(at, out=channels[k][filled[k]:filled[k] + at.size], mode="clip")
+            filled[k] += at.size
+            del at  # before the next block's indices are made
+    return channels
+
+
+def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, rng):
+    """(times, in_1): a single emitter's clicks of both channels as one
+    time-sorted stream, and a label per click that is True for channel 1.
+
+    The draws are those of _categories and _with_darks_and_jitter per
+    branch, so each channel holds the clicks it would be cut from. The
+    jitter is added in the emission buffer in emission order, lost
+    emissions are dropped and the sorted darks merged in; one stable
+    argsort runs only where jitter leaves the emissions out of order.
+    Clicks at equal times keep emission order, not channel order.
+    """
+    emitted = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
+    n = emitted.size
+    # The stream gets its own buffer, with room for the darks (their mean
+    # and 8 sigma) unless they outnumber the emissions. The renewal draw's
+    # larger buffer is freed before the branch draw, and every later array
+    # of the chunk fits in the memory it leaves, so that the heap's top
+    # stays below glibc's trim threshold (twice that buffer) and a g2
+    # chunk takes no fresh pages.
+    dark_mean = 2 * det.dark_rate_hz * duration_ns / NS_PER_S
+    room = int(dark_mean + 8 * math.sqrt(dark_mean)) + 16
+    times = np.empty(n + (room if room <= n else 0))
+    times[:n] = emitted
+    del emitted
+    c_0, c_1 = np.cumsum([e / 2 for e in det.efficiency[:2]])
+    u = rng.random(n)
+    in_1 = u >= c_0
+    kept = u < c_1 if c_1 < 1.0 else None
+    del u
+    if kept is not None:
+        in_1 &= kept
+    n_1 = int(np.count_nonzero(in_1))
+    n_kept = n if kept is None else int(np.count_nonzero(kept))
+    jitter = det.timing_jitter_ns > 0.0
+    darks = []
+    for k, n_k in enumerate((n_kept - n_1, n_1)):
+        if jitter and n_k:
+            noise = rng.normal(0.0, det.timing_jitter_ns, n_k)
+            used = 0
+            for lo in range(0, n, _EMITTER_BLOCK):
+                pick = in_1[lo:lo + _EMITTER_BLOCK] if k else ~in_1[lo:lo + _EMITTER_BLOCK]
+                if not k and kept is not None:
+                    pick &= kept[lo:lo + _EMITTER_BLOCK]
+                at = lo + pick.nonzero()[0]
+                times[at] += noise[used:used + at.size]
+                used += at.size
+            del noise
+        n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
+        darks.append(np.sort(rng.uniform(0.0, duration_ns, n_dark)) if n_dark else np.empty(0))
+    if n_kept < n:
+        times[:n_kept] = times[:n].compress(kept)
+        in_1 = in_1.compress(kept)
+    emissions = times[:n_kept]
+    ordered = not (jitter and bool(np.any(emissions[1:] < emissions[:-1])))
+    dark = np.concatenate(darks)
+    dark_1 = np.arange(dark.size) >= darks[0].size
+    if dark.size:
+        order = np.argsort(dark, kind="stable")
+        dark, dark_1 = dark.take(order), dark_1.take(order)
+    end = n_kept + dark.size
+    if end <= times.size:
+        times[n_kept:end] = dark
+        times = times[:end]
+    else:
+        times = np.concatenate((times[:n_kept], dark))
+    if not ordered:
+        order = np.argsort(times, kind="stable")
+        return times.take(order), np.concatenate((in_1, dark_1)).take(order)
+    if dark.size:
+        # the labels with the darks' labels inserted where the darks fall;
+        # the new array is made before its mask, so that freeing the mask
+        # leaves no hole in front of it
+        at = np.searchsorted(emissions, dark, side="right") + np.arange(dark.size)
+        labels = np.empty(end, dtype=bool)
+        is_emission = np.ones(end, dtype=bool)
+        is_emission[at] = False
+        labels[is_emission] = in_1
+        labels[at] = dark_1
+        in_1 = labels
+        # timsort merges the darks' run into the emissions' run in place
+        times.sort(kind="stable")
+    return times, in_1
+
+
 def generate_click_streams(src, duration_s: float, det: DetectorModel | None = None, seed=0):
     """Timed detection records of a source feeding a two-branch splitter.
 
@@ -548,14 +666,17 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
     the detector model and its dark rate:
 
     * WeakCoherent: one Poisson process per channel on [0, duration),
-      drawn as their superposition with a label per click; both channels
-      keep it as _labelled (ClickStream).
+      drawn as their superposition with a label per click.
     * SingleEmitter: the renewal emission stream, each emission labelled
-      detected in branch 0, detected in branch 1, or lost.
+      detected in branch 0, detected in branch 1, or lost, drawn as one
+      labelled stream (_emitter_stream).
     * HeraldedSPDC: the AND-gate outputs of each signal branch with the
       herald stream. Pairs come at most one per coincidence window, each
       labelled unheralded, heralded with its signal detected in branch 0
       or 1, or heralded with its signal lost.
+
+    The two channels of a weak-coherent or emitter run keep the labelled
+    stream they are split from (_channels) as _labelled (ClickStream).
     """
     _require_in_range("duration_s", duration_s)
     det = det if det is not None else DetectorModel()
@@ -567,22 +688,11 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
         times = _poisson_times(r0 + r1, duration_ns, rng)
         # a click at all means r0 + r1 > 0
         in_1 = rng.random(times.size) < (r1 / (r0 + r1) if times.size else 0.0)
-        streams = []
-        for k, t in enumerate((times.compress(~in_1), times.compress(in_1))):
-            stream = _trusted(ClickStream, t, str(k))
-            object.__setattr__(stream, "_labelled", (times, in_1, k))
-            streams.append(stream)
-        return streams
-
-    if isinstance(src, SingleEmitter):
-        times = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
-        branches = _categories(times.size, [e / 2 for e in det.efficiency[:2]], rng)
-        clicks = [
-            _with_darks_and_jitter(times.compress(b), det, duration_ns, rng) for b in branches
-        ]
-        return [_trusted(ClickStream, t, str(i)) for i, t in enumerate(clicks)]
-
-    if isinstance(src, HeraldedSPDC):
+        channels = _channels(times, in_1, _CHANNEL_BLOCK)
+    elif isinstance(src, SingleEmitter):
+        times, in_1 = _emitter_stream(src, det, duration_ns, rng)
+        channels = _channels(times, in_1, _EMITTER_BLOCK)
+    elif isinstance(src, HeraldedSPDC):
         pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
         h = src.herald_efficiency
         probs = [1.0 - h, *(h * e / 2 for e in det.efficiency[:2])]
@@ -595,8 +705,14 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
             sig = _trusted(ClickStream, sig, f"s{i}")
             outputs.append(and_gate(sig, idler, det.coincidence_window_ns))
         return outputs
-
-    raise TypeError(f"unsupported source model: {src!r}")
+    else:
+        raise TypeError(f"unsupported source model: {src!r}")
+    streams = []
+    for k, t in enumerate(channels):
+        stream = _trusted(ClickStream, t, str(k))
+        object.__setattr__(stream, "_labelled", (times, in_1, k))
+        streams.append(stream)
+    return streams
 
 
 # ---------------------------------------------------------------------------

@@ -298,6 +298,22 @@ class TestMergeTally:
         np.testing.assert_array_equal(got, reference_delays(a, b, na, nb, max_delay))
         assert not np.any(got == 0.0)
 
+    @settings(max_examples=300, deadline=None)
+    @given(pair=click_pair(min_size=1), cut=st.integers(-24, 170).map(lambda k: k * 0.25),
+           seed=st.integers(0, 2**32 - 1), steps=st.sampled_from([1, 4]),
+           max_delay=st.sampled_from([0.5, 3.0, 20.0]))
+    def test_delays_ignore_label_order_among_ties(self, pair, cut, seed, steps, max_delay):
+        # the emitter's stream orders tied clicks by emission, not start first
+        times, is_stop = _merge(*pair)
+        run = np.concatenate(([0], np.cumsum(np.diff(times) != 0.0)))
+        order = np.lexsort((np.random.default_rng(seed).random(times.size), run))
+        shuffled = is_stop[order]
+        m = np.searchsorted(times, cut)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(correlation, "FORWARD_STEPS", steps)
+            got = [np.sort(_tally(times, labels, 0, m, max_delay)) for labels in (is_stop, shuffled)]
+        np.testing.assert_array_equal(*got)
+
     @settings(max_examples=150, deadline=None)
     @given(pair=click_pair(max_size=120),
            cuts=st.lists(st.integers(-20, 170).map(lambda k: k * 0.25), max_size=6),
@@ -430,30 +446,55 @@ class TestMergeTally:
         clicks = sum(s.times_ns.size for s in streams[1])
         assert peak(_StartStopAccumulator, merged=True) <= 1.1 * 9 * clicks
 
+    def test_emitter_chunk_peak_memory(self):
+        # one g2 chunk of the emitter as cmd_g2 takes it: the draw, then the
+        # tally of its labelled stream. Its traced peak was 23.6 bytes a click
+        # when each channel was drawn on its own and the pair merged (seed 1)
+        det = DetectorModel()
+
+        def chunk_peak(seed):
+            acc = _StartStopAccumulator(0.5, 20.0, guard_ns=20.0 * det.timing_jitter_ns + 1.0)
+            tracemalloc.start()
+            try:
+                streams = generate_click_streams(SingleEmitter(), 0.05, det=det, seed=seed)
+                clicks = sum(s.times_ns.size for s in streams)
+                acc.add(*_labelled_clicks(*streams), 0.05 * NS_PER_S)
+                del streams
+                return tracemalloc.get_traced_memory()[1], clicks
+            finally:
+                tracemalloc.stop()
+
+        chunk_peak(0)  # first calls make lasting allocations of their own
+        peak, clicks = chunk_peak(1)
+        assert clicks > 90_000
+        assert peak <= 1.25 * 23.6 * clicks
+
 
 class TestLabelledClicks:
     """The one click stream a pair of channels is tallied as."""
 
-    def test_weak_coherent_channels_share_their_stream(self):
-        s0, s1 = generate_click_streams(WeakCoherent(0.5), 0.01, seed=3)
-        times, is_stop = _labelled_clicks(s0, s1)
-        assert times is s0._labelled[0] is s1._labelled[0]
-        assert np.all(np.diff(times) >= 0.0)
-        np.testing.assert_array_equal(times[~is_stop], s0.times_ns)
-        np.testing.assert_array_equal(times[is_stop], s1.times_ns)
-        # the channels the other way round: the same times, labels negated
-        swapped, stop_is_0 = _labelled_clicks(s1, s0)
-        assert swapped is times
-        np.testing.assert_array_equal(stop_is_0, ~is_stop)
+    def test_channels_of_one_draw_share_their_stream(self):
+        for src in (WeakCoherent(0.5), SingleEmitter()):
+            s0, s1 = generate_click_streams(src, 0.01, seed=3)
+            times, is_stop = _labelled_clicks(s0, s1)
+            assert times is s0._labelled[0] is s1._labelled[0]
+            assert np.all(np.diff(times) >= 0.0)
+            np.testing.assert_array_equal(times[~is_stop], s0.times_ns)
+            np.testing.assert_array_equal(times[is_stop], s1.times_ns)
+            # the channels the other way round: the same times, labels negated
+            swapped, stop_is_0 = _labelled_clicks(s1, s0)
+            assert swapped is times
+            np.testing.assert_array_equal(stop_is_0, ~is_stop)
 
     def test_other_pairs_are_merged(self):
         w0, w1 = generate_click_streams(WeakCoherent(0.5), 0.01, seed=3)
         v0, _ = generate_click_streams(WeakCoherent(0.5), 0.01, seed=4)
-        e0, e1 = generate_click_streams(SingleEmitter(), 0.01, seed=3)
-        assert ClickStream._labelled is None and e0._labelled is None
+        _, e1 = generate_click_streams(SingleEmitter(), 0.01, seed=3)
+        g0, g1 = generate_click_streams(HeraldedSPDC(pair_rate_hz=2.0e7), 0.001, seed=3)
+        assert ClickStream._labelled is None and g0._labelled is None
         # a public copy keeps no stream
         assert dataclasses.replace(w1)._labelled is None
-        for a, b in [(e0, e1), (w0, w0), (w0, v0), (dataclasses.replace(w0), w1), (e1, w0)]:
+        for a, b in [(g0, g1), (w0, w0), (w0, v0), (dataclasses.replace(w0), w1), (e1, w0)]:
             times, is_stop = _labelled_clicks(a, b)
             assert times is not w0._labelled[0]
             np.testing.assert_array_equal(times, np.sort(np.concatenate([a.times_ns, b.times_ns])))

@@ -11,7 +11,7 @@ from scipy import stats
 
 from oqlab import photonsim, qcore
 from oqlab.contexts import SETUPS, context_table, sequential_probs, single_probs
-from oqlab.correlation import _StartStopAccumulator, g2_zero, start_stop_histogram
+from oqlab.correlation import _merge, _StartStopAccumulator, g2_zero, start_stop_histogram
 from oqlab.photonsim import (
     NS_PER_S,
     ClickStream,
@@ -20,6 +20,7 @@ from oqlab.photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
+    _categories,
     _click_rate_bound_hz,
     _draw_misalignment,
     _poisson_times,
@@ -996,6 +997,24 @@ class TestClickStreams:
         for s in (s0, s1):
             assert abs(s.times_ns.size - expect) <= 5 * np.sqrt(expect)
 
+    def test_one_shot_memory_per_click(self):
+        # a one-shot weak-coherent draw of about 10^6 clicks: the labelled
+        # stream (9 bytes a click), the channels (8) and the split's blocks.
+        # Its traced peak was 21.0 bytes a click when each channel was cut
+        # from the stream in one piece
+        tracemalloc.start()
+        try:
+            s0, s1 = generate_click_streams(WeakCoherent(1.0), 0.25, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        times, in_1, _ = s0._labelled
+        assert times.size > 900_000
+        assert peak <= 18.0 * times.size
+        # the channels split over many blocks are the stream's own clicks
+        assert s0.times_ns.tobytes() == times[~in_1].tobytes()
+        assert s1.times_ns.tobytes() == times[in_1].tobytes()
+
     def test_emitter_never_fires_twice_within_lifetime(self):
         src = SingleEmitter(excited_lifetime_ns=4.0)
         det = DetectorModel.ideal()
@@ -1084,6 +1103,87 @@ class TestClickStreams:
     def test_timing_sources_reject_non_finite_fields(self, cls, field, value):
         with pytest.raises(ValueError, match=field):
             cls(**{field: value})
+
+
+def per_branch_emitter_channels(src, duration_s, det, seed):
+    """The emitter's channels with each branch drawn on its own: the renewal
+    emissions, one uniform per emission as its branch (_categories), then
+    per branch its jitter, darks and a stable sort (_with_darks_and_jitter),
+    with the draws of generate_click_streams in their order."""
+    rng = np.random.default_rng(seed)
+    duration_ns = duration_s * NS_PER_S
+    times = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
+    branches = _categories(times.size, [e / 2 for e in det.efficiency[:2]], rng)
+    return [_with_darks_and_jitter(times.compress(b), det, duration_ns, rng) for b in branches]
+
+
+# every path of the emitter's labelled stream: darks merged in, none, lost
+# emissions, darks outnumbering the emissions, an empty run, and jitter
+# wide enough against the gaps to put the emissions out of order
+EMITTER_CASES = {
+    "bench": (SingleEmitter(), DetectorModel(), 0.05),
+    "ideal": (SingleEmitter(), DetectorModel.ideal(), 0.05),
+    "lossy": (SingleEmitter(), DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0),
+                                             dark_rate_hz=2.0e5), 0.05),
+    "dark-1e7": (SingleEmitter(), DetectorModel(dark_rate_hz=1e7), 0.01),
+    "empty": (SingleEmitter(), DetectorModel(), 1e-9),
+    "out-of-order": (SingleEmitter(excited_lifetime_ns=0.0),
+                     DetectorModel.ideal(timing_jitter_ns=5.0), 0.01),
+}
+
+
+class TestEmitterStream:
+    """The single emitter drawn as one labelled click stream."""
+
+    @pytest.mark.parametrize("block", [7, photonsim._EMITTER_BLOCK])
+    @pytest.mark.parametrize("case", sorted(EMITTER_CASES))
+    def test_stream_holds_the_per_branch_channels(self, case, block, monkeypatch):
+        src, det, duration = EMITTER_CASES[case]
+        monkeypatch.setattr(photonsim, "_EMITTER_BLOCK", block)
+        sorted_sizes = []
+        argsort = np.argsort
+
+        def counted_argsort(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return argsort(a, *args, **kwargs)
+
+        for seed in range(3):
+            monkeypatch.setattr(np, "argsort", counted_argsort)
+            s0, s1 = generate_click_streams(src, duration, det=det, seed=seed)
+            monkeypatch.setattr(np, "argsort", argsort)
+            times, in_1, k = s0._labelled
+            assert s1._labelled[0] is times and s1._labelled[1] is in_1
+            assert (k, s1._labelled[2]) == (0, 1)
+            # each channel is its clicks in the stream, and the clicks it
+            # was cut from when each branch was drawn on its own, bit for bit
+            reference = per_branch_emitter_channels(src, duration, det, seed)
+            for stream, clicks, ref in zip((s0, s1), (times[~in_1], times[in_1]), reference):
+                assert stream.times_ns.tobytes() == clicks.tobytes() == ref.tobytes()
+            # the merge of the two channels: the same times, and the same
+            # labels but within runs of equal times
+            merged, is_stop = _merge(s0.times_ns, s1.times_ns)
+            assert times.tobytes() == merged.tobytes()
+            starts = np.flatnonzero(np.diff(times, prepend=-np.inf))
+            if times.size:
+                np.testing.assert_array_equal(np.add.reduceat(in_1, starts),
+                                              np.add.reduceat(is_stop, starts))
+            # the stable argsort over the whole stream runs where jitter
+            # leaves the emissions out of order, and only there
+            fell_back = times.size in sorted_sizes
+            sorted_sizes.clear()
+            if case == "out-of-order":
+                assert fell_back
+            elif case in ("ideal", "bench", "lossy"):
+                assert not fell_back
+        emissions = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz,
+                                   duration * NS_PER_S, np.random.default_rng(2)).size
+        if case == "empty":
+            assert times.size == emissions == 0
+        elif case == "lossy":
+            # with a fifth of the clicks darks, fewer clicks than emissions
+            assert times.size < emissions
+        elif case == "dark-1e7":
+            assert times.size > 5 * emissions
 
 
 class TestCsvRoundTrip:
