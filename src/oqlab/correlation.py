@@ -26,10 +26,10 @@ merge of the two sorted channels (a stable argsort of their
 concatenation, which timsort does in linear time), done in blocks split
 at times common to both channels that end at every MERGE_BLOCK-th click
 of either channel, so the merge's temporaries stay small. The merge puts
-start clicks first among equal times, the emitter's stream puts them in
-emission order; the tally's delays do not depend on that order, as a
-tie is never a delay. A long record is tallied chunk by chunk, each on
-its own clock (_StartStopAccumulator).
+start clicks first among equal times, a drawn stream may put either
+first; the tally's delays do not depend on that order, as a tie is never
+a delay. A long record is tallied chunk by chunk, each on its own clock
+(_StartStopAccumulator).
 
 Normalization uses the histogram's own far tail: bins with |tau| in the
 outer fifth of the delay range average to the accidental level of an

@@ -44,9 +44,9 @@ would leave it Poisson apart from clicks spilling over the ends, so none
 is drawn. Emitter and SPDC emissions, which are not Poisson, each take
 one uniform draw as their branch-and-detection label, and their clicks
 carry explicit jitter and darks. An emitter run is drawn as one labelled
-stream too: its clicks are the jittered emissions in emission order with
-the darks merged in, in time order as long as the jitter is far below
-the gaps.
+stream too: its clicks are the jittered emissions in emission order, with
+the darks, and any emission that jitter put before an earlier one,
+merged in.
 """
 
 from __future__ import annotations
@@ -62,14 +62,16 @@ from .contexts import _effective_operators, _trusted, validate_setup
 
 NS_PER_S = 1.0e9
 
-# clicks per block of _channels, so that its index temporaries (at most
-# 512 KB) do not grow with a one-shot run; a weak-coherent g2 chunk is one
-# block
-_CHANNEL_BLOCK = 2**16
-# emissions and clicks per block of an emitter run's jitter and channel
-# split: their temporaries (at most 128 KB) fit in the memory the renewal
-# draw of a g2 chunk leaves (_emitter_stream)
-_EMITTER_BLOCK = 2**14
+# clicks or emissions per block of a labelled stream's channel split and
+# an emitter run's jitter: their index temporaries (at most 128 KB) do not
+# grow with a one-shot run, and in a g2 chunk they fit in the memory the
+# emitter's renewal draw leaves (_emitter_stream)
+_BLOCK = 2**14
+# the most clicks _channels splits in one piece, one compress per channel,
+# which costs less per click than the block loop: a weak-coherent g2 chunk
+# (about 19,000 clicks) is one piece, while a 0.05 s emitter chunk (about
+# 100,000) is split in blocks
+_WHOLE = 2**16
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +260,10 @@ class ClickStream:
     a label per click that is True for channel 1, and the stream's own
     channel k. Both share the arrays, and correlation._labelled_clicks
     reads them instead of merging the channels again. Clicks at equal
-    times may come in either channel order.
+    times may come in either channel order. A stream so kept holds 9 bytes
+    per click of both channels on top of the channel's own 8 per click, so
+    long as either channel is alive; dataclasses.replace(stream) gives a
+    copy that shares times_ns but not the labelled stream.
     """
 
     times_ns: np.ndarray
@@ -553,19 +558,19 @@ def _click_rate_bound_hz(src, det: DetectorModel) -> float:
     return emissions + det.dark_rate_hz
 
 
-def _channels(times, in_1, block_size):
+def _channels(times, in_1):
     """The clicks of each label of a labelled stream, channel 0 (in_1
-    False) first. A longer stream than block_size clicks is taken in
-    blocks of that size, so that the index temporaries stay small however
+    False) first. A stream of more than _WHOLE clicks is taken in blocks
+    of _BLOCK clicks, so that the index temporaries stay small however
     long it is; mode="clip" (every index is in range) writes into the
     channel itself, where the default mode would stage it in a copy."""
-    if times.size <= block_size:
+    if times.size <= _WHOLE:
         return times.compress(~in_1), times.compress(in_1)
     n_1 = int(np.count_nonzero(in_1))
     channels = np.empty(times.size - n_1), np.empty(n_1)
     filled = [0, 0]
-    for lo in range(0, times.size, block_size):
-        block, labels = times[lo:lo + block_size], in_1[lo:lo + block_size]
+    for lo in range(0, times.size, _BLOCK):
+        block, labels = times[lo:lo + _BLOCK], in_1[lo:lo + _BLOCK]
         for k in (0, 1):
             at = (labels if k else ~labels).nonzero()[0]
             block.take(at, out=channels[k][filled[k]:filled[k] + at.size], mode="clip")
@@ -580,10 +585,10 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
 
     The draws are those of _categories and _with_darks_and_jitter per
     branch, so each channel holds the clicks it would be cut from. The
-    jitter is added in the emission buffer in emission order, lost
-    emissions are dropped and the sorted darks merged in; one stable
-    argsort runs only where jitter leaves the emissions out of order.
-    Clicks at equal times keep emission order, not channel order.
+    jitter is added in the emission buffer in emission order and lost
+    emissions are dropped. The sorted darks are merged in, together with
+    any emissions that jitter put before an earlier one (_late). Clicks at
+    equal times may come in either channel order.
     """
     emitted = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
     n = emitted.size
@@ -613,10 +618,10 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
         if jitter and n_k:
             noise = rng.normal(0.0, det.timing_jitter_ns, n_k)
             used = 0
-            for lo in range(0, n, _EMITTER_BLOCK):
-                pick = in_1[lo:lo + _EMITTER_BLOCK] if k else ~in_1[lo:lo + _EMITTER_BLOCK]
+            for lo in range(0, n, _BLOCK):
+                pick = in_1[lo:lo + _BLOCK] if k else ~in_1[lo:lo + _BLOCK]
                 if not k and kept is not None:
-                    pick &= kept[lo:lo + _EMITTER_BLOCK]
+                    pick &= kept[lo:lo + _BLOCK]
                 at = lo + pick.nonzero()[0]
                 times[at] += noise[used:used + at.size]
                 used += at.size
@@ -626,36 +631,60 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     if n_kept < n:
         times[:n_kept] = times[:n].compress(kept)
         in_1 = in_1.compress(kept)
+    extra = np.concatenate(darks)
+    extra_1 = np.arange(extra.size) >= darks[0].size
     emissions = times[:n_kept]
-    ordered = not (jitter and bool(np.any(emissions[1:] < emissions[:-1])))
-    dark = np.concatenate(darks)
-    dark_1 = np.arange(dark.size) >= darks[0].size
-    if dark.size:
-        order = np.argsort(dark, kind="stable")
-        dark, dark_1 = dark.take(order), dark_1.take(order)
-    end = n_kept + dark.size
+    if jitter and bool(np.any(emissions[1:] < emissions[:-1])):
+        # the emissions that jitter put before an earlier one join the
+        # darks, and the rest are in order
+        late = _late(emissions)
+        extra = np.concatenate((emissions[late], extra))
+        extra_1 = np.concatenate((in_1[late], extra_1))
+        n_kept -= late.size
+        times[:n_kept] = np.delete(emissions, late)
+        in_1 = np.delete(in_1, late)
+        emissions = times[:n_kept]
+    if extra.size:
+        order = np.argsort(extra, kind="stable")
+        extra, extra_1 = extra.take(order), extra_1.take(order)
+    end = n_kept + extra.size
     if end <= times.size:
-        times[n_kept:end] = dark
+        times[n_kept:end] = extra
         times = times[:end]
     else:
-        times = np.concatenate((times[:n_kept], dark))
-    if not ordered:
-        order = np.argsort(times, kind="stable")
-        return times.take(order), np.concatenate((in_1, dark_1)).take(order)
-    if dark.size:
-        # the labels with the darks' labels inserted where the darks fall;
-        # the new array is made before its mask, so that freeing the mask
-        # leaves no hole in front of it
-        at = np.searchsorted(emissions, dark, side="right") + np.arange(dark.size)
+        times = np.concatenate((times[:n_kept], extra))
+    if extra.size:
+        # the labels with the extra clicks' labels inserted where those
+        # fall; the new array is made before its mask, so that freeing the
+        # mask leaves no hole in front of it
+        at = np.searchsorted(emissions, extra, side="right") + np.arange(extra.size)
         labels = np.empty(end, dtype=bool)
         is_emission = np.ones(end, dtype=bool)
         is_emission[at] = False
         labels[is_emission] = in_1
-        labels[at] = dark_1
+        labels[at] = extra_1
         in_1 = labels
-        # timsort merges the darks' run into the emissions' run in place
+        # timsort merges the extra clicks' run into the emissions' run in
+        # place
         times.sort(kind="stable")
     return times, in_1
+
+
+def _late(times):
+    """Indices of the clicks below the greatest click before them: the
+    clicks they leave out are in order. Between descents the clicks
+    ascend, so the late clicks of each run after a descent are its first
+    ones, found by one binary search per run."""
+    ends = np.flatnonzero(times[1:] < times[:-1])
+    top = np.maximum.accumulate(times[ends])  # the greatest click before each run
+    starts = lo = ends + 1
+    hi = np.append(ends[1:] + 1, times.size)
+    while (search := lo < hi).any():
+        mid = (lo + hi) // 2
+        below = search & (times[np.minimum(mid, times.size - 1)] < top)
+        lo, hi = np.where(below, mid + 1, lo), np.where(search & ~below, mid, hi)
+    count = lo - starts
+    return np.repeat(starts - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def generate_click_streams(src, duration_s: float, det: DetectorModel | None = None, seed=0):
@@ -676,7 +705,9 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
       or 1, or heralded with its signal lost.
 
     The two channels of a weak-coherent or emitter run keep the labelled
-    stream they are split from (_channels) as _labelled (ClickStream).
+    stream they are split from (_channels) as _labelled (ClickStream), so
+    the pair holds about 17 bytes per click where the channels alone
+    would hold 8.
     """
     _require_in_range("duration_s", duration_s)
     det = det if det is not None else DetectorModel()
@@ -688,10 +719,8 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
         times = _poisson_times(r0 + r1, duration_ns, rng)
         # a click at all means r0 + r1 > 0
         in_1 = rng.random(times.size) < (r1 / (r0 + r1) if times.size else 0.0)
-        channels = _channels(times, in_1, _CHANNEL_BLOCK)
     elif isinstance(src, SingleEmitter):
         times, in_1 = _emitter_stream(src, det, duration_ns, rng)
-        channels = _channels(times, in_1, _EMITTER_BLOCK)
     elif isinstance(src, HeraldedSPDC):
         pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
         h = src.herald_efficiency
@@ -708,7 +737,7 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
     else:
         raise TypeError(f"unsupported source model: {src!r}")
     streams = []
-    for k, t in enumerate(channels):
+    for k, t in enumerate(_channels(times, in_1)):
         stream = _trusted(ClickStream, t, str(k))
         object.__setattr__(stream, "_labelled", (times, in_1, k))
         streams.append(stream)

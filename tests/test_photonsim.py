@@ -1119,7 +1119,8 @@ def per_branch_emitter_channels(src, duration_s, det, seed):
 
 # every path of the emitter's labelled stream: darks merged in, none, lost
 # emissions, darks outnumbering the emissions, an empty run, and jitter
-# wide enough against the gaps to put the emissions out of order
+# wide enough against the gaps to put the emissions out of order, with
+# neither losses nor darks, with both, and with darks outnumbering them
 EMITTER_CASES = {
     "bench": (SingleEmitter(), DetectorModel(), 0.05),
     "ideal": (SingleEmitter(), DetectorModel.ideal(), 0.05),
@@ -1129,28 +1130,45 @@ EMITTER_CASES = {
     "empty": (SingleEmitter(), DetectorModel(), 1e-9),
     "out-of-order": (SingleEmitter(excited_lifetime_ns=0.0),
                      DetectorModel.ideal(timing_jitter_ns=5.0), 0.01),
+    "out-of-order-lossy": (SingleEmitter(excited_lifetime_ns=0.0),
+                           DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0), dark_rate_hz=2.0e5,
+                                         timing_jitter_ns=5.0), 0.01),
+    "out-of-order-dark-1e7": (SingleEmitter(excited_lifetime_ns=0.0),
+                              DetectorModel(dark_rate_hz=1e7, timing_jitter_ns=5.0), 0.002),
 }
 
 
 class TestEmitterStream:
     """The single emitter drawn as one labelled click stream."""
 
-    @pytest.mark.parametrize("block", [7, photonsim._EMITTER_BLOCK])
+    def test_late_clicks_are_those_below_an_earlier_one(self):
+        rng = np.random.default_rng(71)
+        # rounded, so that equal clicks (not late) come up too; a spread
+        # far above the gaps makes long late runs
+        cases = [(0, 1.0), (1, 1.0), (2, 5.0), (40, 0.0), (40, 2.0), (300, 30.0), (300, 1e4)]
+        for size, spread in cases:
+            times = np.round(np.arange(size) + rng.normal(0.0, spread, size))
+            late = photonsim._late(times)
+            expect = [j for j, t in enumerate(times) if t < max(times[:j], default=-np.inf)]
+            np.testing.assert_array_equal(late, expect)
+            assert np.all(np.diff(np.delete(times, late)) >= 0)
+
+    @pytest.mark.parametrize("block,whole", [(7, 0), (photonsim._BLOCK, photonsim._WHOLE)])
     @pytest.mark.parametrize("case", sorted(EMITTER_CASES))
-    def test_stream_holds_the_per_branch_channels(self, case, block, monkeypatch):
+    def test_stream_holds_the_per_branch_channels(self, case, block, whole, monkeypatch):
         src, det, duration = EMITTER_CASES[case]
-        monkeypatch.setattr(photonsim, "_EMITTER_BLOCK", block)
-        sorted_sizes = []
-        argsort = np.argsort
+        monkeypatch.setattr(photonsim, "_BLOCK", block)
+        monkeypatch.setattr(photonsim, "_WHOLE", whole)
+        late = photonsim._late
+        fell_back = []
 
-        def counted_argsort(a, *args, **kwargs):
-            sorted_sizes.append(np.size(a))
-            return argsort(a, *args, **kwargs)
+        def counted_late(times):
+            fell_back.append(True)
+            return late(times)
 
+        monkeypatch.setattr(photonsim, "_late", counted_late)
         for seed in range(3):
-            monkeypatch.setattr(np, "argsort", counted_argsort)
             s0, s1 = generate_click_streams(src, duration, det=det, seed=seed)
-            monkeypatch.setattr(np, "argsort", argsort)
             times, in_1, k = s0._labelled
             assert s1._labelled[0] is times and s1._labelled[1] is in_1
             assert (k, s1._labelled[2]) == (0, 1)
@@ -1167,14 +1185,13 @@ class TestEmitterStream:
             if times.size:
                 np.testing.assert_array_equal(np.add.reduceat(in_1, starts),
                                               np.add.reduceat(is_stop, starts))
-            # the stable argsort over the whole stream runs where jitter
+            # late emissions are taken out and merged in where jitter
             # leaves the emissions out of order, and only there
-            fell_back = times.size in sorted_sizes
-            sorted_sizes.clear()
-            if case == "out-of-order":
+            if case.startswith("out-of-order"):
                 assert fell_back
             elif case in ("ideal", "bench", "lossy"):
                 assert not fell_back
+            fell_back.clear()
         emissions = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz,
                                    duration * NS_PER_S, np.random.default_rng(2)).size
         if case == "empty":
