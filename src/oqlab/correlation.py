@@ -221,7 +221,13 @@ class _StartStopAccumulator:
     def add(self, times_ns, is_stop, length_ns: float = math.inf):
         """Tally one chunk: one time-sorted click stream on the chunk's clock
         and a label per click, True for a stop click. length_ns = inf marks
-        the last chunk."""
+        the last chunk.
+
+        The delays are binned by one searchsorted in the edges and one
+        bincount, which repeats np.histogram(delays, bins=edges) count for
+        count: each bin holds its lower edge, the outer bin its upper edge
+        too, and NaN or a delay outside the edges is dropped.
+        """
         if times_ns.size and times_ns[0] < self._horizon_ns:
             raise ValueError(
                 f"chunk brings a click at {times_ns[0]} ns, before {self._horizon_ns} ns "
@@ -254,7 +260,11 @@ class _StartStopAccumulator:
         delays.append(_tally(times_ns, is_stop, lo, m, self.span_ns))
         delays = np.concatenate(delays)
         if delays.size:
-            self._counts += np.histogram(delays, bins=self._edges)[0]
+            # bin k - 1 for the k edges at or below a delay; a delay on the
+            # outer edge, which finds them all, goes back to the last bin
+            at = np.searchsorted(self._edges, delays, side="right")
+            self._counts += np.bincount(at, minlength=self._edges.size + 1)[1:-1]
+            self._counts[-1] += np.count_nonzero(delays == self.span_ns)
         # on the next chunk's clock, as new arrays, so the chunk's are freed
         self._held = (times_ns[m:] - length_ns, is_stop[m:].copy())
         self._horizon_ns = -self._guard_ns if length_ns < math.inf else math.inf

@@ -489,18 +489,40 @@ def _categories(n: int, probs, rng):
 
 
 def _with_darks_and_jitter(times, det: DetectorModel, duration_ns: float, rng):
+    """times with Gaussian jitter added and the Poisson darks, uniform in
+    [0, duration_ns), joined to them, sorted.
+
+    The jitter is rng.standard_normal scaled in place and the clicks added
+    to it there, and the darks are rng.random scaled in place: these repeat
+    the loc + scale * z and low + (high - low) * u of Generator.normal and
+    uniform (loc = low = 0) on the same doubles, so the clicks and the
+    generator's next draw keep their bits.
+    """
     if det.timing_jitter_ns > 0.0 and times.size:
-        times = times + rng.normal(0.0, det.timing_jitter_ns, times.size)
+        noise = rng.standard_normal(times.size)
+        noise *= det.timing_jitter_ns
+        noise += times
+        times = noise
     n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
     if n_dark:
-        times = np.concatenate([times, rng.uniform(0.0, duration_ns, n_dark)])
+        darks = rng.random(n_dark)
+        darks *= duration_ns
+        times = np.concatenate([times, darks])
     # jittered clicks are nearly sorted and the darks are one short run
     # after them: the stable sort (timsort) merges runs in linear time
     return np.sort(times, kind="stable")
 
 
 def _poisson_times(rate_hz: float, duration_ns: float, rng):
-    times = rng.uniform(0.0, duration_ns, rng.poisson(rate_hz * duration_ns / NS_PER_S))
+    """A Poisson process at rate_hz on [0, duration_ns): a Poisson count of
+    sorted uniform times.
+
+    The times are rng.random scaled in place, which repeats the
+    low + (high - low) * u of Generator.uniform (low = 0) on the same
+    doubles, so they and the generator's next draw keep their bits.
+    """
+    times = rng.random(rng.poisson(rate_hz * duration_ns / NS_PER_S))
+    times *= duration_ns
     times.sort()
     return times
 
@@ -511,19 +533,27 @@ def _renewal_times(dead_ns: float, rate_hz: float, duration_ns: float, rng):
     A non-paralyzable dead time on a Poisson process is equivalent to a
     renewal process whose gaps are dead_ns plus an exponential wait, so
     the times can be drawn directly.
+
+    The waits are rng.standard_exponential scaled in place, which repeats
+    the scale * E of Generator.exponential on the same doubles, so the
+    times and the generator's next draw keep their bits.
     """
     if rate_hz == 0.0:
         return np.empty(0)
     mean_exp_ns = NS_PER_S / rate_hz
     expect = duration_ns / (dead_ns + mean_exp_ns)
-    gaps = rng.exponential(mean_exp_ns, size=int(expect * 1.2 + 100))
+    gaps = rng.standard_exponential(int(expect * 1.2 + 100))
     # with a dead time near the float limit the times add up to inf, which
     # is past duration_ns like any other late time
     with np.errstate(over="ignore"):
-        times = np.cumsum(np.add(gaps, dead_ns, out=gaps), out=gaps)
+        gaps *= mean_exp_ns
+        gaps += dead_ns
+        times = np.cumsum(gaps, out=gaps)
         while times.size and times[-1] < duration_ns:
-            more = dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 0.2 + 100))
-            times = np.concatenate([times, times[-1] + np.cumsum(more)])
+            more = rng.standard_exponential(int(expect * 0.2 + 100))
+            more *= mean_exp_ns
+            more += dead_ns
+            times = np.concatenate([times, times[-1] + np.cumsum(more, out=more)])
     return times[:np.searchsorted(times, duration_ns)]
 
 
@@ -584,11 +614,14 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     time-sorted stream, and a label per click that is True for channel 1.
 
     The draws are those of _categories and _with_darks_and_jitter per
-    branch, so each channel holds the clicks it would be cut from. The
-    jitter is added in the emission buffer in emission order and lost
-    emissions are dropped. The sorted darks are merged in, together with
-    any emissions that jitter put before an earlier one (_late). Clicks at
-    equal times may come in either channel order.
+    branch, so each channel holds the clicks it would be cut from: the
+    jitter is rng.standard_normal and the darks rng.random, each scaled in
+    place, which repeats Generator.normal and uniform (loc = low = 0) on
+    the same doubles. The jitter is added in the emission buffer in
+    emission order and lost emissions are dropped. The darks, sorted in
+    place, are merged in, together with any emissions that jitter put
+    before an earlier one (_late). Clicks at equal times may come in
+    either channel order.
     """
     emitted = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
     n = emitted.size
@@ -616,7 +649,8 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     darks = []
     for k, n_k in enumerate((n_kept - n_1, n_1)):
         if jitter and n_k:
-            noise = rng.normal(0.0, det.timing_jitter_ns, n_k)
+            noise = rng.standard_normal(n_k)
+            noise *= det.timing_jitter_ns
             used = 0
             for lo in range(0, n, _BLOCK):
                 pick = in_1[lo:lo + _BLOCK] if k else ~in_1[lo:lo + _BLOCK]
@@ -627,7 +661,10 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
                 used += at.size
             del noise
         n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
-        darks.append(np.sort(rng.uniform(0.0, duration_ns, n_dark)) if n_dark else np.empty(0))
+        dark = rng.random(n_dark)
+        dark *= duration_ns
+        dark.sort()
+        darks.append(dark)
     if n_kept < n:
         times[:n_kept] = times[:n].compress(kept)
         in_1 = in_1.compress(kept)

@@ -223,6 +223,77 @@ TALLY_MUTANTS = {
 }
 
 
+BIN_WIDTHS = [0.5, 0.3, 0.7]  # the last two: 20 ns is no whole number of bins
+
+
+def binned(bin_width_ns, delays):
+    """The bin counts the accumulator gives delays, with the tally of its one
+    chunk made to return them."""
+    acc = _StartStopAccumulator(bin_width_ns, 20.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlation, "_tally", lambda *args: np.asarray(delays, dtype=float))
+        acc.add(np.array([0.0]), np.array([False]))
+    return acc._counts, acc._edges
+
+
+class TestBinning:
+    """The accumulator's bins against np.histogram(delays, bins=edges): each
+    bin holds its lower edge, the outer bin its upper edge too, and NaN or a
+    delay outside the edges is dropped."""
+
+    @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
+    def test_edges_and_their_neighbours(self, bin_width_ns):
+        _, edges = binned(bin_width_ns, [])
+        values = np.concatenate([
+            edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+            [-edges[-1], edges[-1], np.nan, -np.inf, np.inf, -1e3, 1e3, -3 * edges[-1], 0.0],
+        ])
+        counts, _ = binned(bin_width_ns, values)
+        np.testing.assert_array_equal(counts, np.histogram(values, bins=edges)[0])
+        # all but the two values just outside the outer edges, the five far
+        # out of range and NaN
+        assert counts.sum() == values.size - 2 - 5 - 1
+
+    @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
+    def test_a_delay_on_an_inner_edge_counts_in_the_bin_above(self, bin_width_ns):
+        _, edges = binned(bin_width_ns, [])
+        for i, edge in enumerate(edges):
+            counts, _ = binned(bin_width_ns, [edge])
+            # the outer bin is closed: its upper edge counts in it
+            assert counts[min(i, counts.size - 1)] == counts.sum() == 1
+
+    @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
+    def test_out_of_range_and_nan_are_dropped(self, bin_width_ns):
+        _, edges = binned(bin_width_ns, [])
+        outside = [np.nan, -np.inf, np.inf, np.nextafter(edges[0], -np.inf),
+                   np.nextafter(edges[-1], np.inf), 1e300, -1e300]
+        counts, _ = binned(bin_width_ns, outside)
+        assert not counts.any()
+
+    @settings(max_examples=200, deadline=None)
+    @given(bin_width_ns=st.sampled_from(BIN_WIDTHS),
+           delays=st.lists(st.one_of(st.floats(-25.0, 25.0),
+                                     st.integers(-70, 70).map(lambda k: k * 0.1),
+                                     st.floats(allow_nan=True, allow_infinity=True)),
+                           max_size=200))
+    def test_random_delays_match_np_histogram(self, bin_width_ns, delays):
+        counts, edges = binned(bin_width_ns, delays)
+        np.testing.assert_array_equal(counts, np.histogram(np.array(delays, dtype=float),
+                                                           bins=edges)[0])
+
+    @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
+    def test_merged_streams_keep_their_counts(self, bin_width_ns):
+        # two streams from elsewhere, merged, at 0.3 clicks per ns each
+        rng = np.random.default_rng(int(10 * bin_width_ns))
+        a = np.sort(rng.uniform(0.0, 2e4, 6000))
+        b = np.sort(np.concatenate([rng.uniform(0.0, 2e4, 5000), a[::7] + 1.2]))
+        hist = start_stop_histogram(ClickStream(a), ClickStream(b), bin_width_ns, 20.0)
+        _, edges = binned(bin_width_ns, [])
+        delays = reference_delays(a, b, a.size, b.size, edges[-1])
+        assert delays.size > 1000
+        np.testing.assert_array_equal(hist.counts, np.histogram(delays, bins=edges)[0])
+
+
 def tied_chunks(seed):
     """jittered_chunks from -10 ns, rounded to a 0.25 ns grid: sorted chunk
     feeds with clicks tied across the channels, repeated within one, before

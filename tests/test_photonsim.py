@@ -434,6 +434,144 @@ class TestDrawMisalignment:
             assert all(v == 0.0 and math.copysign(1.0, v) == 1.0 for v in (prep, *arms))
 
 
+# the scales of the timing chain: a 0.05 s g2 chunk, the emitter's mean
+# exponential wait and dead time, and the bench detector's jitter
+CHUNK_NS = 0.05 * NS_PER_S
+MEAN_WAIT_NS = NS_PER_S / SingleEmitter().excitation_rate_hz
+DEAD_NS = SingleEmitter().excited_lifetime_ns
+JITTER_NS = DetectorModel().timing_jitter_ns
+DRAW_SIZES = [0, 1, 7, 19_000, 120_000]
+
+
+def _generator_pair(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def assert_same_draws(got, want, rng, ref):
+    """Equal bits (so -0.0 and 0.0 are told apart), and both generators left
+    in the same state."""
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+class TestBulkDrawIdentities:
+    """The timing chain draws through numpy's bulk fills (random,
+    standard_exponential, standard_normal) scaled in place. Each must repeat
+    the Generator.uniform, exponential or normal call it stands for bit for
+    bit, and leave the generator where that call leaves it."""
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_scaled_is_uniform(self, seed, size):
+        rng, ref = _generator_pair(seed)
+        got = rng.random(size)
+        got *= CHUNK_NS
+        assert_same_draws(got, ref.uniform(0.0, CHUNK_NS, size), rng, ref)
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_standard_exponential_scaled_is_exponential(self, seed, size):
+        rng, ref = _generator_pair(seed)
+        got = rng.standard_exponential(size)
+        got *= MEAN_WAIT_NS
+        assert_same_draws(got, ref.exponential(MEAN_WAIT_NS, size), rng, ref)
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dead_time_added_in_place_is_dead_time_plus_exponential(self, seed, size):
+        rng, ref = _generator_pair(seed)
+        got = rng.standard_exponential(size)
+        got *= MEAN_WAIT_NS
+        got += DEAD_NS
+        assert_same_draws(got, DEAD_NS + ref.exponential(MEAN_WAIT_NS, size), rng, ref)
+
+    @pytest.mark.parametrize("size", DRAW_SIZES)
+    @pytest.mark.parametrize("seed", range(5))
+    def test_standard_normal_scaled_is_normal_jitter(self, seed, size):
+        times = np.sort(np.random.default_rng(100 + seed).random(size) * CHUNK_NS)
+        rng, ref = _generator_pair(seed)
+        got = rng.standard_normal(size)
+        got *= JITTER_NS
+        got += times
+        assert_same_draws(got, times + ref.normal(0.0, JITTER_NS, size), rng, ref)
+
+
+def literal_poisson_times(rate_hz, duration_ns, rng):
+    """_poisson_times through Generator.uniform, the way it was first written."""
+    return np.sort(rng.uniform(0.0, duration_ns, rng.poisson(rate_hz * duration_ns / NS_PER_S)))
+
+
+def literal_renewal_times(dead_ns, rate_hz, duration_ns, rng):
+    """_renewal_times through Generator.exponential, the way it was first written."""
+    mean_exp_ns = NS_PER_S / rate_hz
+    expect = duration_ns / (dead_ns + mean_exp_ns)
+    times = np.cumsum(dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 1.2 + 100)))
+    while times.size and times[-1] < duration_ns:
+        more = dead_ns + rng.exponential(mean_exp_ns, size=int(expect * 0.2 + 100))
+        times = np.concatenate([times, times[-1] + np.cumsum(more)])
+    return times[:np.searchsorted(times, duration_ns)]
+
+
+def literal_darks_and_jitter(times, det, duration_ns, rng):
+    """_with_darks_and_jitter through Generator.normal and uniform, the way
+    it was first written."""
+    if det.timing_jitter_ns > 0.0 and times.size:
+        times = times + rng.normal(0.0, det.timing_jitter_ns, times.size)
+    n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
+    if n_dark:
+        times = np.concatenate([times, rng.uniform(0.0, duration_ns, n_dark)])
+    return np.sort(times, kind="stable")
+
+
+class TestTimingDrawsKeepTheirBits:
+    """The timing chain's draw helpers against their first, literal forms."""
+
+    @pytest.mark.parametrize("rate_hz,duration_ns", [
+        (3.8e5, CHUNK_NS), (1.0e3, CHUNK_NS), (1.0e3, 1.0), (0.0, CHUNK_NS)])
+    def test_poisson_times(self, rate_hz, duration_ns):
+        for seed in range(5):
+            rng, ref = _generator_pair(seed)
+            assert_same_draws(_poisson_times(rate_hz, duration_ns, rng),
+                              literal_poisson_times(rate_hz, duration_ns, ref), rng, ref)
+
+    @pytest.mark.parametrize("dead_ns,rate_hz,duration_ns", [
+        (DEAD_NS, 2.0e6, CHUNK_NS), (0.0, 2.0e6, 1.0e5), (5.5, 2.0e5, CHUNK_NS),
+        (DEAD_NS, 2.0e6, 1.0)])
+    def test_renewal_times(self, dead_ns, rate_hz, duration_ns):
+        for seed in range(5):
+            rng, ref = _generator_pair(seed)
+            assert_same_draws(_renewal_times(dead_ns, rate_hz, duration_ns, rng),
+                              literal_renewal_times(dead_ns, rate_hz, duration_ns, ref), rng, ref)
+
+    def test_renewal_times_top_up(self):
+        # a real first draw always reaches the duration; with every wait
+        # half its mean it falls short, and the top-up draws run
+        class HalfWaits:
+            def standard_exponential(self, n):
+                return np.full(n, 0.5)
+
+            def exponential(self, scale, size):
+                return np.full(size, 0.5 * scale)
+
+        duration_ns = 1000 * (DEAD_NS + MEAN_WAIT_NS)
+        got = _renewal_times(DEAD_NS, 2.0e6, duration_ns, HalfWaits())
+        want = literal_renewal_times(DEAD_NS, 2.0e6, duration_ns, HalfWaits())
+        assert got.tobytes() == want.tobytes()
+        # more than the 1,300 waits of the first draw
+        assert got.size > 1300
+
+    @pytest.mark.parametrize("det", [
+        DetectorModel(), DetectorModel.ideal(), DetectorModel(timing_jitter_ns=5.0, dark_rate_hz=1e6)],
+        ids=["bench", "ideal", "jitter-5-dark-1e6"])
+    @pytest.mark.parametrize("size", [0, 7, 19_000])
+    def test_darks_and_jitter(self, det, size):
+        for seed in range(5):
+            times = np.sort(np.random.default_rng(100 + seed).random(size) * CHUNK_NS)
+            rng, ref = _generator_pair(seed)
+            assert_same_draws(_with_darks_and_jitter(times, det, CHUNK_NS, rng),
+                              literal_darks_and_jitter(times, det, CHUNK_NS, ref), rng, ref)
+
+
 class TestExpectedCounts:
     DET = DetectorModel(efficiency=(0.9, 0.8, 1.0, 0.7), dark_rate_hz=2.0e3)
     MIS = (0.004, (-0.003, 0.002))
