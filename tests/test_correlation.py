@@ -226,6 +226,10 @@ TALLY_MUTANTS = {
 BIN_WIDTHS = [0.5, 0.3, 0.7]  # the last two: 20 ns is no whole number of bins
 
 
+def bin_edges(bin_width_ns):
+    return _StartStopAccumulator(bin_width_ns, 20.0)._edges
+
+
 def binned(bin_width_ns, delays):
     """The bin counts the accumulator gives delays, with the tally of its one
     chunk made to return them."""
@@ -243,7 +247,7 @@ class TestBinning:
 
     @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
     def test_edges_and_their_neighbours(self, bin_width_ns):
-        _, edges = binned(bin_width_ns, [])
+        edges = bin_edges(bin_width_ns)
         values = np.concatenate([
             edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
             [-edges[-1], edges[-1], np.nan, -np.inf, np.inf, -1e3, 1e3, -3 * edges[-1], 0.0],
@@ -256,7 +260,7 @@ class TestBinning:
 
     @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
     def test_a_delay_on_an_inner_edge_counts_in_the_bin_above(self, bin_width_ns):
-        _, edges = binned(bin_width_ns, [])
+        edges = bin_edges(bin_width_ns)
         for i, edge in enumerate(edges):
             counts, _ = binned(bin_width_ns, [edge])
             # the outer bin is closed: its upper edge counts in it
@@ -264,7 +268,7 @@ class TestBinning:
 
     @pytest.mark.parametrize("bin_width_ns", BIN_WIDTHS)
     def test_out_of_range_and_nan_are_dropped(self, bin_width_ns):
-        _, edges = binned(bin_width_ns, [])
+        edges = bin_edges(bin_width_ns)
         outside = [np.nan, -np.inf, np.inf, np.nextafter(edges[0], -np.inf),
                    np.nextafter(edges[-1], np.inf), 1e300, -1e300]
         counts, _ = binned(bin_width_ns, outside)
@@ -288,7 +292,7 @@ class TestBinning:
         a = np.sort(rng.uniform(0.0, 2e4, 6000))
         b = np.sort(np.concatenate([rng.uniform(0.0, 2e4, 5000), a[::7] + 1.2]))
         hist = start_stop_histogram(ClickStream(a), ClickStream(b), bin_width_ns, 20.0)
-        _, edges = binned(bin_width_ns, [])
+        edges = bin_edges(bin_width_ns)
         delays = reference_delays(a, b, a.size, b.size, edges[-1])
         assert delays.size > 1000
         np.testing.assert_array_equal(hist.counts, np.histogram(delays, bins=edges)[0])
