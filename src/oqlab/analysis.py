@@ -363,8 +363,8 @@ def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float
     its systematic budget follows. Where no cell is negative this still
     gives the error of that cell, so a zero negativity at the edge of the
     classical region does not get an error of 0 from the kink alone. A
-    table with all its counts in one cell still gives 0; reads_low_counts
-    flags such records.
+    table with all its counts in one cell still gives 0; the command
+    line's reports flag an error of exactly 0 "low_counts".
 
     analyze's default statistical error: deterministic (no resampling, no
     seed), the one-record case of the batched _standard_errors. Raises

@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -58,6 +59,7 @@ from .photonsim import (
     WeakCoherent,
     _click_rate_bound_hz,
     _require_in_range,
+    _write_csv,
     count_tables_from_csv,
     count_tables_to_csv,
     generate_click_streams,
@@ -181,12 +183,6 @@ def _flag_values(flag: str, text: str, convert=float, four=False, zero_ok=False)
 # output helpers
 
 
-def _fmt(value) -> str:
-    # shortest representation that parses back to the same float, so
-    # emitted rows re-analyze to identical values
-    return repr(float(value))
-
-
 def _json_report(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
@@ -205,13 +201,15 @@ def _quasi_payload(q, **fields) -> dict:
 def _counting_report(rec, fields: dict, mode="lab", error_mode="rss", n_boot=None, seed=0):
     """simulate's and analyze's report of rec: the command's own fields,
     analyze(rec, mode, error_mode, n_boot, seed) with its error and
-    error_method, and rec's flags plus "low_counts" (reads_low_counts)."""
+    error_method, and rec's flags plus "low_counts" where a table it reads
+    is small (reads_low_counts) or its delta or bootstrap error is 0."""
     q, budget = analyze(rec, mode, error_mode, n_boot, seed)
     error = {"statistical": float(budget.statistical_error),
              "systematic": float(budget.systematic_error),
              "total": float(budget.combined_error()), "mode": budget.mode}
     method = "delta" if n_boot is None else "bootstrap" if n_boot else "none"
-    low = ["low_counts"] if reads_low_counts(rec, mode) else []
+    zero = method != "none" and error["statistical"] == 0.0
+    low = ["low_counts"] if zero or reads_low_counts(rec, mode) else []
     return _quasi_payload(q, **fields, error=error, error_method=method,
                           flags=[*rec.flags, *low])
 
@@ -219,19 +217,6 @@ def _counting_report(rec, fields: dict, mode="lab", error_mode="rss", n_boot=Non
 def _write_text(path, text: str):
     with open(path, "w") as fh:
         fh.write(text)
-
-
-def _write_table(path, header: str, blocks):
-    """Write a scan CSV: schema line, header, then the rows of each block.
-
-    Each (n, k) block is formatted and written as it arrives, so no text
-    or table of the whole scan is ever held. tolist() yields Python
-    floats, whose repr is _fmt.
-    """
-    with open(path, "w") as fh:
-        fh.write(f"# schema_version={SCHEMA_VERSION}\n{header}\n")
-        for block in blocks:
-            fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +357,10 @@ def cmd_scan(args) -> str:
         "weak-field": _scan_rows_weak_field,
     }
     # a builder runs every check that can reject its scan before it
-    # returns; the rows it yields are computed as the file is written
+    # returns; the rows it yields are computed as the file is written, so
+    # no table of the whole scan is ever held
     header, blocks = builders[args.kind](args)
-    _write_table(args.out, header, blocks)
+    _write_csv(args.out, header, (block.tolist() for block in blocks))
     return args.out
 
 
@@ -480,15 +466,10 @@ def cmd_g2(args) -> dict:
     hist = acc.histogram()
     value = g2_zero(hist, window_ns=window)
     error = g2_zero_error(hist, window_ns=window)
-    lines = [
-        f"# schema_version={SCHEMA_VERSION}",
-        f"# baseline={_fmt(hist.baseline)}",
-        f"# low_statistics={'true' if hist.low_statistics else 'false'}",
-        "tau_ns,counts,g2",
-    ]
-    for tau, counts, g2 in zip(hist.tau_ns, hist.counts, hist.g2):
-        lines.append(f"{_fmt(tau)},{int(counts)},{_fmt(g2)}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    _write_csv(args.out, "tau_ns,counts,g2",
+               [zip(hist.tau_ns.tolist(), hist.counts.tolist(), hist.g2.tolist())],
+               meta=[("baseline", hist.baseline),
+                     ("low_statistics", "true" if hist.low_statistics else "false")])
     return {
         "schema_version": SCHEMA_VERSION,
         "g2_zero": None if np.isnan(value) else float(value),
@@ -591,6 +572,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="also write the JSON report to this path")
     p.set_defaults(func=_run_analyze)
 
+    # argparse reads only -5 and -.5 as values and -1e-3 or -inf as an
+    # unknown option: a token that may be a negative number goes to its
+    # flag, whose checks judge it (--theta -inf exits 3)
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
 
 

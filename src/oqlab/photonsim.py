@@ -489,24 +489,21 @@ def _categories(n: int, probs, rng):
 
 
 def _with_darks_and_jitter(times, det: DetectorModel, duration_ns: float, rng):
-    """times with Gaussian jitter added and the Poisson darks, uniform in
-    [0, duration_ns), joined to them, sorted.
+    """times with Gaussian jitter added and the Poisson darks
+    (_poisson_times) joined to them, sorted.
 
     The jitter is rng.standard_normal scaled in place and the clicks added
-    to it there, and the darks are rng.random scaled in place: these repeat
-    the loc + scale * z and low + (high - low) * u of Generator.normal and
-    uniform (loc = low = 0) on the same doubles, so the clicks and the
-    generator's next draw keep their bits.
+    to it there: this repeats the loc + scale * z of Generator.normal
+    (loc = 0) on the same doubles, so the clicks and the generator's next
+    draw keep their bits.
     """
     if det.timing_jitter_ns > 0.0 and times.size:
         noise = rng.standard_normal(times.size)
         noise *= det.timing_jitter_ns
         noise += times
         times = noise
-    n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
-    if n_dark:
-        darks = rng.random(n_dark)
-        darks *= duration_ns
+    darks = _poisson_times(det.dark_rate_hz, duration_ns, rng)
+    if darks.size:
         times = np.concatenate([times, darks])
     # jittered clicks are nearly sorted and the darks are one short run
     # after them: the stable sort (timsort) merges runs in linear time
@@ -615,13 +612,12 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
 
     The draws are those of _categories and _with_darks_and_jitter per
     branch, so each channel holds the clicks it would be cut from: the
-    jitter is rng.standard_normal and the darks rng.random, each scaled in
-    place, which repeats Generator.normal and uniform (loc = low = 0) on
-    the same doubles. The jitter is added in the emission buffer in
-    emission order and lost emissions are dropped. The darks, sorted in
-    place, are merged in, together with any emissions that jitter put
-    before an earlier one (_late). Clicks at equal times may come in
-    either channel order.
+    jitter is rng.standard_normal scaled in place, which repeats
+    Generator.normal (loc = 0) on the same doubles, and the darks are
+    _poisson_times. The jitter is added in the emission buffer in emission
+    order and lost emissions are dropped. The darks are merged in, together
+    with any emissions that jitter put before an earlier one (_late).
+    Clicks at equal times may come in either channel order.
     """
     emitted = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
     n = emitted.size
@@ -660,11 +656,7 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
                 times[at] += noise[used:used + at.size]
                 used += at.size
             del noise
-        n_dark = rng.poisson(det.dark_rate_hz * duration_ns / NS_PER_S)
-        dark = rng.random(n_dark)
-        dark *= duration_ns
-        dark.sort()
-        darks.append(dark)
+        darks.append(_poisson_times(det.dark_rate_hz, duration_ns, rng))
     if n_kept < n:
         times[:n_kept] = times[:n].compress(kept)
         in_1 = in_1.compress(kept)
@@ -788,16 +780,34 @@ COUNT_CSV_HEADER = "n1,n2,a1,a2,counts"
 SCHEMA_VERSION = 1
 
 
+def _write_csv(path, header: str, blocks, meta=()):
+    """Write a table file: the schema line, a '# key=value' line per meta
+    pair (str of the value, the repr for a float), the header, then the
+    rows of each block as it arrives.
+
+    A block is a sequence of rows of Python numbers (ndarray.tolist() gives
+    them), each written as its repr: for a float, the shortest text that
+    parses back to it, so re-read rows give the same values. The lines
+    before the rows go out in the first block's write, and no text of a
+    block is held once it is written.
+    """
+    head = (f"# schema_version={SCHEMA_VERSION}\n"
+            + "".join([f"# {key}={value}\n" for key, value in meta]) + header + "\n")
+    with open(path, "w") as fh:
+        for block in blocks:
+            fh.write(head + "".join([",".join(map(repr, row)) + "\n" for row in block]))
+            head = ""
+        fh.write(head)  # a table of no blocks
+
+
 def count_tables_to_csv(tables, path):
     """Write CountTables as CSV rows n1,n2,a1,a2,counts (one file, any number of setups)."""
-    lines = [f"# schema_version={SCHEMA_VERSION}", COUNT_CSV_HEADER]
-    for table in tables:
-        n1, n2 = table.setup
-        for a1 in (0, 1):
-            for a2 in (0, 1):
-                lines.append(f"{n1},{n2},{a1},{a2},{table.counts[a1, a2]}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(path, COUNT_CSV_HEADER, [[
+        (*table.setup, a1, a2, c)
+        for table in tables
+        for a1, row in enumerate(table.counts.tolist())
+        for a2, c in enumerate(row)
+    ]])
 
 
 def count_tables_from_csv(path):

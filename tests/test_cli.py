@@ -89,6 +89,23 @@ class TestPredict:
         assert code == 3
         assert "finite" in err
 
+    @pytest.mark.parametrize("flags", [
+        [("--theta", "-1e-3")], [("--theta", "-1E-3"), ("--phi", "-1.5e1")],
+        [("--theta", "-5."), ("--phi", "-.5e+2")], [("--theta", "-30")],
+    ])
+    def test_negative_values_in_scientific_notation(self, capsys, flags):
+        spaced = ["predict", *(part for flag in flags for part in flag)]
+        joined = ["predict", *(f"{flag}={value}" for flag, value in flags)]
+        code, out, err = run_cli(spaced, capsys)
+        assert (code, err) == (0, "")
+        assert run_cli(joined, capsys) == (0, out, "")
+
+    @pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity", "-NaN"])
+    def test_negative_non_finite_angle_is_data_error(self, capsys, value):
+        assert run_cli(["predict", "--theta", value], capsys) == (
+            3, "", "error: theta and phi must be finite\n")
+        assert run_cli(["predict", "--theta", "0", "--phi", value], capsys)[0] == 3
+
 
 class TestScanPureGrid:
     def test_format_and_ordering(self, tmp_path, capsys):
@@ -1291,11 +1308,30 @@ class TestAnalyze:
         assert payload["negativity"] == 0.5 > MAX_NEGATIVITY
         assert payload["error"]["statistical"] == 0.0
         assert payload["flags"] == ["low_counts"]
+        # once, when its tables are small and its error 0 too
+        assert payload["flags"].count("low_counts") == 1
         # a run of 10^4 photons reads no small table
         out_dir = self.make_run(tmp_path, capsys)
         _, out, _ = run_cli(["analyze", os.path.join(out_dir, "counts_11.csv"),
                              os.path.join(out_dir, "counts_01.csv")], capsys)
         assert json.loads(out)["flags"] == []
+
+    @pytest.mark.parametrize("extra,flags", [
+        ([], ["low_counts"]), (["--bootstrap", "50"], ["low_counts"]),
+        (["--mode", "strict"], ["low_counts"]), (["--bootstrap", "0"], []),
+    ])
+    def test_zero_error_is_flagged(self, tmp_path, capsys, extra, flags):
+        # thousands of counts per table, all in one cell: no table is
+        # small, yet the delta and bootstrap errors are exactly 0
+        path = tmp_path / "one_cell.csv"
+        count_tables_to_csv([CountTable((s, 1), [[n, 0], [0, 0]], n)
+                             for s, n in ((1, 5000), (0, 3000))]
+                            + [CountTable((1, 0), [[0, 0], [4000, 0]], 4000)], str(path))
+        code, out, _ = run_cli(["analyze", str(path), *extra], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["error"]["statistical"] == 0.0
+        assert payload["flags"] == flags
 
     def test_strict_mode_uses_first_only_table(self, tmp_path, capsys):
         out_dir = self.make_run(tmp_path, capsys)
@@ -1596,6 +1632,9 @@ class TestExitCodes:
             (["--kind", "bloch-disk", "--alpha-steps", "0"], "--alpha-steps"),
             (["--kind", "weak-field", "--means", "nan"], "means"),
             (["--kind", "weak-field", "--means", "0.1,inf"], "means"),
+            (["--kind", "pure-grid", "--theta-step", "-1e-3"], "--theta-step"),
+            (["--kind", "weak-field", "--means", "-1e-3,0.1"], "means"),
+            (["--kind", "weak-field", "--means", "-inf"], "means"),
         ],
     )
     def test_bad_grid_is_data_error(self, tmp_path, capsys, argv, fragment):

@@ -27,6 +27,7 @@ from oqlab.photonsim import (
     _renewal_times,
     _weakfield_counts,
     _with_darks_and_jitter,
+    _write_csv,
     and_gate,
     count_tables_from_csv,
     count_tables_to_csv,
@@ -1363,6 +1364,20 @@ class TestCsvRoundTrip:
         assert lines[0] == "# schema_version=1"
         assert lines[1] == "n1,n2,a1,a2,counts"
         assert lines[2] == "1,1,0,0,0"
+
+    def test_table_writer_lines(self, tmp_path):
+        # schema line, meta lines in order, header, then every block's rows,
+        # numbers as their shortest round-trip repr
+        path = tmp_path / "table.csv"
+        rows = [[0.1, 1 / 3, 7], [-2.5e-300, 1e16, 0]]
+        _write_csv(path, "a,b,c", iter([rows[:1], [], rows[1:]]),
+                   meta=[("baseline", 0.1), ("low_statistics", "true")])
+        assert path.read_text() == (
+            "# schema_version=1\n# baseline=0.1\n# low_statistics=true\na,b,c\n"
+            "0.1,0.3333333333333333,7\n-2.5e-300,1e+16,0\n"
+        )
+        _write_csv(path, "a,b,c", [])
+        assert path.read_text() == "# schema_version=1\na,b,c\n"
 
     def test_duplicate_rows_accumulate(self, tmp_path):
         path = tmp_path / "counts.csv"
