@@ -263,9 +263,12 @@ def _read_setups(mode: str) -> tuple:
     return REQUIRED_SETUPS + ((1, 0),) if mode == "strict" else REQUIRED_SETUPS
 
 
-def reads_low_counts(rec: ExperimentRecord, mode: str = "lab") -> bool:
-    """Whether a table the mode reads holds fewer than LOW_COUNTS counts."""
-    return any(
+def reads_low_counts(rec: ExperimentRecord, mode: str = "lab", statistical_error=None) -> bool:
+    """Whether a table the mode reads holds fewer than LOW_COUNTS counts, or
+    the statistical_error given for rec (delta-method or bootstrap; None for
+    no error) is exactly 0, as it is for tables with all their counts in
+    one cell at any total."""
+    return statistical_error == 0.0 or any(
         setup in rec.tables and rec.tables[setup].total < LOW_COUNTS
         for setup in _read_setups(mode)
     )
@@ -363,8 +366,8 @@ def negativity_standard_error(rec: ExperimentRecord, mode: str = "lab") -> float
     its systematic budget follows. Where no cell is negative this still
     gives the error of that cell, so a zero negativity at the edge of the
     classical region does not get an error of 0 from the kink alone. A
-    table with all its counts in one cell still gives 0; the command
-    line's reports flag an error of exactly 0 "low_counts".
+    table with all its counts in one cell still gives 0; reads_low_counts
+    flags such records.
 
     analyze's default statistical error: deterministic (no resampling, no
     seed), the one-record case of the batched _standard_errors. Raises

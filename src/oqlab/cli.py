@@ -201,15 +201,15 @@ def _quasi_payload(q, **fields) -> dict:
 def _counting_report(rec, fields: dict, mode="lab", error_mode="rss", n_boot=None, seed=0):
     """simulate's and analyze's report of rec: the command's own fields,
     analyze(rec, mode, error_mode, n_boot, seed) with its error and
-    error_method, and rec's flags plus "low_counts" where a table it reads
-    is small (reads_low_counts) or its delta or bootstrap error is 0."""
+    error_method, and rec's flags plus "low_counts" (reads_low_counts of
+    rec and its delta or bootstrap error)."""
     q, budget = analyze(rec, mode, error_mode, n_boot, seed)
     error = {"statistical": float(budget.statistical_error),
              "systematic": float(budget.systematic_error),
              "total": float(budget.combined_error()), "mode": budget.mode}
     method = "delta" if n_boot is None else "bootstrap" if n_boot else "none"
-    zero = method != "none" and error["statistical"] == 0.0
-    low = ["low_counts"] if zero or reads_low_counts(rec, mode) else []
+    resolved = None if method == "none" else error["statistical"]
+    low = ["low_counts"] if reads_low_counts(rec, mode, resolved) else []
     return _quasi_payload(q, **fields, error=error, error_method=method,
                           flags=[*rec.flags, *low])
 

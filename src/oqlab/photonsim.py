@@ -787,17 +787,14 @@ def _write_csv(path, header: str, blocks, meta=()):
 
     A block is a sequence of rows of Python numbers (ndarray.tolist() gives
     them), each written as its repr: for a float, the shortest text that
-    parses back to it, so re-read rows give the same values. The lines
-    before the rows go out in the first block's write, and no text of a
+    parses back to it, so re-read rows give the same values. No text of a
     block is held once it is written.
     """
-    head = (f"# schema_version={SCHEMA_VERSION}\n"
-            + "".join([f"# {key}={value}\n" for key, value in meta]) + header + "\n")
     with open(path, "w") as fh:
+        fh.write(f"# schema_version={SCHEMA_VERSION}\n"
+                 + "".join([f"# {key}={value}\n" for key, value in meta]) + header + "\n")
         for block in blocks:
-            fh.write(head + "".join([",".join(map(repr, row)) + "\n" for row in block]))
-            head = ""
-        fh.write(head)  # a table of no blocks
+            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
 
 
 def count_tables_to_csv(tables, path):

@@ -718,6 +718,16 @@ class TestStandardError:
         assert not reads_low_counts(rec, "lab")
         assert reads_low_counts(rec, "strict")
 
+    def test_low_counts_on_an_error_of_zero(self):
+        # no table read is small, so only a given error of exactly 0 flags
+        rec = ExperimentRecord(tables={(1, 1): tab((1, 1), [[5000, 0], [0, 0]]),
+                                       (0, 1): tab((0, 1), [[3000, 0], [0, 0]])})
+        assert analyze(rec)[1].statistical_error == 0.0
+        assert not reads_low_counts(rec)
+        assert reads_low_counts(rec, "lab", 0.0)
+        assert not reads_low_counts(rec, "lab", 1e-300)
+        assert not reads_low_counts(rec, "lab", None)
+
     @pytest.mark.parametrize("mode", ["lab", "strict"])
     def test_rejects_what_estimate_probs_rejects(self, mode):
         recs = [
