@@ -155,6 +155,9 @@ class ErrorBudget:
         return float(np.hypot(self.statistical_error, self.systematic_error))
 
 
+_new_error_budget = _trusted(ErrorBudget)
+
+
 def error_budget(components, mode: str = "rss") -> ErrorBudget:
     """Total relative error of components listed as (name, error, times).
 
@@ -454,8 +457,8 @@ def analyze(
     systematic = budget.total_error * q.negativity
     _require_in_range("statistical_error", statistical, zero_ok=True)
     _require_in_range("systematic_error", systematic, zero_ok=True)
-    return q, _trusted(ErrorBudget, budget.component_errors, budget.total_error, budget.mode,
-                       statistical, systematic)
+    return q, _new_error_budget(budget.component_errors, budget.total_error, budget.mode,
+                                statistical, systematic)
 
 
 def record_from_csv(path, calibration=(1.0, 1.0, 1.0, 1.0), **metadata) -> ExperimentRecord:

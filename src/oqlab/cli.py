@@ -446,15 +446,16 @@ def cmd_g2(args) -> dict:
         message = str(exc).replace("max_delay_ns", "--max-delay")
         raise ValueError(message.replace("bin_width_ns", "--bin-width")) from None
     # g2(0) averages the bins its window holds, so check that it holds one
+    # and no more than the histogram covers
     window = args.window if args.window is not None else det.coincidence_window_ns
     try:
-        _window(acc.tau_ns, window)
-    except ValueError:
+        _window(acc.tau_ns, args.bin_width, window)
+    except ValueError as exc:
         name = "--window" if args.window is not None else "the detector's coincidence window"
-        raise ValueError(
-            f"{name} of {window:g} ns is narrower than one histogram bin "
-            f"(--bin-width {args.bin_width:g} ns)"
-        ) from None
+        message = str(exc).replace("window_ns", f"{name} of {window:g} ns")
+        flag, value = (("--bin-width", args.bin_width) if "narrower" in message
+                       else ("--max-delay", args.max_delay))
+        raise ValueError(f"{message} ({flag} {value:g} ns)") from None
     chunk_s = _g2_chunk_s(src, det, acc.span_ns, guard_ns)
     # each chunk restarts the source at 0 on its own clock, seeded by its
     # index the way the weak-field scan seeds each grid point; no chunk is

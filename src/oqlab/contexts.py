@@ -116,10 +116,10 @@ def _probabilities(rho) -> np.ndarray:
     rho is a (..., 2, 2) stack; a single (2, 2) state gives shape (8,),
     a stack of N gives (N, 8), in the layout _split reads. The operators
     are real and symmetric, so Tr[E rho] takes rho.real alone. Round-off
-    below zero is clipped.
+    below zero is clipped, in place on the fresh product.
     """
     p = rho.real.reshape(rho.shape[:-2] + (4,)) @ _TRACE_MATRIX
-    return np.maximum(p, 0.0)
+    return np.maximum(p, 0.0, out=p)
 
 
 def _split(p):
@@ -160,16 +160,28 @@ def sequential_probs(rho) -> np.ndarray:
     return _split(_probabilities(qcore.validate_state(rho)))[2]
 
 
-def _trusted(cls, *values):
-    """cls(*values) without __post_init__, for values already in its form.
+def _trusted(cls, extra=None):
+    """A constructor of cls that skips __post_init__, for values already in its form.
 
-    Fields are set one by one in order, as __init__ sets them, so that
-    instances keep CPython's key-sharing dicts (a __dict__.update() breaks them).
+    Call it once per class, at import: it generates straight-line code
+    from cls.__dataclass_fields__, as dataclasses generates __init__.
+    The constructor takes every field positionally, then the class's one
+    non-field attribute extra as an optional last argument, set only when
+    it is not None. It sets each value with object.__setattr__ in field
+    declaration order, as __init__ does, and extra last, so that
+    instances keep CPython's key-sharing dicts (an instance filled in
+    another order, or by __dict__.update(), can get a dict of its own).
     """
-    obj = object.__new__(cls)
-    for name, value in zip(cls.__dataclass_fields__, values):
-        object.__setattr__(obj, name, value)
-    return obj
+    names = list(cls.__dataclass_fields__)
+    lines = [f"def new({', '.join(names)}{f', {extra}=None' if extra else ''}):",
+             "    obj = new_object(cls)"]
+    lines += [f"    set_attr(obj, {name!r}, {name})" for name in names]
+    if extra:
+        lines += [f"    if {extra} is not None:", f"        set_attr(obj, {extra!r}, {extra})"]
+    lines.append("    return obj")
+    scope = {"cls": cls, "new_object": object.__new__, "set_attr": object.__setattr__}
+    exec("\n".join(lines), scope)
+    return scope["new"]
 
 
 @dataclass(frozen=True)
@@ -193,6 +205,9 @@ class ProbabilitySet:
         object.__setattr__(self, "p_t1", np.asarray(self.p_t1, dtype=float))
         object.__setattr__(self, "p_t2", np.asarray(self.p_t2, dtype=float))
         object.__setattr__(self, "p_joint", np.asarray(self.p_joint, dtype=float))
+
+
+_new_probability_set = _trusted(ProbabilitySet, "_flat")
 
 
 def validate_probability_set(ps: ProbabilitySet, atol: float = 1e-9) -> ProbabilitySet:
@@ -260,6 +275,4 @@ def context_table(rho) -> ProbabilitySet:
     then views of one kernel vector, which the result keeps.
     """
     flat = _probabilities(qcore.validate_state(rho))
-    ps = _trusted(ProbabilitySet, *_split(flat))
-    object.__setattr__(ps, "_flat", flat)
-    return ps
+    return _new_probability_set(flat[0:2], flat[2:4], flat[4:].reshape(2, 2), flat)

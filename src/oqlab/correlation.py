@@ -333,21 +333,31 @@ def coherent_expected_counts(src, det, tau_ns, bin_width_ns: float, n_start, n_s
     return n * (np.exp(-r * lo) - np.exp(-r * hi))
 
 
-def _window(tau_ns, window_ns: float) -> np.ndarray:
-    """Mask of the bins, by their centres tau_ns, with |tau| <= window_ns / 2."""
+def _window(tau_ns, bin_width_ns: float, window_ns: float) -> np.ndarray:
+    """Mask of the bins, by their centres tau_ns, with |tau| <= window_ns / 2.
+
+    The window must hold one bin and stay within the outer bin edge,
+    max |tau| + bin_width_ns / 2: a wider one would average the tail bins
+    that set the baseline and name a range the histogram never covered.
+    """
     _require_in_range("window_ns", window_ns)
-    sel = np.abs(tau_ns) <= window_ns / 2 + 1e-9
+    distance = np.abs(tau_ns)
+    sel = distance <= window_ns / 2 + 1e-9
     if not np.any(sel):
         raise ValueError("window_ns is narrower than one histogram bin")
+    edge = float(distance.max()) + bin_width_ns / 2
+    if window_ns / 2 > edge + 1e-9:
+        raise ValueError(f"window_ns reaches past the outer bin edge at |tau| = {edge:g} ns")
     return sel
 
 
 def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:
     """Mean normalized coincidence level over |tau| <= window_ns / 2.
 
-    Returns nan for a histogram flagged low_statistics.
+    Returns nan for a histogram flagged low_statistics. Raises ValueError
+    for a window narrower than one bin or reaching past the outer bin edge.
     """
-    sel = _window(hist.tau_ns, window_ns)
+    sel = _window(hist.tau_ns, hist.bin_width_ns, window_ns)
     if hist.low_statistics:
         return float("nan")
     return float(hist.g2[sel].mean())
@@ -359,9 +369,10 @@ def g2_zero_error(hist: G2Histogram, window_ns: float = 5.5) -> float:
     g2_zero is the window's raw count n over baseline x bins, so its
     error is sqrt(n) over the same. An empty window is given the error of
     one count, as sqrt(0) = 0 would claim an exact zero. Returns nan for a
-    histogram flagged low_statistics.
+    histogram flagged low_statistics; the window is checked as g2_zero
+    checks it.
     """
-    sel = _window(hist.tau_ns, window_ns)
+    sel = _window(hist.tau_ns, hist.bin_width_ns, window_ns)
     if hist.low_statistics:
         return float("nan")
     n = max(int(hist.counts[sel].sum()), 1)

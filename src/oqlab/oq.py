@@ -51,6 +51,9 @@ class Quasiprobability:
         object.__setattr__(self, "aot_dev", np.asarray(self.aot_dev, dtype=float))
 
 
+_new_quasiprobability = _trusted(Quasiprobability)
+
+
 def negativity(w) -> float:
     """Half the summed absolute value of the negative components of w.
 
@@ -115,8 +118,8 @@ def oq_distribution(ps: ProbabilitySet, atol: float = 1e-9) -> Quasiprobability:
     out = _checked_vector(ps, atol) @ _EQ1_MATRIX
     # fresh arrays rather than views, so a kept result holds no spare base
     w = out[:4].reshape(2, 2).copy()
-    return _trusted(
-        Quasiprobability, w, _negativity(out[:4].tolist()), np.abs(out[6:]), np.abs(out[4:6])
+    return _new_quasiprobability(
+        w, _negativity(out[:4].tolist()), np.abs(out[6:]), np.abs(out[4:6])
     )
 
 

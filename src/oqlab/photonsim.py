@@ -249,6 +249,9 @@ class CountTable:
             raise ValueError("total must equal the sum of counts")
 
 
+_new_count_table = _trusted(CountTable)
+
+
 @dataclass(frozen=True)
 class ClickStream:
     """Sorted detection times (ns) of one detector channel.
@@ -278,6 +281,9 @@ class ClickStream:
             raise ValueError("times_ns must be finite and nondecreasing")
         object.__setattr__(self, "times_ns", t)
         object.__setattr__(self, "detector", str(self.detector))
+
+
+_new_click_stream = _trusted(ClickStream, "_labelled")
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +376,7 @@ def _counting_runs(rho, setups, n_photons: int, det: DetectorModel | None, seeds
             if total >= 2**63:
                 raise ValueError(f"setup {setup}: counts reach 2**63")
             counts = counts + darks
-        tables.append(_trusted(CountTable, setup, counts.reshape(2, 2), total))
+        tables.append(_new_count_table(setup, counts.reshape(2, 2), total))
     return tables
 
 
@@ -470,7 +476,7 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     _require_in_range("window_ns", window_ns)
     ta, tb = a.times_ns, b.times_ns
     if ta.size == 0 or tb.size == 0:
-        return _trusted(ClickStream, np.empty(0), f"{a.detector}&{b.detector}")
+        return _new_click_stream(np.empty(0), f"{a.detector}&{b.detector}")
     idx = np.searchsorted(tb, ta)
     lo = np.clip(idx - 1, 0, tb.size - 1)
     hi = np.clip(idx, 0, tb.size - 1)
@@ -478,7 +484,7 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     nearest = tb[pick]
     fired = np.abs(nearest - ta) <= window_ns
     out = np.sort(np.maximum(ta[fired], nearest[fired]))
-    return _trusted(ClickStream, out, f"{a.detector}&{b.detector}")
+    return _new_click_stream(out, f"{a.detector}&{b.detector}")
 
 
 def _categories(n: int, probs, rng):
@@ -756,21 +762,17 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
         probs = [1.0 - h, *(h * e / 2 for e in det.efficiency[:2])]
         unheralded, *signal = _categories(pairs.size, probs, rng)
         idler = _with_darks_and_jitter(pairs.compress(~unheralded), det, duration_ns, rng)
-        idler = _trusted(ClickStream, idler, "i")
+        idler = _new_click_stream(idler, "i")
         outputs = []
         for i in (0, 1):
             sig = _with_darks_and_jitter(pairs.compress(signal[i]), det, duration_ns, rng)
-            sig = _trusted(ClickStream, sig, f"s{i}")
+            sig = _new_click_stream(sig, f"s{i}")
             outputs.append(and_gate(sig, idler, det.coincidence_window_ns))
         return outputs
     else:
         raise TypeError(f"unsupported source model: {src!r}")
-    streams = []
-    for k, t in enumerate(_channels(times, in_1)):
-        stream = _trusted(ClickStream, t, str(k))
-        object.__setattr__(stream, "_labelled", (times, in_1, k))
-        streams.append(stream)
-    return streams
+    return [_new_click_stream(t, str(k), (times, in_1, k))
+            for k, t in enumerate(_channels(times, in_1))]
 
 
 # ---------------------------------------------------------------------------
@@ -847,6 +849,6 @@ def count_tables_from_csv(path):
     if not acc:
         raise ValueError(f"{path}: no data rows found")
     return {  # every field was checked above, line by line
-        setup: _trusted(CountTable, setup, np.array(cells, np.int64).reshape(2, 2), sum(cells))
+        setup: _new_count_table(setup, np.array(cells, np.int64).reshape(2, 2), sum(cells))
         for setup, cells in sorted(acc.items())
     }

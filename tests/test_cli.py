@@ -859,6 +859,38 @@ class TestG2:
                        f"(--bin-width {width} ns)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,name,edge,max_delay",
+        [(["--window", "1e9"], "--window of 1e+09 ns", "20", "20"),
+         (["--window", "40.001"], "--window of 40.001 ns", "20", "20"),
+         # the outer edge is --max-delay rounded up to whole bins
+         (["--window", "21", "--max-delay", "10", "--bin-width", "0.3"],
+          "--window of 21 ns", "10.2", "10"),
+         # the detector's 5.5 ns default against bins that end at 2 ns
+         (["--max-delay", "2"], "the detector's coincidence window of 5.5 ns", "2", "2")],
+    )
+    def test_window_past_the_outer_bin_edge_is_refused_before_the_run(
+        self, tmp_path, capsys, monkeypatch, argv, name, edge, max_delay
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("no click stream may be drawn")
+
+        monkeypatch.setattr(cli, "generate_click_streams", refuse)
+        out = tmp_path / "hist.csv"
+        code, text, err = run_cli(["g2", "--source", "single-emitter", "--duration", "0.5",
+                                   *argv, "--out", str(out)], capsys)
+        assert code == 3 and text == ""
+        assert err == (f"error: {name} reaches past the outer bin edge at |tau| = {edge} ns "
+                       f"(--max-delay {max_delay} ns)\n")
+        assert not out.exists()
+
+    def test_window_of_the_whole_histogram_is_taken(self, tmp_path, capsys):
+        out = tmp_path / "hist.csv"
+        code, text, _ = run_cli(["g2", "--source", "single-emitter", "--duration", "0.01",
+                                 "--window", "40", "--out", str(out)], capsys)
+        assert code == 0
+        assert "over |tau| <= 20 ns" in text
+
     def test_window_of_one_bin_is_taken(self, tmp_path, capsys):
         out = tmp_path / "hist.csv"
         code, text, _ = run_cli(["g2", "--source", "single-emitter", "--duration", "0.01",

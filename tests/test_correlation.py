@@ -20,6 +20,7 @@ from oqlab.correlation import (
     coherent_expected_counts,
     dip_width,
     g2_zero,
+    g2_zero_error,
     start_stop_histogram,
 )
 from oqlab.photonsim import (
@@ -622,6 +623,21 @@ class TestNormalization:
         assert g2_zero(hist, window_ns=1.0) == pytest.approx(0.3)
         assert g2_zero(hist, window_ns=2.0) == pytest.approx(0.65)
         assert dip_width(hist, threshold=0.5) == pytest.approx(1.0)
+
+    def test_g2_zero_rejects_a_window_past_the_outer_bin_edge(self):
+        hist = G2Histogram(
+            tau_ns=np.array([-0.75, -0.25, 0.25, 0.75]),
+            counts=np.array([10, 2, 4, 10]),
+            g2=np.array([1.0, 0.2, 0.4, 1.0]),
+            bin_width_ns=0.5,
+            baseline=10.0,
+            low_statistics=False,
+        )
+        # the bins end at |tau| = 1, so a window of 2 ns is the widest taken
+        for window in (2.001, 3.0, 1e9):
+            for estimate in (g2_zero, g2_zero_error):
+                with pytest.raises(ValueError, match=r"past the outer bin edge at \|tau\| = 1 ns"):
+                    estimate(hist, window_ns=window)
 
     def test_g2_zero_rejects_bad_window(self):
         rng = np.random.default_rng(23)
