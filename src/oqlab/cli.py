@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
 import itertools
 import json
@@ -219,6 +220,21 @@ def _write_text(path, text: str):
         fh.write(text)
 
 
+def _require_writable_dir(path):
+    """Raise the OSError that opening path for writing would raise if its
+    directory is missing, is not a directory or is not writable. Nothing
+    is created, so a run that fails after this check (exit 3) still leaves
+    no file, and one that passes it draws before the file is opened."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(directory):
+        code = errno.ENOTDIR if os.path.exists(directory) else errno.ENOENT
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -334,6 +350,7 @@ def _scan_rows_weak_field(args):
     det = resolve_detector(args.det)
     means = _flag_values("--means", args.means)
     thetas = _scan_axis("--theta-step", args.theta_step, 0.0, 90.0, args.theta_step)
+    _require_writable_dir(args.out)
     try:
         w, *negs = weakfield_scan(thetas, means, args.pulses, det, args.seed)
     except ValueError as exc:
@@ -456,11 +473,12 @@ def cmd_g2(args) -> dict:
         flag, value = (("--bin-width", args.bin_width) if "narrower" in message
                        else ("--max-delay", args.max_delay))
         raise ValueError(f"{message} ({flag} {value:g} ns)") from None
-    chunk_s = _g2_chunk_s(src, det, acc.span_ns, guard_ns)
+    chunks = _g2_chunks(args.duration, _g2_chunk_s(src, det, acc.span_ns, guard_ns))
+    _require_writable_dir(args.out)
     # each chunk restarts the source at 0 on its own clock, seeded by its
     # index the way the weak-field scan seeds each grid point; no chunk is
     # held while the next one is drawn
-    for k, length_s in enumerate(_g2_chunks(args.duration, chunk_s)):
+    for k, length_s in enumerate(chunks):
         seed = np.random.SeedSequence(args.seed, spawn_key=(k,))
         acc.add(*_labelled_clicks(*generate_click_streams(src, length_s, det=det, seed=seed)),
                 length_s * NS_PER_S)

@@ -44,9 +44,9 @@ would leave it Poisson apart from clicks spilling over the ends, so none
 is drawn. Emitter and SPDC emissions, which are not Poisson, each take
 one uniform draw as their branch-and-detection label, and their clicks
 carry explicit jitter and darks. An emitter run is drawn as one labelled
-stream too: its clicks are the jittered emissions in emission order, with
-the darks, and any emission that jitter put before an earlier one,
-merged in.
+stream too: its clicks are the jittered emissions, sorted with their
+labels where jitter puts one before an earlier one, with the darks merged
+in.
 """
 
 from __future__ import annotations
@@ -621,9 +621,10 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     jitter is rng.standard_normal scaled in place, which repeats
     Generator.normal (loc = 0) on the same doubles, and the darks are
     _poisson_times. The jitter is added in the emission buffer in emission
-    order and lost emissions are dropped. The darks are merged in, together
-    with any emissions that jitter put before an earlier one (_late).
-    Clicks at equal times may come in either channel order.
+    order and lost emissions are dropped. Where jitter puts an emission
+    before an earlier one, the emissions are sorted with their labels
+    before the darks are merged in. Clicks at equal times may come in
+    either channel order.
     """
     emitted = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
     n = emitted.size
@@ -666,60 +667,39 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     if n_kept < n:
         times[:n_kept] = times[:n].compress(kept)
         in_1 = in_1.compress(kept)
-    extra = np.concatenate(darks)
-    extra_1 = np.arange(extra.size) >= darks[0].size
+    dark = np.concatenate(darks)
+    dark_1 = np.arange(dark.size) >= darks[0].size
     emissions = times[:n_kept]
     if jitter and bool(np.any(emissions[1:] < emissions[:-1])):
-        # the emissions that jitter put before an earlier one join the
-        # darks, and the rest are in order
-        late = _late(emissions)
-        extra = np.concatenate((emissions[late], extra))
-        extra_1 = np.concatenate((in_1[late], extra_1))
-        n_kept -= late.size
-        times[:n_kept] = np.delete(emissions, late)
-        in_1 = np.delete(in_1, late)
-        emissions = times[:n_kept]
-    if extra.size:
-        order = np.argsort(extra, kind="stable")
-        extra, extra_1 = extra.take(order), extra_1.take(order)
-    end = n_kept + extra.size
+        # jitter put some emissions before an earlier one: they are sorted
+        # with their labels, equal times in emission order. The stable sort
+        # in place moves the times as the stable argsort moves the labels,
+        # with no gathered copy of them
+        in_1 = in_1[np.argsort(emissions, kind="stable")]
+        emissions.sort(kind="stable")
+    if dark.size:
+        order = np.argsort(dark, kind="stable")
+        dark, dark_1 = dark.take(order), dark_1.take(order)
+    end = n_kept + dark.size
     if end <= times.size:
-        times[n_kept:end] = extra
+        times[n_kept:end] = dark
         times = times[:end]
     else:
-        times = np.concatenate((times[:n_kept], extra))
-    if extra.size:
-        # the labels with the extra clicks' labels inserted where those
-        # fall; the new array is made before its mask, so that freeing the
-        # mask leaves no hole in front of it
-        at = np.searchsorted(emissions, extra, side="right") + np.arange(extra.size)
+        times = np.concatenate((times[:n_kept], dark))
+    if dark.size:
+        # the labels with the darks' labels inserted where those fall; the
+        # new array is made before its mask, so that freeing the mask
+        # leaves no hole in front of it
+        at = np.searchsorted(emissions, dark, side="right") + np.arange(dark.size)
         labels = np.empty(end, dtype=bool)
         is_emission = np.ones(end, dtype=bool)
         is_emission[at] = False
         labels[is_emission] = in_1
-        labels[at] = extra_1
+        labels[at] = dark_1
         in_1 = labels
-        # timsort merges the extra clicks' run into the emissions' run in
-        # place
+        # timsort merges the darks' run into the emissions' run in place
         times.sort(kind="stable")
     return times, in_1
-
-
-def _late(times):
-    """Indices of the clicks below the greatest click before them: the
-    clicks they leave out are in order. Between descents the clicks
-    ascend, so the late clicks of each run after a descent are its first
-    ones, found by one binary search per run."""
-    ends = np.flatnonzero(times[1:] < times[:-1])
-    top = np.maximum.accumulate(times[ends])  # the greatest click before each run
-    starts = lo = ends + 1
-    hi = np.append(ends[1:] + 1, times.size)
-    while (search := lo < hi).any():
-        mid = (lo + hi) // 2
-        below = search & (times[np.minimum(mid, times.size - 1)] < top)
-        lo, hi = np.where(below, mid + 1, lo), np.where(search & ~below, mid, hi)
-    count = lo - starts
-    return np.repeat(starts - np.cumsum(count) + count, count) + np.arange(count.sum())
 
 
 def generate_click_streams(src, duration_s: float, det: DetectorModel | None = None, seed=0):

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import errno
 import functools
 import hashlib
 import io
@@ -609,8 +610,10 @@ class TestSeededOutputBytes:
     was still seeded through SeedSequence.spawn, and g2 histograms: the
     emitter and SPDC ones at the bytes they had when each channel was
     tallied on its own, the weak-coherent one at those of its labelled
-    draw. analyze reports are pinned at the bytes they had when a record
-    was read by a scalar loop and only stacks by the batched reader."""
+    draw, and an emitter whose jitter puts emissions out of order at those
+    it had when such emissions were merged in with the darks. analyze
+    reports are pinned at the bytes they had when a record was read by a
+    scalar loop and only stacks by the batched reader."""
 
     @pytest.mark.parametrize(
         "source,digest",
@@ -624,6 +627,17 @@ class TestSeededOutputBytes:
                               "--out", str(out)], capsys)
         assert code == 0
         assert sha256_of(out) == digest
+
+    def test_g2_out_of_order_emitter(self, tmp_path, capsys):
+        # no excited lifetime: 5 ns of jitter puts some emissions before
+        # an earlier one
+        src, det, out = tmp_path / "src.cfg", tmp_path / "det.cfg", tmp_path / "hist.csv"
+        src.write_text("kind = single-emitter\nexcited_lifetime_ns = 0\n")
+        det.write_text("timing_jitter_ns = 5\n")
+        code, _, _ = run_cli(["g2", "--source", str(src), "--det", str(det), "--duration",
+                              "0.05", "--seed", "3", "--out", str(out)], capsys)
+        assert code == 0
+        assert sha256_of(out) == "86e4fad380dec8ab78cb7d396b18be374a0ecce565bd8415f1eab7c0adb53e2e"
 
     def test_weak_field_scan(self, tmp_path, capsys):
         out = tmp_path / "wf.csv"
@@ -1675,6 +1689,34 @@ class TestExitCodes:
         assert code == 3
         assert fragment in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["missing-dir", "file-as-dir"])
+    @pytest.mark.parametrize(
+        "argv,drawer",
+        [(["g2", "--duration", "20"], "generate_click_streams"),
+         (["scan", "--kind", "weak-field"], "weakfield_scan")],
+        ids=["g2", "weak-field"],
+    )
+    def test_unwritable_out_dir_exits_before_the_draw(self, tmp_path, capsys, monkeypatch,
+                                                      argv, drawer, blocked):
+        if blocked:
+            (tmp_path / "dir").write_text("not a directory")
+        calls = []
+        real = getattr(cli, drawer)
+
+        def counted(*args, **kwargs):
+            calls.append(True)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, drawer, counted)
+        out = tmp_path / "dir" / "h.csv"
+        code, _, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert code == 4
+        # the line that opening the file would have given
+        number = errno.ENOTDIR if blocked else errno.ENOENT
+        assert err == f"i/o error: [Errno {number}] {os.strerror(number)}: '{out}'\n"
+        assert not calls
+        assert [p.name for p in tmp_path.iterdir()] == (["dir"] if blocked else [])
 
 
     @pytest.mark.parametrize(

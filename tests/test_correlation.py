@@ -523,27 +523,29 @@ class TestMergeTally:
         assert peak(_StartStopAccumulator, merged=True) <= 1.1 * 9 * clicks
 
     def test_emitter_chunk_peak_memory(self):
-        # one g2 chunk of the emitter as cmd_g2 takes it: the draw, then the
-        # tally of its labelled stream. Its traced peak was 23.6 bytes a click
-        # when each channel was drawn on its own and the pair merged (seed 1)
+        # one default g2 chunk of the emitter in cmd_g2's own expression,
+        # which frees the channels before the tally: the draw, the channel
+        # split and the tally of the labelled stream. Its traced peak is
+        # 17.9 bytes a click (seed 1), set by the draw
         det = DetectorModel()
 
         def chunk_peak(seed):
             acc = _StartStopAccumulator(0.5, 20.0, guard_ns=20.0 * det.timing_jitter_ns + 1.0)
             tracemalloc.start()
             try:
-                streams = generate_click_streams(SingleEmitter(), 0.05, det=det, seed=seed)
-                clicks = sum(s.times_ns.size for s in streams)
-                acc.add(*_labelled_clicks(*streams), 0.05 * NS_PER_S)
-                del streams
-                return tracemalloc.get_traced_memory()[1], clicks
+                acc.add(*_labelled_clicks(*generate_click_streams(SingleEmitter(), 0.05,
+                                                                  det=det, seed=seed)),
+                        0.05 * NS_PER_S)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         chunk_peak(0)  # first calls make lasting allocations of their own
-        peak, clicks = chunk_peak(1)
+        peak = chunk_peak(1)
+        clicks = sum(s.times_ns.size for s in generate_click_streams(SingleEmitter(), 0.05,
+                                                                     det=det, seed=1))
         assert clicks > 90_000
-        assert peak <= 1.25 * 23.6 * clicks
+        assert peak <= 20.0 * clicks
 
 
 class TestLabelledClicks:

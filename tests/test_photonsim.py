@@ -1280,32 +1280,12 @@ EMITTER_CASES = {
 class TestEmitterStream:
     """The single emitter drawn as one labelled click stream."""
 
-    def test_late_clicks_are_those_below_an_earlier_one(self):
-        rng = np.random.default_rng(71)
-        # rounded, so that equal clicks (not late) come up too; a spread
-        # far above the gaps makes long late runs
-        cases = [(0, 1.0), (1, 1.0), (2, 5.0), (40, 0.0), (40, 2.0), (300, 30.0), (300, 1e4)]
-        for size, spread in cases:
-            times = np.round(np.arange(size) + rng.normal(0.0, spread, size))
-            late = photonsim._late(times)
-            expect = [j for j, t in enumerate(times) if t < max(times[:j], default=-np.inf)]
-            np.testing.assert_array_equal(late, expect)
-            assert np.all(np.diff(np.delete(times, late)) >= 0)
-
     @pytest.mark.parametrize("block,whole", [(7, 0), (photonsim._BLOCK, photonsim._WHOLE)])
     @pytest.mark.parametrize("case", sorted(EMITTER_CASES))
     def test_stream_holds_the_per_branch_channels(self, case, block, whole, monkeypatch):
         src, det, duration = EMITTER_CASES[case]
         monkeypatch.setattr(photonsim, "_BLOCK", block)
         monkeypatch.setattr(photonsim, "_WHOLE", whole)
-        late = photonsim._late
-        fell_back = []
-
-        def counted_late(times):
-            fell_back.append(True)
-            return late(times)
-
-        monkeypatch.setattr(photonsim, "_late", counted_late)
         for seed in range(3):
             s0, s1 = generate_click_streams(src, duration, det=det, seed=seed)
             times, in_1, k = s0._labelled
@@ -1324,13 +1304,6 @@ class TestEmitterStream:
             if times.size:
                 np.testing.assert_array_equal(np.add.reduceat(in_1, starts),
                                               np.add.reduceat(is_stop, starts))
-            # late emissions are taken out and merged in where jitter
-            # leaves the emissions out of order, and only there
-            if case.startswith("out-of-order"):
-                assert fell_back
-            elif case in ("ideal", "bench", "lossy"):
-                assert not fell_back
-            fell_back.clear()
         emissions = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz,
                                    duration * NS_PER_S, np.random.default_rng(2)).size
         if case == "empty":
