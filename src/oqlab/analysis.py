@@ -217,8 +217,13 @@ def estimate_calibration(reference: CountTable) -> tuple:
     With a diagonally polarized input and both splitters in, every
     detector nominally receives a quarter of the photons; deviations
     measure relative efficiency. The factors scale each detector's
-    counts to the reference mean.
+    counts to the reference mean. A reference of any setup other than
+    (1, 1), both splitters in, is refused.
     """
+    if reference.setup != (1, 1):
+        raise ValueError(
+            f"reference table must have setup (1, 1), both splitters in, got {reference.setup}"
+        )
     counts = reference.counts.ravel().astype(float)
     if np.any(counts <= 0):
         raise ValueError("reference table must have counts at every detector")

@@ -3,7 +3,8 @@
 Subcommands: predict (exact quasiprobability at one setting), scan
 (parameter sweeps written as CSV), simulate (Monte Carlo counting run
 plus analysis report), g2 (timing run and correlation histogram), and
-analyze (count CSVs to a JSON report).
+analyze (count CSVs to a JSON report). Each is one cmd_<name>(args): it
+computes, writes its files, prints to sys.stdout and returns its payload.
 
 Angles are degrees at this boundary and radians everywhere else. The
 analysis drivers seed simulate's and the weak-field scan's runs from
@@ -239,10 +240,33 @@ def _require_writable_dir(path):
 # subcommands
 
 
+def _print_quasi_text(payload: dict):
+    write = sys.stdout.write
+    if "theta_deg" in payload:
+        write(f"theta = {payload['theta_deg']:g} deg, phi = {payload.get('phi_deg', 0.0):g} deg\n")
+    write("W:\n")
+    for row in payload["w"]:
+        write("  " + "  ".join(f"{v:+.6f}" for v in row) + "\n")
+    write(f"negativity = {payload['negativity']:.6f}\n")
+    write(f"nsit_dev = {max(payload['nsit_dev']):.6f}\n")
+    write(f"aot_dev = {max(payload['aot_dev']):.6f}\n")
+    if "error" in payload:
+        err = payload["error"]
+        write(f"error = {err['total']:.6f} (statistical {err['statistical']:.6f}, "
+              f"systematic {err['systematic']:.6f}, {err['mode']})\n")
+    if payload.get("flags"):
+        write(f"flags = {', '.join(payload['flags'])}\n")
+
+
 def cmd_predict(args) -> dict:
     rho = qcore.make_pure_state(math.radians(args.theta), math.radians(args.phi))
     q = oq_distribution(context_table(rho))
-    return _quasi_payload(q, theta_deg=args.theta, phi_deg=args.phi)
+    payload = _quasi_payload(q, theta_deg=args.theta, phi_deg=args.phi)
+    if args.json:
+        sys.stdout.write(_json_report(payload))
+    else:
+        _print_quasi_text(payload)
+    return payload
 
 
 _QUASI_HEADER = "w00,w01,w10,w11,negativity,nsit_dev,aot_dev"
@@ -364,7 +388,7 @@ def _scan_rows_weak_field(args):
     return header, [np.column_stack((theta, mean, w.reshape(-1, 4), *(c.ravel() for c in negs)))]
 
 
-def cmd_scan(args) -> str:
+def cmd_scan(args) -> None:
     _require_in_range("--theta-step", args.theta_step)
     _require_in_range("--phi-step", args.phi_step)
     _require_in_range("--alpha-steps", args.alpha_steps)
@@ -378,7 +402,7 @@ def cmd_scan(args) -> str:
     # no table of the whole scan is ever held
     header, blocks = builders[args.kind](args)
     _write_csv(args.out, header, (block.tolist() for block in blocks))
-    return args.out
+    sys.stdout.write(f"wrote {args.out}\n")
 
 
 def cmd_simulate(args) -> dict:
@@ -394,7 +418,9 @@ def cmd_simulate(args) -> dict:
     for name, table in zip(files, rec.tables.values()):
         count_tables_to_csv([table], os.path.join(args.out_dir, name))
     _write_text(os.path.join(args.out_dir, "report.json"), _json_report(payload))
-    return {**payload, "files": files}
+    _print_quasi_text(payload)
+    sys.stdout.write(f"wrote {', '.join(files)} in {args.out_dir}\n")
+    return payload
 
 
 # g2 simulates its run as independent chunks (the last one shorter) of at
@@ -489,7 +515,7 @@ def cmd_g2(args) -> dict:
                [zip(hist.tau_ns.tolist(), hist.counts.tolist(), hist.g2.tolist())],
                meta=[("baseline", hist.baseline),
                      ("low_statistics", "true" if hist.low_statistics else "false")])
-    return {
+    payload = {
         "schema_version": SCHEMA_VERSION,
         "g2_zero": None if np.isnan(value) else float(value),
         "g2_zero_error": None if np.isnan(error) else float(error),
@@ -498,6 +524,13 @@ def cmd_g2(args) -> dict:
         "seed": args.seed,
         "out": args.out,
     }
+    if payload["low_statistics"]:
+        sys.stdout.write("g2(0) undefined: histogram flagged low statistics\n")
+    else:
+        sys.stdout.write(f"g2(0) = {payload['g2_zero']:.4f} ± {payload['g2_zero_error']:.4f} "
+                         f"over |tau| <= {payload['window_ns'] / 2:g} ns\n")
+    sys.stdout.write(f"wrote {args.out}\n")
+    return payload
 
 
 def cmd_analyze(args) -> dict:
@@ -517,8 +550,14 @@ def cmd_analyze(args) -> dict:
     if args.dark_counts is not None:
         darks = _flag_values("--dark-counts", args.dark_counts, int, four=True, zero_ok=True)
         rec = dark_count_correction(rec, darks)
-    return _counting_report(rec, {"mode": args.mode}, args.mode, args.error_mode,
-                            args.bootstrap, args.seed)
+    payload = _counting_report(rec, {"mode": args.mode}, args.mode, args.error_mode,
+                               args.bootstrap, args.seed)
+    # encoded once for both the --out file and stdout
+    text = _json_report(payload)
+    if args.out:
+        _write_text(args.out, text)
+    sys.stdout.write(text)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=float, required=True, help="preparation angle in degrees")
     p.add_argument("--phi", type=float, default=0.0, help="preparation phase in degrees")
     p.add_argument("--json", action="store_true", help="print a JSON report")
-    p.set_defaults(func=_run_predict)
+    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("scan", help="write a parameter sweep as CSV")
     p.add_argument("--kind", choices=["pure-grid", "bloch-disk", "weak-field"], required=True)
@@ -551,7 +590,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--det", default="dark-only",
                    help="weak-field detector: ideal, bench, dark-only, or config path")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_run_scan)
+    p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("simulate", help="Monte Carlo counting run with analysis report")
     p.add_argument("--theta", type=float, required=True)
@@ -561,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".", help="directory for count CSVs and report.json")
     p.add_argument("--error-mode", choices=["rss", "sum"], default="rss")
-    p.set_defaults(func=_run_simulate)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("g2", help="timing run and start-stop correlation histogram")
     p.add_argument("--source", default="heralded-spdc",
@@ -574,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="g2(0) averaging window in ns (default: detector coincidence window)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output histogram CSV path")
-    p.set_defaults(func=_run_g2)
+    p.set_defaults(func=cmd_g2)
 
     p = sub.add_parser("analyze", help="turn count CSVs into a quasiprobability report")
     p.add_argument("inputs", nargs="+", help="count CSV files (combined or one per setup)")
@@ -589,7 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "instead of the exact multinomial covariance (0 disables it)")
     p.add_argument("--seed", type=int, default=0, help="bootstrap seed (read with --bootstrap)")
     p.add_argument("--out", default=None, help="also write the JSON report to this path")
-    p.set_defaults(func=_run_analyze)
+    p.set_defaults(func=cmd_analyze)
 
     # argparse reads only -5 and -.5 as values and -1e-3 or -inf as an
     # unknown option: a token that may be a negative number goes to its
@@ -597,68 +636,6 @@ def build_parser() -> argparse.ArgumentParser:
     for p in sub.choices.values():
         p._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
     return parser
-
-
-def _print_quasi_text(payload: dict, stream):
-    w = payload["w"]
-    if "theta_deg" in payload:
-        stream.write(
-            f"theta = {payload['theta_deg']:g} deg, phi = {payload.get('phi_deg', 0.0):g} deg\n"
-        )
-    stream.write("W:\n")
-    for row in w:
-        stream.write("  " + "  ".join(f"{v:+.6f}" for v in row) + "\n")
-    stream.write(f"negativity = {payload['negativity']:.6f}\n")
-    stream.write(f"nsit_dev = {max(payload['nsit_dev']):.6f}\n")
-    stream.write(f"aot_dev = {max(payload['aot_dev']):.6f}\n")
-    if "error" in payload:
-        err = payload["error"]
-        stream.write(
-            f"error = {err['total']:.6f} "
-            f"(statistical {err['statistical']:.6f}, systematic {err['systematic']:.6f}, "
-            f"{err['mode']})\n"
-        )
-    if payload.get("flags"):
-        stream.write(f"flags = {', '.join(payload['flags'])}\n")
-
-
-def _run_predict(args, out):
-    payload = cmd_predict(args)
-    if args.json:
-        out.write(_json_report(payload))
-    else:
-        _print_quasi_text(payload, out)
-
-
-def _run_scan(args, out):
-    path = cmd_scan(args)
-    out.write(f"wrote {path}\n")
-
-
-def _run_simulate(args, out):
-    payload = cmd_simulate(args)
-    _print_quasi_text(payload, out)
-    out.write(f"wrote {', '.join(payload['files'])} in {args.out_dir}\n")
-
-
-def _run_g2(args, out):
-    payload = cmd_g2(args)
-    if payload["low_statistics"]:
-        out.write("g2(0) undefined: histogram flagged low statistics\n")
-    else:
-        out.write(
-            f"g2(0) = {payload['g2_zero']:.4f} ± {payload['g2_zero_error']:.4f} "
-            f"over |tau| <= {payload['window_ns'] / 2:g} ns\n"
-        )
-    out.write(f"wrote {payload['out']}\n")
-
-
-def _run_analyze(args, out):
-    # encoded once for both the --out file and stdout
-    text = _json_report(cmd_analyze(args))
-    if args.out:
-        _write_text(args.out, text)
-    out.write(text)
 
 
 @functools.cache
@@ -680,7 +657,7 @@ def main(argv=None) -> int:
     try:
         if "seed" in args:
             _require_in_range("--seed", args.seed, zero_ok=True)
-        args.func(args, sys.stdout)
+        args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -320,10 +320,14 @@ def coherent_expected_counts(src, det, tau_ns, bin_width_ns: float, n_start, n_s
     clicks; the negative side swaps the channels. tau_ns are the bin
     centres. Clicks within the delay range of the run's end, which have
     no next click to find, are left out of the count, a relative bias of
-    about max_delay / duration.
+    about max_delay / duration. bin_width_ns must be finite and above 0,
+    the click counts n_start and n_stop finite and at least 0.
     """
     if not isinstance(src, WeakCoherent):
         raise TypeError(f"the closed form holds for a WeakCoherent source, not {src!r}")
+    _require_in_range("bin_width_ns", bin_width_ns)
+    _require_in_range("n_start", n_start, zero_ok=True)
+    _require_in_range("n_stop", n_stop, zero_ok=True)
     r_start, r_stop = (r / NS_PER_S for r in _coherent_rates_hz(src, det))
     tau_ns = np.asarray(tau_ns, dtype=float)
     lo, hi = np.abs(tau_ns) - bin_width_ns / 2, np.abs(tau_ns) + bin_width_ns / 2

@@ -483,7 +483,9 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     pick = np.where(np.abs(tb[hi] - ta) < np.abs(tb[lo] - ta), hi, lo)
     nearest = tb[pick]
     fired = np.abs(nearest - ta) <= window_ns
-    out = np.sort(np.maximum(ta[fired], nearest[fired]))
+    # nondecreasing already: the nearest click of a sorted stream never
+    # moves back as the query time grows
+    out = np.maximum(ta[fired], nearest[fired])
     return _new_click_stream(out, f"{a.detector}&{b.detector}")
 
 
@@ -792,14 +794,22 @@ def count_tables_to_csv(tables, path):
 def count_tables_from_csv(path):
     """Read CountTables back from CSV; returns {setup: CountTable}.
 
-    Raises ValueError with the offending line number on malformed rows.
+    Raises ValueError with the offending line number on malformed rows and
+    on a '# schema_version=' line of another version than SCHEMA_VERSION;
+    a file with no schema line reads as the current version.
     """
     acc: dict[tuple, list] = {}
     seen_header = False
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line or line.startswith("#"):
+            if not line:
+                continue
+            if line.startswith("#"):
+                key, _, version = line[1:].partition("=")
+                if key.strip() == "schema_version" and version.strip() != str(SCHEMA_VERSION):
+                    raise ValueError(f"{path}: line {lineno}: schema_version {version.strip()} "
+                                     f"is not supported, expected {SCHEMA_VERSION}")
                 continue
             if not seen_header:
                 if line.replace(" ", "") != COUNT_CSV_HEADER:

@@ -201,6 +201,21 @@ class TestEstimateCalibration:
         with pytest.raises(ValueError, match="every detector"):
             estimate_calibration(tab((1, 1), [[100, 100], [0, 100]]))
 
+    @pytest.mark.parametrize("setup", [(0, 0), (0, 1), (1, 0)])
+    def test_rejects_reference_of_another_setup(self, setup):
+        message = f"setup (1, 1), both splitters in, got {setup}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_calibration(tab(setup, [[2500, 2500], [2500, 2500]]))
+
+    def test_rejects_dark_filled_run_with_splitters_out(self):
+        # darks fill every detector of a (0, 0) run, so only the setup
+        # rule stops it from passing as a reference
+        det = DetectorModel(dark_rate_hz=2e5)
+        table = simulate_counts(qcore.make_pure_state(0.3), (0, 0), 10_000, det=det, seed=1)
+        assert np.all(table.counts > 0)
+        with pytest.raises(ValueError, match=re.escape("got (0, 0)")):
+            estimate_calibration(table)
+
 
 class TestDarkCorrection:
     def test_zero_darks_is_identity(self):

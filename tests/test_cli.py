@@ -1482,6 +1482,22 @@ class TestAnalyze:
         assert code == 3
         assert "line 3" in err
 
+    def test_other_schema_version_is_data_error(self, tmp_path, capsys):
+        # files a later writer might head with another schema version are
+        # refused by name and line, and no report is written
+        out_dir = self.make_run(tmp_path, capsys)
+        paths = []
+        for name in ("counts_11.csv", "counts_01.csv"):
+            text = Path(out_dir, name).read_text()
+            paths.append(tmp_path / name)
+            paths[-1].write_text(text.replace("# schema_version=1", "# schema_version=2"))
+        report = tmp_path / "report.json"
+        code, out, err = run_cli(["analyze", *map(str, paths), "--out", str(report)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: {paths[0]}: line 1: schema_version 2 is not supported, "
+                       "expected 1\n")
+        assert not report.exists()
+
 
 # a detector config line and the message its error ends with
 DETECTOR_CONFIG_ERRORS = {

@@ -759,6 +759,25 @@ WRONG_ORACLE_GENERATORS = {
 class TestCoherentOracle:
     """Weak-coherent histograms bin by bin against their closed form."""
 
+    @pytest.mark.parametrize("name,inputs", [
+        ("bin_width_ns", (math.nan, 10, 10)),
+        ("bin_width_ns", (-0.5, 10, 10)),
+        ("bin_width_ns", (0.0, 10, 10)),
+        ("bin_width_ns", (math.inf, 10, 10)),
+        ("n_start", (0.5, -1, 10)),
+        ("n_start", (0.5, math.nan, 10)),
+        ("n_stop", (0.5, 10, -3)),
+        ("n_stop", (0.5, 10, math.inf)),
+    ])
+    def test_oracle_checks_its_inputs(self, name, inputs):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            coherent_expected_counts(WeakCoherent(), DetectorModel(), [-0.25, 0.25], *inputs)
+
+    def test_oracle_takes_zero_clicks(self):
+        expected = coherent_expected_counts(WeakCoherent(), DetectorModel(), [-0.25, 0.25],
+                                            0.5, 0, 0)
+        np.testing.assert_array_equal(expected, [0.0, 0.0])
+
     @pytest.mark.parametrize("detector", sorted(ORACLE_DETECTORS))
     def test_one_shot_histogram(self, detector):
         det = ORACLE_DETECTORS[detector]

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from oqlab import photonsim, qcore
@@ -937,6 +938,25 @@ class TestAndGate:
         ]
         assert all(b >= a for a, b in zip(counts, counts[1:]))
 
+    @settings(max_examples=300, deadline=None)
+    @given(a=st.lists(st.integers(0, 40), max_size=50),
+           b=st.lists(st.integers(0, 40), max_size=50),
+           window=st.sampled_from([0.5, 1.0, 2.5, 10.0]), scale=st.sampled_from([1.0, 0.1, 0.25]))
+    def test_output_is_the_sorted_reference(self, a, b, window, scale):
+        # whole-number grids, scaled, give many ties within and across the
+        # streams; each a-click pairs with its nearest b-click, the earlier
+        # one on a tie, and fires at the later edge when within the window
+        ta = np.sort(np.array(a, dtype=float)) * scale
+        tb = np.sort(np.array(b, dtype=float)) * scale
+        out = and_gate(ClickStream(ta), ClickStream(tb), window).times_ns
+        fires = []
+        for t in ta if tb.size else []:
+            nearest = tb[np.argmin(np.abs(tb - t))]
+            if abs(nearest - t) <= window:
+                fires.append(max(t, nearest))
+        assert np.all(np.diff(out) >= 0)
+        np.testing.assert_array_equal(out, np.sort(np.array(fires, dtype=float)))
+
     def test_empty_inputs(self):
         empty = ClickStream(np.empty(0))
         full = ClickStream(np.array([1.0, 2.0]))
@@ -1351,6 +1371,26 @@ class TestCsvRoundTrip:
         )
         _write_csv(path, "a,b,c", [])
         assert path.read_text() == "# schema_version=1\na,b,c\n"
+
+    @pytest.mark.parametrize("version", ["2", "0", "", "1.0"])
+    def test_other_schema_version_is_refused(self, tmp_path, version):
+        path = tmp_path / "counts.csv"
+        path.write_text(f"# schema_version={version}\nn1,n2,a1,a2,counts\n1,1,0,0,5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: line 1: schema_version {version} is not supported, expected 1")):
+            count_tables_from_csv(path)
+
+    def test_schema_line_is_checked_wherever_it_stands(self, tmp_path):
+        path = tmp_path / "counts.csv"
+        path.write_text("n1,n2,a1,a2,counts\n1,1,0,0,5\n#  schema_version = 2\n")
+        with pytest.raises(ValueError, match="line 3: schema_version 2"):
+            count_tables_from_csv(path)
+
+    @pytest.mark.parametrize("head", ["#schema_version = 1\n", "# baseline=2\n"])
+    def test_current_schema_line_and_other_comments_read(self, tmp_path, head):
+        path = tmp_path / "counts.csv"
+        path.write_text(head + "n1,n2,a1,a2,counts\n1,1,0,0,5\n")
+        assert count_tables_from_csv(path)[(1, 1)].counts[0, 0] == 5
 
     def test_duplicate_rows_accumulate(self, tmp_path):
         path = tmp_path / "counts.csv"
