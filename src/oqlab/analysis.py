@@ -411,10 +411,12 @@ def bootstrap_negativity_error(
     given by the observed frequencies. All resamples are re-analyzed at
     once, as estimate_probs and oq_distribution would one by one, and the
     spread of their negativities is returned (sample standard deviation).
-    n_boot runs from 2 to BOOTSTRAP_MAX and seed is a nonnegative integer.
-    A resample that the estimate refuses, its (0,1) row or (1,0) column
-    empty, is dropped.
+    n_boot is an integer from 2 to BOOTSTRAP_MAX and seed is a nonnegative
+    integer. A resample that the estimate refuses, its (0,1) row or (1,0)
+    column empty, is dropped.
     """
+    if not isinstance(n_boot, numbers.Integral):
+        raise ValueError(f"n_boot must be an integer, got {n_boot!r}")
     if n_boot < 2:
         raise ValueError("n_boot must be at least 2")
     if n_boot > BOOTSTRAP_MAX:
@@ -455,10 +457,10 @@ def analyze(
     budget = _PATH_BUDGETS[cell, error_mode]
     if n_boot is None:
         statistical = float(_standard_errors(counts, *normalised, rec.calibration, mode, [cell])[0])
-    elif n_boot:
-        statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
-    else:
+    elif isinstance(n_boot, numbers.Integral) and n_boot == 0:
         statistical = 0.0
+    else:
+        statistical = bootstrap_negativity_error(rec, mode, n_boot, seed)
     systematic = budget.total_error * q.negativity
     _require_in_range("statistical_error", statistical, zero_ok=True)
     _require_in_range("systematic_error", systematic, zero_ok=True)

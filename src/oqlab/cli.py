@@ -436,13 +436,25 @@ G2_CHUNK_CLICKS = 2**17
 G2_CHUNKS_MAX = 2**20
 
 
-def _g2_chunks(duration_s, chunk_s):
-    """Lengths in seconds of the chunks that tile [0, duration_s).
-
-    More than G2_CHUNKS_MAX chunks are refused here, not when the first is
-    taken. The count is compared before the ceil, so that an infinite
-    quotient is refused too.
-    """
+def _g2_chunks(duration_s, src, det, edge_ns: float, guard_ns: float):
+    """Lengths in seconds of the chunks that tile [0, duration_s): G2_CHUNK_S,
+    or the time src through det takes to reach G2_CHUNK_CLICKS clicks per
+    channel if that is shorter, and the last one shorter still. Refused
+    before a click is drawn: any chunk length short of edge_ns, the outer
+    bin edge the tally holds clicks for, plus guard_ns, and more than
+    G2_CHUNKS_MAX chunks, counted before the ceil so that an infinite
+    quotient is refused too."""
+    rate_hz = _click_rate_bound_hz(src, det)
+    chunk_s, chunks = G2_CHUNK_S, f"chunks of {G2_CHUNK_S:g} s"
+    if rate_hz * G2_CHUNK_S > G2_CHUNK_CLICKS:
+        chunk_s = G2_CHUNK_CLICKS / rate_hz
+        chunks = (f"source clicks at up to {rate_hz:.4g} Hz per channel, so chunks of "
+                  f"{G2_CHUNK_CLICKS} clicks")
+    if chunk_s * NS_PER_S < edge_ns + guard_ns:
+        raise ValueError(
+            f"{chunks} last {chunk_s * NS_PER_S:.4g} ns, shorter than the "
+            f"{edge_ns:.4g} ns outer bin edge plus the {guard_ns:.4g} ns jitter guard"
+        )
     count = duration_s / chunk_s
     if count > G2_CHUNKS_MAX:
         raise ValueError(
@@ -453,23 +465,6 @@ def _g2_chunks(duration_s, chunk_s):
     while n > 1 and (n - 1) * chunk_s >= duration_s:
         n -= 1
     return itertools.chain(itertools.repeat(chunk_s, n - 1), [duration_s - (n - 1) * chunk_s])
-
-
-def _g2_chunk_s(src, det, edge_ns: float, guard_ns: float) -> float:
-    """Chunk length for a source: G2_CHUNK_S, or the time the source takes
-    to reach G2_CHUNK_CLICKS clicks per channel if that is shorter. A
-    chunk must outlast edge_ns, the outer bin edge, plus guard_ns."""
-    rate_hz = _click_rate_bound_hz(src, det)
-    if rate_hz * G2_CHUNK_S <= G2_CHUNK_CLICKS:
-        return G2_CHUNK_S
-    chunk_s = G2_CHUNK_CLICKS / rate_hz
-    if chunk_s * NS_PER_S < edge_ns + guard_ns:
-        raise ValueError(
-            f"source clicks at up to {rate_hz:.4g} Hz per channel, so chunks of "
-            f"{G2_CHUNK_CLICKS} clicks last {chunk_s * NS_PER_S:.4g} ns, shorter than the "
-            f"{edge_ns:.4g} ns outer bin edge plus the {guard_ns:.4g} ns jitter guard"
-        )
-    return chunk_s
 
 
 def cmd_g2(args) -> dict:
@@ -499,7 +494,7 @@ def cmd_g2(args) -> dict:
         flag, value = (("--bin-width", args.bin_width) if "narrower" in message
                        else ("--max-delay", args.max_delay))
         raise ValueError(f"{message} ({flag} {value:g} ns)") from None
-    chunks = _g2_chunks(args.duration, _g2_chunk_s(src, det, acc.span_ns, guard_ns))
+    chunks = _g2_chunks(args.duration, src, det, acc.span_ns, guard_ns)
     _require_writable_dir(args.out)
     # each chunk restarts the source at 0 on its own clock, seeded by its
     # index the way the weak-field scan seeds each grid point; no chunk is
@@ -511,8 +506,11 @@ def cmd_g2(args) -> dict:
     hist = acc.histogram()
     value = g2_zero(hist, window_ns=window)
     error = g2_zero_error(hist, window_ns=window)
+    # in _block_bounds blocks, as the scans, so no list of every row is held
+    bounds = _block_bounds(hist.tau_ns.size)
     _write_csv(args.out, "tau_ns,counts,g2",
-               [zip(hist.tau_ns.tolist(), hist.counts.tolist(), hist.g2.tolist())],
+               (zip(*(c[lo:hi].tolist() for c in (hist.tau_ns, hist.counts, hist.g2)))
+                for lo, hi in zip(bounds, bounds[1:])),
                meta=[("baseline", hist.baseline),
                      ("low_statistics", "true" if hist.low_statistics else "false")])
     payload = {

@@ -169,9 +169,15 @@ def _rotation(angle: float) -> np.ndarray:
 
 
 def rotate_polarization(rho, angle: float) -> np.ndarray:
-    """Rotate the linear polarization frame of rho by `angle` radians."""
+    """Rotate the linear polarization frame of rho by `angle` radians.
+
+    rho goes through validate_state and angle must be finite.
+    """
+    rho = validate_state(rho)
+    if not math.isfinite(angle):
+        raise ValueError(f"angle must be finite, got {angle}")
     r = _rotation(angle)
-    return r @ np.asarray(rho, dtype=complex) @ r.T
+    return r @ rho @ r.T
 
 
 def hwp_matrix(angle: float) -> np.ndarray:
@@ -223,10 +229,11 @@ def fidelity(rho, sigma) -> float:
     """Uhlmann fidelity of two qubit density matrices.
 
     Uses the two-dimensional closed form F = Tr(rho sigma) + 2 sqrt(det
-    rho det sigma), which avoids matrix square roots.
+    rho det sigma), which avoids matrix square roots. Both matrices go
+    through validate_state, so the result lies in [0, 1] up to round-off.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
+    rho = validate_state(rho)
+    sigma = validate_state(sigma)
     t = np.trace(rho @ sigma).real
     d = (np.linalg.det(rho) * np.linalg.det(sigma)).real
     return float(t + 2.0 * np.sqrt(max(d, 0.0)))

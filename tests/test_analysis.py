@@ -85,6 +85,10 @@ class TestExperimentRecord:
         with pytest.raises(ValueError, match="missing"):
             ExperimentRecord(tables={(1, 1): tab((1, 1), [[1, 1], [1, 1]])})
 
+    def test_rejects_a_table_that_is_not_a_count_table(self):
+        with pytest.raises(TypeError, match=r"^setup \(1, 1\): expected a CountTable$"):
+            ExperimentRecord(tables={(1, 1): [[1, 1], [1, 1]], (0, 1): tab((0, 1), [[1, 1], [1, 1]])})
+
     def test_rejects_mislabeled_table(self):
         good = tab((1, 1), [[1, 1], [1, 1]])
         with pytest.raises(ValueError, match="measured at"):
@@ -604,6 +608,25 @@ class TestBootstrap:
     def test_rejects_tiny_resample_count(self):
         with pytest.raises(ValueError, match="n_boot"):
             bootstrap_negativity_error(bench_record(45), n_boot=1)
+
+    @pytest.mark.parametrize("n_boot", [2.5, float("nan"), "10", 10.0, 0.0])
+    def test_refuses_a_count_that_is_not_an_integer(self, monkeypatch, n_boot):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        rec = bench_record(45)
+        for call in (lambda: bootstrap_negativity_error(rec, n_boot=n_boot),
+                     lambda: analyze(rec, n_boot=n_boot)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"n_boot must be an integer, got {n_boot!r}"
+
+    def test_takes_a_numpy_integer_count(self):
+        rec = bench_record(45)
+        assert (bootstrap_negativity_error(rec, n_boot=np.int64(50), seed=3)
+                == bootstrap_negativity_error(rec, n_boot=50, seed=3))
+        assert analyze(rec, n_boot=np.int64(0))[1].statistical_error == 0.0
 
 
 def delta_method_reference(rec, mode="lab", step=1e-6, cell=None):

@@ -1105,7 +1105,7 @@ class TestG2Chunks:
     @pytest.mark.parametrize("source", sorted(cli.SOURCE_KINDS))
     def test_builtin_sources_keep_time_chunks(self, source, det):
         src, model = cli.resolve_source(source), cli.resolve_detector(det)
-        assert cli._g2_chunk_s(src, model, 20.0, 1.0) == cli.G2_CHUNK_S
+        assert next(cli._g2_chunks(1.0, src, model, 20.0, 1.0)) == cli.G2_CHUNK_S
 
     @pytest.mark.parametrize("duration", ["1e300", "1e308", repr(0.05 * (2**20 + 1))])
     def test_too_many_chunks_is_data_error(self, tmp_path, capsys, monkeypatch, duration):
@@ -1122,7 +1122,9 @@ class TestG2Chunks:
         assert not out.exists()
 
     def test_chunk_cap_takes_its_own_count(self):
-        chunks = cli._g2_chunks(cli.G2_CHUNK_S * cli.G2_CHUNKS_MAX, cli.G2_CHUNK_S)
+        chunks = cli._g2_chunks(cli.G2_CHUNK_S * cli.G2_CHUNKS_MAX,
+                                cli.resolve_source("heralded-spdc"),
+                                cli.resolve_detector("bench"), 20.0, 1.0)
         assert next(chunks) == cli.G2_CHUNK_S
         assert sum(1 for _ in chunks) == cli.G2_CHUNKS_MAX - 1
 
@@ -1222,6 +1224,59 @@ class TestG2Chunks:
         assert code == 3
         assert "last 21.15 ns, shorter than the 20.3 ns outer bin edge plus the 1 ns" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "det,flags,spans",
+        [
+            # at the default 0.05 s chunks the tally would hold every click
+            # of the last 100 s, so memory would grow with --duration
+            ("ideal", ["--max-delay", "1e11", "--bin-width", "1e6", "--window", "2e6"],
+             "1e+11 ns outer bin edge plus the 1 ns jitter guard"),
+            # a 10 ms jitter makes a 200 ms guard, 20 sigma + 1 ns
+            ("timing_jitter_ns = 1e7\n", [], "20 ns outer bin edge plus the 2e+08 ns jitter guard"),
+        ],
+        ids=["max-delay", "jitter"],
+    )
+    def test_time_chunks_outlast_the_outer_bin_edge(self, tmp_path, capsys, monkeypatch, det,
+                                                    flags, spans):
+        def no_clicks(*args, **kwargs):
+            raise AssertionError("clicks drawn for chunks shorter than the delay range")
+
+        monkeypatch.setattr(cli, "generate_click_streams", no_clicks)
+        cfg = tmp_path / "wc.cfg"
+        cfg.write_text("kind = weak-coherent\nmean_photons_per_pulse = 0.1\n")
+        if det != "ideal":
+            (tmp_path / "det.cfg").write_text(det)
+            det = str(tmp_path / "det.cfg")
+        out = tmp_path / "hist.csv"
+        code, _, err = run_cli(["g2", "--source", str(cfg), "--det", det, "--duration", "2",
+                                *flags, "--out", str(out)], capsys)
+        assert code == 3
+        assert err == f"error: chunks of 0.05 s last 5e+07 ns, shorter than the {spans}\n"
+        assert not out.exists()
+
+    def test_histogram_is_written_in_blocks(self, tmp_path, capsys, monkeypatch):
+        # 5 * 10^4 bins: written as one block, their rows peaked at 4.4 MB
+        peaks = []
+        real = cli._write_csv
+
+        def traced(*args, **kwargs):
+            tracemalloc.start()
+            try:
+                real(*args, **kwargs)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(cli, "_write_csv", traced)
+        out = tmp_path / "hist.csv"
+        code, _, _ = run_cli(["g2", "--det", "ideal", "--duration", "1e-3", "--max-delay", "1e6",
+                              "--bin-width", "40", "--window", "80", "--out", str(out)], capsys)
+        assert code == 0
+        tau, _ = read_histogram(out)
+        assert tau.size == 5 * 10**4
+        np.testing.assert_allclose(np.diff(tau), 40.0)
+        assert len(peaks) == 1 and peaks[0] < 2e6
 
     def test_module_runs_as_script(self):
         env = dict(os.environ)

@@ -1358,6 +1358,18 @@ class TestCsvRoundTrip:
         assert lines[1] == "n1,n2,a1,a2,counts"
         assert lines[2] == "1,1,0,0,0"
 
+    def test_blank_lines_are_skipped(self, tmp_path):
+        tables = [CountTable(setup=(1, 1), counts=np.arange(4).reshape(2, 2), total=6),
+                  CountTable(setup=(0, 1), counts=np.array([[3, 0], [1, 2]]), total=6)]
+        plain, spaced = tmp_path / "plain.csv", tmp_path / "spaced.csv"
+        count_tables_to_csv(tables, plain)
+        spaced.write_text("\n" + "\n \t\n".join(plain.read_text().splitlines()) + "\n\n")
+        read, expected = count_tables_from_csv(spaced), count_tables_from_csv(plain)
+        assert list(read) == list(expected) == [(0, 1), (1, 1)]
+        for setup, table in expected.items():
+            np.testing.assert_array_equal(read[setup].counts, table.counts)
+            assert read[setup].total == table.total
+
     def test_table_writer_lines(self, tmp_path):
         # schema line, meta lines in order, header, then every block's rows,
         # numbers as their shortest round-trip repr

@@ -377,3 +377,32 @@ class TestFidelity:
             w2 = np.linalg.eigvalsh(inner)
             expected = np.sum(np.sqrt(np.clip(w2, 0, None))) ** 2
             assert qcore.fidelity(a, b) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "bad",
+        # the first gave a fidelity of 1.933 with make_pure_state(0.3)
+        [np.diag([2.0, -1.0]), np.full((2, 2), np.nan), np.eye(3) / 3],
+        ids=["negative-eigenvalue", "nan", "3x3"],
+    )
+    def test_rejects_a_matrix_that_is_not_a_state(self, bad):
+        good = qcore.make_pure_state(0.3)
+        for pair in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="density matrix"):
+                qcore.fidelity(*pair)
+
+
+class TestRotatePolarization:
+    def test_turns_h_into_d_at_45_degrees(self):
+        rotated = qcore.rotate_polarization(np.diag([1.0, 0.0]), np.pi / 4)
+        assert_allclose(rotated, np.full((2, 2), 0.5), atol=1e-15)
+
+    def test_rejects_a_matrix_that_is_not_a_state(self):
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            qcore.rotate_polarization(np.diag([2.0, -1.0]), 0.3)
+        with pytest.raises(ValueError, match="finite"):
+            qcore.rotate_polarization(np.full((2, 2), np.nan), 0.3)
+
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_angle(self, angle):
+        with pytest.raises(ValueError, match=f"angle must be finite, got {angle}"):
+            qcore.rotate_polarization(qcore.make_pure_state(0.3), angle)
