@@ -45,9 +45,11 @@ from .analysis import (
 )
 from .contexts import _probabilities, context_table
 from .correlation import (
+    _half_bins,
     _labelled_clicks,
+    _outer_bin,
     _StartStopAccumulator,
-    _window,
+    _window_rule,
     g2_zero,
     g2_zero_error,
 )
@@ -478,24 +480,27 @@ def cmd_g2(args) -> dict:
     # of a chunk lands more than 20 sigma + 1 ns before the chunk's start
     guard_ns = 20.0 * det.timing_jitter_ns + 1.0
     try:
-        acc = _StartStopAccumulator(args.bin_width, args.max_delay, guard_ns=guard_ns)
+        half_bins = _half_bins(args.bin_width, args.max_delay)
     except ValueError as exc:
-        # the accumulator's checks of the histogram flags, under the flags' names
+        # the histogram's checks of its flags, under the flags' names
         message = str(exc).replace("max_delay_ns", "--max-delay")
         raise ValueError(message.replace("bin_width_ns", "--bin-width")) from None
     # g2(0) averages the bins its window holds, so check that it holds one
-    # and no more than the histogram covers
+    # and no more than the histogram covers; the bins are made only once
+    # the run is taken
     window = args.window if args.window is not None else det.coincidence_window_ns
+    outer_tau_ns, edge_ns = _outer_bin(args.bin_width, half_bins)
     try:
-        _window(acc.tau_ns, args.bin_width, window)
+        _window_rule(args.bin_width, outer_tau_ns, window)
     except ValueError as exc:
         name = "--window" if args.window is not None else "the detector's coincidence window"
         message = str(exc).replace("window_ns", f"{name} of {window:g} ns")
         flag, value = (("--bin-width", args.bin_width) if "narrower" in message
                        else ("--max-delay", args.max_delay))
         raise ValueError(f"{message} ({flag} {value:g} ns)") from None
-    chunks = _g2_chunks(args.duration, src, det, acc.span_ns, guard_ns)
+    chunks = _g2_chunks(args.duration, src, det, edge_ns, guard_ns)
     _require_writable_dir(args.out)
+    acc = _StartStopAccumulator(args.bin_width, args.max_delay, guard_ns=guard_ns)
     # each chunk restarts the source at 0 on its own clock, seeded by its
     # index the way the weak-field scan seeds each grid point; no chunk is
     # held while the next one is drawn

@@ -19,10 +19,10 @@ stream to the first later click of the other label, then, for a click
 still open, a binary search in the other label's clicks. The cost is
 linear in the clicks for every input, however the labels fall.
 
-A weak-coherent or single-emitter run is drawn in this form to begin
-with (photonsim.generate_click_streams). Any other pair of channels, a
-heralded-SPDC run or streams from elsewhere, goes through one stable
-merge of the two sorted channels (a stable argsort of their
+Every run of a built-in source is drawn in this form to begin with
+(photonsim.generate_click_streams), and its two channels keep the stream.
+Any other pair of channels, such as streams from elsewhere, goes through
+one stable merge of the two sorted channels (a stable argsort of their
 concatenation, which timsort does in linear time), done in blocks split
 at times common to both channels that end at every MERGE_BLOCK-th click
 of either channel, so the merge's temporaries stay small. The merge puts
@@ -54,7 +54,7 @@ MAX_HALF_BINS = 2**20
 
 # clicks per channel between the ends of the merge's blocks; a block this
 # size keeps the argsort's input and permutation at 64 KB each, so that the
-# merge's temporaries stay well below those of a chunk's click draw
+# merge's temporaries do not grow with the channels
 MERGE_BLOCK = 2**12
 
 # clicks the tally steps along the stream from a near click before it looks
@@ -176,6 +176,41 @@ def _tally(times, is_stop, lo, m, max_delay_ns):
     return np.concatenate(delays)
 
 
+def _half_bins(bin_width_ns: float, max_delay_ns: float) -> int:
+    """Bins on each side of tau = 0: max_delay_ns rounded up to whole bins
+    of bin_width_ns. Refuses a width or delay that is not finite and
+    positive, fewer than two bins and more than MAX_HALF_BINS a side,
+    before any bin is made."""
+    _require_in_range("bin_width_ns", bin_width_ns)
+    _require_in_range("max_delay_ns", max_delay_ns)
+    if max_delay_ns < 2 * bin_width_ns:
+        raise ValueError("max_delay_ns must span at least two bins")
+    if max_delay_ns / bin_width_ns > MAX_HALF_BINS:
+        raise ValueError(
+            f"max_delay_ns / bin_width_ns must be at most {MAX_HALF_BINS} bins per "
+            f"side, got {max_delay_ns} / {bin_width_ns}"
+        )
+    return int(np.ceil(max_delay_ns / bin_width_ns))
+
+
+def _edges(bin_width_ns: float, lo: int, hi: int) -> np.ndarray:
+    """The bin edges k * bin_width_ns for k from lo to hi."""
+    return bin_width_ns * np.arange(lo, hi + 1)
+
+
+def _centres(edges) -> np.ndarray:
+    """Centres of the bins between consecutive edges."""
+    return 0.5 * (edges[:-1] + edges[1:])
+
+
+def _outer_bin(bin_width_ns: float, half_bins: int):
+    """(tau_ns, edge_ns) of the outermost bin of a histogram of half_bins
+    bins a side: its centre, as the histogram's tau_ns holds it, and its
+    outer edge, the accumulator's span_ns. Made without the bins."""
+    edges = _edges(bin_width_ns, half_bins - 1, half_bins)
+    return float(_centres(edges)[0]), float(edges[1])
+
+
 class _StartStopAccumulator:
     """Start-stop histogram fed with consecutive chunks of one record.
 
@@ -200,17 +235,8 @@ class _StartStopAccumulator:
     """
 
     def __init__(self, bin_width_ns: float, max_delay_ns: float, guard_ns: float = 0.0):
-        _require_in_range("bin_width_ns", bin_width_ns)
-        _require_in_range("max_delay_ns", max_delay_ns)
-        if max_delay_ns < 2 * bin_width_ns:
-            raise ValueError("max_delay_ns must span at least two bins")
-        if max_delay_ns / bin_width_ns > MAX_HALF_BINS:
-            raise ValueError(
-                f"max_delay_ns / bin_width_ns must be at most {MAX_HALF_BINS} bins per "
-                f"side, got {max_delay_ns} / {bin_width_ns}"
-            )
-        half_bins = int(np.ceil(max_delay_ns / bin_width_ns))
-        self._edges = bin_width_ns * np.arange(-half_bins, half_bins + 1)
+        half_bins = _half_bins(bin_width_ns, max_delay_ns)
+        self._edges = _edges(bin_width_ns, -half_bins, half_bins)
         self._counts = np.zeros(2 * half_bins, dtype=np.int64)
         self._bin_width_ns = float(bin_width_ns)
         self.span_ns = float(self._edges[-1])
@@ -272,7 +298,7 @@ class _StartStopAccumulator:
     @property
     def tau_ns(self) -> np.ndarray:
         """Centres of the histogram's bins."""
-        return 0.5 * (self._edges[:-1] + self._edges[1:])
+        return _centres(self._edges)
 
     def histogram(self) -> G2Histogram:
         """Normalized histogram of the whole record; no chunk may follow."""
@@ -337,22 +363,30 @@ def coherent_expected_counts(src, det, tau_ns, bin_width_ns: float, n_start, n_s
     return n * (np.exp(-r * lo) - np.exp(-r * hi))
 
 
-def _window(tau_ns, bin_width_ns: float, window_ns: float) -> np.ndarray:
-    """Mask of the bins, by their centres tau_ns, with |tau| <= window_ns / 2.
+def _window_rule(bin_width_ns: float, outer_tau_ns: float, window_ns: float):
+    """Refuse a g2(0) window, |tau| <= window_ns / 2, that holds no bin or
+    reaches past the outer bin edge.
 
-    The window must hold one bin and stay within the outer bin edge,
-    max |tau| + bin_width_ns / 2: a wider one would average the tail bins
-    that set the baseline and name a range the histogram never covered.
+    The bins are bin_width_ns wide with tau = 0 on an edge, so the
+    innermost are centred at |tau| = bin_width_ns / 2, and the outer edge
+    is outer_tau_ns, the outermost centre, plus half a bin. A wider window
+    would average the tail bins that set the baseline and name a range
+    the histogram never covered.
     """
     _require_in_range("window_ns", window_ns)
-    distance = np.abs(tau_ns)
-    sel = distance <= window_ns / 2 + 1e-9
-    if not np.any(sel):
+    if bin_width_ns / 2 > window_ns / 2 + 1e-9:
         raise ValueError("window_ns is narrower than one histogram bin")
-    edge = float(distance.max()) + bin_width_ns / 2
+    edge = outer_tau_ns + bin_width_ns / 2
     if window_ns / 2 > edge + 1e-9:
         raise ValueError(f"window_ns reaches past the outer bin edge at |tau| = {edge:g} ns")
-    return sel
+
+
+def _window(tau_ns, bin_width_ns: float, window_ns: float) -> np.ndarray:
+    """Mask of the bins, by their centres tau_ns, with |tau| <= window_ns / 2,
+    once _window_rule takes the window."""
+    distance = np.abs(tau_ns)
+    _window_rule(bin_width_ns, float(distance.max()), window_ns)
+    return distance <= window_ns / 2 + 1e-9
 
 
 def g2_zero(hist: G2Histogram, window_ns: float = 5.5) -> float:

@@ -41,12 +41,13 @@ r_0 + r_1 whose clicks each fall in channel 1 with probability
 r_1 / (r_0 + r_1), drawn as one Poisson count of sorted uniform times in
 [0, duration) and one uniform per click as its label; Gaussian jitter
 would leave it Poisson apart from clicks spilling over the ends, so none
-is drawn. Emitter and SPDC emissions, which are not Poisson, each take
-one uniform draw as their branch-and-detection label, and their clicks
-carry explicit jitter and darks. An emitter run is drawn as one labelled
-stream too: its clicks are the jittered emissions, sorted with their
-labels where jitter puts one before an earlier one, with the darks merged
-in.
+is drawn. Emitter emissions and SPDC pairs, which are not Poisson, each
+take one uniform draw as their branch-and-detection label, and their
+clicks carry explicit jitter and darks. Both runs are drawn as one
+labelled stream too: its clicks are the jittered emissions or signal
+photons, sorted with their labels where jitter puts one before an earlier
+one, with the darks merged in. An SPDC stream then passes the AND gate
+with the idler clicks in one pass, each output keeping its click's label.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ from .contexts import _effective_operators, _trusted, validate_setup
 NS_PER_S = 1.0e9
 
 # clicks or emissions per block of a labelled stream's channel split and
-# an emitter run's jitter: their index temporaries (at most 128 KB) do not
-# grow with a one-shot run, and in a g2 chunk they fit in the memory the
-# emitter's renewal draw leaves (_emitter_stream)
+# an emitter or SPDC run's jitter (_branches): their index temporaries (at
+# most 128 KB) do not grow with a one-shot run, and in a g2 chunk they fit
+# in the memory the emitter's renewal draw leaves (_emitter_stream)
 _BLOCK = 2**14
 # the most clicks _channels splits in one piece, one compress per channel,
 # which costs less per click than the block loop: a weak-coherent g2 chunk
@@ -257,16 +258,16 @@ class ClickStream:
     """Sorted detection times (ns) of one detector channel.
 
     The results of generate_click_streams and and_gate skip __post_init__.
-    The two weak-coherent or single-emitter channels of one
-    generate_click_streams call keep the stream they were cut from as
-    _labelled: (times, in_1, k), the clicks of both channels in time order,
-    a label per click that is True for channel 1, and the stream's own
-    channel k. Both share the arrays, and correlation._labelled_clicks
-    reads them instead of merging the channels again. Clicks at equal
-    times may come in either channel order. A stream so kept holds 9 bytes
-    per click of both channels on top of the channel's own 8 per click, so
-    long as either channel is alive; dataclasses.replace(stream) gives a
-    copy that shares times_ns but not the labelled stream.
+    The two channels of one generate_click_streams call keep the stream
+    they were cut from as _labelled: (times, in_1, k), the clicks of both
+    channels in time order, a label per click that is True for channel 1,
+    and the stream's own channel k. Both share the arrays, and
+    correlation._labelled_clicks reads them instead of merging the
+    channels again. Clicks at equal times may come in either channel
+    order. A stream so kept holds 9 bytes per click of both channels on
+    top of the channel's own 8 per click, so long as either channel is
+    alive; dataclasses.replace(stream) gives a copy that shares times_ns
+    but not the labelled stream.
     """
 
     times_ns: np.ndarray
@@ -467,16 +468,13 @@ def weakfield_run(
 # timing runs
 
 
-def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
-    """Coincidence output of an AND gate with the given window.
-
-    Fires once per a-click that has a b-click within window_ns; the
-    output time is the later of the two edges.
-    """
-    _require_in_range("window_ns", window_ns)
-    ta, tb = a.times_ns, b.times_ns
+def _gate(ta, tb, window_ns: float):
+    """(fired, out) of an AND gate on the sorted click times ta and tb:
+    fired marks the clicks of ta that have a click of tb within
+    window_ns, and out holds the gate's output time for each of them,
+    the later of the two edges."""
     if ta.size == 0 or tb.size == 0:
-        return _new_click_stream(np.empty(0), f"{a.detector}&{b.detector}")
+        return np.zeros(ta.size, dtype=bool), np.empty(0)
     idx = np.searchsorted(tb, ta)
     lo = np.clip(idx - 1, 0, tb.size - 1)
     hi = np.clip(idx, 0, tb.size - 1)
@@ -485,15 +483,18 @@ def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
     fired = np.abs(nearest - ta) <= window_ns
     # nondecreasing already: the nearest click of a sorted stream never
     # moves back as the query time grows
-    out = np.maximum(ta[fired], nearest[fired])
+    return fired, np.maximum(ta[fired], nearest[fired])
+
+
+def and_gate(a: ClickStream, b: ClickStream, window_ns: float) -> ClickStream:
+    """Coincidence output of an AND gate with the given window.
+
+    Fires once per a-click that has a b-click within window_ns; the
+    output time is the later of the two edges.
+    """
+    _require_in_range("window_ns", window_ns)
+    _, out = _gate(a.times_ns, b.times_ns, window_ns)
     return _new_click_stream(out, f"{a.detector}&{b.detector}")
-
-
-def _categories(n: int, probs, rng):
-    """Exclusive masks of n draws, one uniform each: mask k has probability probs[k]."""
-    u = rng.random(n)
-    below = [u < c for c in np.cumsum(probs)]
-    return [below[0]] + [b ^ a for a, b in zip(below, below[1:])]
 
 
 def _with_darks_and_jitter(times, det: DetectorModel, duration_ns: float, rng):
@@ -618,15 +619,9 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     """(times, in_1): a single emitter's clicks of both channels as one
     time-sorted stream, and a label per click that is True for channel 1.
 
-    The draws are those of _categories and _with_darks_and_jitter per
-    branch, so each channel holds the clicks it would be cut from: the
-    jitter is rng.standard_normal scaled in place, which repeats
-    Generator.normal (loc = 0) on the same doubles, and the darks are
-    _poisson_times. The jitter is added in the emission buffer in emission
-    order and lost emissions are dropped. Where jitter puts an emission
-    before an earlier one, the emissions are sorted with their labels
-    before the darks are merged in. Clicks at equal times may come in
-    either channel order.
+    One uniform u per emission picks its branch: detected in branch 0
+    for u < efficiency[0] / 2, in branch 1 up to (efficiency[0] +
+    efficiency[1]) / 2, lost above; _branches draws the rest.
     """
     emitted = _renewal_times(src.excited_lifetime_ns, src.excitation_rate_hz, duration_ns, rng)
     n = emitted.size
@@ -648,6 +643,26 @@ def _emitter_stream(src: SingleEmitter, det: DetectorModel, duration_ns: float, 
     del u
     if kept is not None:
         in_1 &= kept
+    return _branches(times, n, in_1, kept, det, duration_ns, rng)
+
+
+def _branches(times, n: int, in_1, kept, det: DetectorModel, duration_ns: float, rng):
+    """(times, in_1): the kept events of times[:n], each detected in the
+    branch its label in_1 names (True for branch 1), as one time-sorted
+    click stream with the darks of both branches, and a label per click.
+
+    kept marks the detected events (None: all of them), and in_1 is False
+    wherever kept is False. The draws are those of _with_darks_and_jitter per branch,
+    branch 0 first, so each channel holds the clicks it would be cut
+    from: the jitter is rng.standard_normal scaled in place, which
+    repeats Generator.normal (loc = 0) on the same doubles, and the darks
+    are _poisson_times. The jitter is added in the buffer times in event
+    order and lost events are dropped; times is overwritten, and its room
+    past n holds the darks when they fit. Where jitter puts an event
+    before an earlier one, the events are sorted with their labels before
+    the darks are merged in. Clicks at equal times may come in either
+    channel order.
+    """
     n_1 = int(np.count_nonzero(in_1))
     n_kept = n if kept is None else int(np.count_nonzero(kept))
     jitter = det.timing_jitter_ns > 0.0
@@ -715,22 +730,25 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
       drawn as their superposition with a label per click.
     * SingleEmitter: the renewal emission stream, each emission labelled
       detected in branch 0, detected in branch 1, or lost, drawn as one
-      labelled stream (_emitter_stream).
-    * HeraldedSPDC: the AND-gate outputs of each signal branch with the
-      herald stream. Pairs come at most one per coincidence window, each
-      labelled unheralded, heralded with its signal detected in branch 0
-      or 1, or heralded with its signal lost.
+      labelled stream (_emitter_stream, _branches).
+    * HeraldedSPDC: the AND-gate outputs "s0&i" and "s1&i" of each signal
+      branch with the idler (herald) stream. Pairs come at most one per
+      coincidence window, each labelled unheralded, heralded with its
+      signal detected in branch 0 or 1, or heralded with its signal lost.
+      The signal clicks of both branches are drawn as one labelled stream
+      (_branches) and gated by the idler in one pass, so the outputs are
+      one labelled stream too.
 
-    The two channels of a weak-coherent or emitter run keep the labelled
-    stream they are split from (_channels) as _labelled (ClickStream), so
-    the pair holds about 17 bytes per click where the channels alone
-    would hold 8.
+    The two channels keep the labelled stream they are split from
+    (_channels) as _labelled (ClickStream), so the pair holds about 17
+    bytes per click where the channels alone would hold 8.
     """
     _require_in_range("duration_s", duration_s)
     det = det if det is not None else DetectorModel()
     rng = np.random.default_rng(seed)
     duration_ns = duration_s * NS_PER_S
 
+    names = "0", "1"
     if isinstance(src, WeakCoherent):
         r0, r1 = _coherent_rates_hz(src, det)
         times = _poisson_times(r0 + r1, duration_ns, rng)
@@ -740,21 +758,26 @@ def generate_click_streams(src, duration_s: float, det: DetectorModel | None = N
         times, in_1 = _emitter_stream(src, det, duration_ns, rng)
     elif isinstance(src, HeraldedSPDC):
         pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
+        # one uniform per pair u: unheralded below 1 - h, then heralded with
+        # the signal detected in branch 0, in branch 1, or lost
         h = src.herald_efficiency
-        probs = [1.0 - h, *(h * e / 2 for e in det.efficiency[:2])]
-        unheralded, *signal = _categories(pairs.size, probs, rng)
-        idler = _with_darks_and_jitter(pairs.compress(~unheralded), det, duration_ns, rng)
-        idler = _new_click_stream(idler, "i")
-        outputs = []
-        for i in (0, 1):
-            sig = _with_darks_and_jitter(pairs.compress(signal[i]), det, duration_ns, rng)
-            sig = _new_click_stream(sig, f"s{i}")
-            outputs.append(and_gate(sig, idler, det.coincidence_window_ns))
-        return outputs
+        c_u, c_0, c_1 = np.cumsum([1.0 - h, *(h * e / 2 for e in det.efficiency[:2])])
+        u = rng.random(pairs.size)
+        kept = u >= c_u
+        idler = _with_darks_and_jitter(pairs.compress(kept), det, duration_ns, rng)
+        kept &= u < c_1
+        in_1 = (u >= c_0) & kept
+        del u
+        # the signal clicks, the pairs' buffer taking their jitter, gated
+        # by the idler in one pass
+        times, in_1 = _branches(pairs, pairs.size, in_1, kept, det, duration_ns, rng)
+        fired, times = _gate(times, idler, det.coincidence_window_ns)
+        in_1 = in_1.compress(fired)
+        names = "s0&i", "s1&i"
     else:
         raise TypeError(f"unsupported source model: {src!r}")
-    return [_new_click_stream(t, str(k), (times, in_1, k))
-            for k, t in enumerate(_channels(times, in_1))]
+    return [_new_click_stream(t, name, (times, in_1, k))
+            for k, (name, t) in enumerate(zip(names, _channels(times, in_1)))]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oqlab
-from oqlab import analysis, cli, qcore
+from oqlab import analysis, cli, correlation, qcore
 from oqlab.contexts import context_table
 from oqlab.oq import MAX_NEGATIVITY, negativity, oq_distribution
 from oqlab.analysis import ExperimentRecord, analyze, dark_count_correction
@@ -962,6 +962,31 @@ class TestG2:
         assert (code, err) == (3, "error: --max-delay must span at least two bins\n")
         assert not out.exists()
 
+    def test_refused_run_makes_no_bins(self, tmp_path):
+        # 40 ns bins against the 5.5 ns default window, out to 4e7 ns: the
+        # run is refused, and the 10^6 bins a side it would tally (their
+        # edges, counts and centres) are never made. Made before the
+        # refusal, they took its peak to 79 MB against 37 MB
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(oqlab.__file__))
+        script = ("import resource, sys\nfrom oqlab import cli\ncode = cli.main(sys.argv[1:])\n"
+                  "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+
+        def run(*flags):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "g2", "--source", "single-emitter",
+                 "--duration", "0.01", *flags, "--out", str(tmp_path / "hist.csv")],
+                env=env, capture_output=True, text=True, timeout=120)
+            code, peak_kb = proc.stdout.split()[-2:]
+            return int(code), int(peak_kb), proc.stderr
+
+        code, refused, err = run("--max-delay", "4e7", "--bin-width", "40")
+        assert (code, err) == (3, "error: the detector's coincidence window of 5.5 ns is "
+                                  "narrower than one histogram bin (--bin-width 40 ns)\n")
+        code, default, _ = run()
+        assert code == 0
+        assert refused <= default + 2048
+
     @pytest.mark.parametrize(
         "flags",
         [["--max-delay", "1e12"], ["--bin-width", "1e-300"],
@@ -1160,6 +1185,20 @@ class TestG2Chunks:
             np.testing.assert_array_equal(times[is_stop], channels[1])
             # no time handed to the tally leaves the chunk and its guard
             assert -guard_ns <= times[0] and times[-1] <= length_ns + guard_ns
+
+    @pytest.mark.parametrize("source", sorted(cli.SOURCE_KINDS))
+    def test_builtin_sources_merge_no_channels(self, tmp_path, capsys, monkeypatch, source):
+        # each chunk of a built-in source is drawn as the labelled stream
+        # the tally reads, so none goes through the merge of two channels
+        def refuse(*args):
+            raise AssertionError("a drawn chunk went through the channel merge")
+
+        monkeypatch.setattr(correlation, "_merge", refuse)
+        with pytest.raises(AssertionError, match="merge"):
+            correlation._labelled_clicks(ClickStream([1.0]), ClickStream([2.0]))
+        code, _, err = run_cli(["g2", "--source", source, "--duration", "0.1", "--seed", "4",
+                                "--out", str(tmp_path / "hist.csv")], capsys)
+        assert (code, err) == (0, "")
 
     def test_delays_keep_the_precision_of_their_chunk(self, tmp_path, capsys, monkeypatch):
         # chunks of 10^4 s, where the float spacing of an absolute time is

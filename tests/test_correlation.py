@@ -13,8 +13,10 @@ from oqlab import cli, correlation
 from oqlab.correlation import (
     MAX_HALF_BINS,
     G2Histogram,
+    _half_bins,
     _labelled_clicks,
     _merge,
+    _outer_bin,
     _StartStopAccumulator,
     _tally,
     coherent_expected_counts,
@@ -552,7 +554,7 @@ class TestLabelledClicks:
     """The one click stream a pair of channels is tallied as."""
 
     def test_channels_of_one_draw_share_their_stream(self):
-        for src in (WeakCoherent(0.5), SingleEmitter()):
+        for src in (WeakCoherent(0.5), SingleEmitter(), HeraldedSPDC(pair_rate_hz=2.0e7)):
             s0, s1 = generate_click_streams(src, 0.01, seed=3)
             times, is_stop = _labelled_clicks(s0, s1)
             assert times is s0._labelled[0] is s1._labelled[0]
@@ -568,11 +570,10 @@ class TestLabelledClicks:
         w0, w1 = generate_click_streams(WeakCoherent(0.5), 0.01, seed=3)
         v0, _ = generate_click_streams(WeakCoherent(0.5), 0.01, seed=4)
         _, e1 = generate_click_streams(SingleEmitter(), 0.01, seed=3)
-        g0, g1 = generate_click_streams(HeraldedSPDC(pair_rate_hz=2.0e7), 0.001, seed=3)
-        assert ClickStream._labelled is None and g0._labelled is None
+        assert ClickStream._labelled is None
         # a public copy keeps no stream
         assert dataclasses.replace(w1)._labelled is None
-        for a, b in [(g0, g1), (w0, w0), (w0, v0), (dataclasses.replace(w0), w1), (e1, w0)]:
+        for a, b in [(w0, w0), (w0, v0), (dataclasses.replace(w0), w1), (e1, w0)]:
             times, is_stop = _labelled_clicks(a, b)
             assert times is not w0._labelled[0]
             np.testing.assert_array_equal(times, np.sort(np.concatenate([a.times_ns, b.times_ns])))
@@ -640,6 +641,21 @@ class TestNormalization:
             for estimate in (g2_zero, g2_zero_error):
                 with pytest.raises(ValueError, match=r"past the outer bin edge at \|tau\| = 1 ns"):
                     estimate(hist, window_ns=window)
+
+    def test_window_rule_reads_the_bins_before_they_are_made(self):
+        # g2 checks its window against _outer_bin before the accumulator
+        # exists: the outermost centre and outer edge are the floats the
+        # accumulator's bins hold, and the innermost centres sit at half a
+        # bin, so the rule refuses what it refused on the bins themselves
+        rng = np.random.default_rng(29)
+        for _ in range(300):
+            bin_width = 10 ** rng.uniform(-3, 3)
+            max_delay = bin_width * rng.uniform(2, 5000)
+            acc = _StartStopAccumulator(bin_width, max_delay)
+            distance = np.abs(acc.tau_ns)
+            assert _outer_bin(bin_width, _half_bins(bin_width, max_delay)) == (
+                float(distance.max()), acc.span_ns)
+            assert distance.min() == bin_width / 2
 
     def test_g2_zero_rejects_bad_window(self):
         rng = np.random.default_rng(23)

@@ -21,7 +21,6 @@ from oqlab.photonsim import (
     HeraldedSPDC,
     SingleEmitter,
     WeakCoherent,
-    _categories,
     _click_rate_bound_hz,
     _draw_misalignment,
     _poisson_times,
@@ -1264,6 +1263,14 @@ class TestClickStreams:
             cls(**{field: value})
 
 
+def _categories(n: int, probs, rng):
+    """Exclusive masks of n draws, one uniform each: mask k has probability
+    probs[k]. The per-branch references draw their branches so."""
+    u = rng.random(n)
+    below = [u < c for c in np.cumsum(probs)]
+    return [below[0]] + [b ^ a for a, b in zip(below, below[1:])]
+
+
 def per_branch_emitter_channels(src, duration_s, det, seed):
     """The emitter's channels with each branch drawn on its own: the renewal
     emissions, one uniform per emission as its branch (_categories), then
@@ -1333,6 +1340,89 @@ class TestEmitterStream:
             assert times.size < emissions
         elif case == "dark-1e7":
             assert times.size > 5 * emissions
+
+
+def per_branch_spdc_channels(src, duration_s, det, seed):
+    """The SPDC channels with each signal branch drawn and gated on its own:
+    the renewal pairs, one uniform per pair as unheralded, heralded with
+    its signal in branch 0 or 1, or heralded and lost (_categories), the
+    idler's jitter and darks (_with_darks_and_jitter), then per branch its
+    signal's jitter and darks and its AND gate with the idler, with the
+    draws of generate_click_streams in their order. Also returns whether
+    jitter put a signal click of either branch before an earlier one."""
+    rng = np.random.default_rng(seed)
+    duration_ns = duration_s * NS_PER_S
+    pairs = _renewal_times(det.coincidence_window_ns, src.pair_rate_hz, duration_ns, rng)
+    h = src.herald_efficiency
+    unheralded, *signal = _categories(
+        pairs.size, [1.0 - h, *(h * e / 2 for e in det.efficiency[:2])], rng)
+    idler = ClickStream(_with_darks_and_jitter(pairs.compress(~unheralded), det, duration_ns,
+                                               rng), "i")
+    channels, reordered = [], False
+    for i in (0, 1):
+        sig = pairs.compress(signal[i])
+        # the jitter this branch is about to take, from a copy of the generator
+        peek = np.random.default_rng()
+        peek.bit_generator.state = rng.bit_generator.state
+        jittered = sig + det.timing_jitter_ns * peek.standard_normal(sig.size)
+        reordered |= bool(np.any(np.diff(jittered) < 0))
+        sig = ClickStream(_with_darks_and_jitter(sig, det, duration_ns, rng), f"s{i}")
+        channels.append(and_gate(sig, idler, det.coincidence_window_ns))
+    return channels, reordered
+
+
+# losses, 1e6 Hz darks, herald efficiency 0 and 1, an empty run, and 5 ns
+# of jitter against pairs about 6.5 ns apart, which puts signal clicks out
+# of order, with losses and darks
+SPDC_CASES = {
+    "bench": (HeraldedSPDC(), DetectorModel(), 0.05),
+    "ideal": (HeraldedSPDC(pair_rate_hz=2.0e7), DetectorModel.ideal(), 0.005),
+    "lossy": (HeraldedSPDC(pair_rate_hz=2.0e7),
+              DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0)), 0.005),
+    "dark-1e6": (HeraldedSPDC(), DetectorModel(dark_rate_hz=1e6), 0.02),
+    "herald-0": (HeraldedSPDC(pair_rate_hz=2.0e7, herald_efficiency=0.0),
+                 DetectorModel(dark_rate_hz=1e6), 0.005),
+    "herald-1": (HeraldedSPDC(pair_rate_hz=2.0e7, herald_efficiency=1.0),
+                 DetectorModel.ideal(timing_jitter_ns=0.61), 0.005),
+    "empty": (HeraldedSPDC(), DetectorModel(), 1e-9),
+    "out-of-order": (HeraldedSPDC(pair_rate_hz=1e9),
+                     DetectorModel(efficiency=(0.55, 0.85, 1.0, 1.0), dark_rate_hz=1e6,
+                                   timing_jitter_ns=5.0), 1e-4),
+}
+
+
+class TestSpdcStream:
+    """Heralded SPDC drawn as one labelled stream of gated signal clicks."""
+
+    @pytest.mark.parametrize("block,whole", [(7, 0), (photonsim._BLOCK, photonsim._WHOLE)])
+    @pytest.mark.parametrize("case", sorted(SPDC_CASES))
+    def test_stream_holds_the_per_branch_channels(self, case, block, whole, monkeypatch):
+        src, det, duration = SPDC_CASES[case]
+        monkeypatch.setattr(photonsim, "_BLOCK", block)
+        monkeypatch.setattr(photonsim, "_WHOLE", whole)
+        for seed in range(3):
+            g0, g1 = generate_click_streams(src, duration, det=det, seed=seed)
+            assert (g0.detector, g1.detector) == ("s0&i", "s1&i")
+            # both channels share one labelled stream
+            times, in_1, k = g0._labelled
+            assert g1._labelled[0] is times and g1._labelled[1] is in_1
+            assert (k, g1._labelled[2]) == (0, 1)
+            assert np.all(np.diff(times) >= 0.0)
+            # each channel is its clicks in the stream, and the gate output
+            # of its branch drawn on its own, bit for bit
+            reference, reordered = per_branch_spdc_channels(src, duration, det, seed)
+            for stream, clicks, ref in zip((g0, g1), (times[~in_1], times[in_1]), reference):
+                assert stream.detector == ref.detector
+                assert stream.times_ns.tobytes() == clicks.tobytes() == ref.times_ns.tobytes()
+            assert reordered == (case == "out-of-order")
+        if case == "empty":
+            assert times.size == 0
+        elif case == "herald-0":
+            # no pair heralded: only chance coincidences of darks, about
+            # 2 x 1e6 Hz x (11 ns x 1e6 Hz) x 5 ms = 110
+            assert 0 < times.size < 200
+        else:
+            assert times.size > 100
 
 
 class TestCsvRoundTrip:

@@ -8,8 +8,8 @@ __post_init__:
 * oq_distribution: Quasiprobability;
 * simulate_counts (and every counting run) and count_tables_from_csv:
   CountTable;
-* generate_click_streams and and_gate: ClickStream, the weak-coherent
-  and single-emitter channels keeping their labelled stream as _labelled;
+* generate_click_streams and and_gate: ClickStream, the channels of
+  generate_click_streams keeping their labelled stream as _labelled;
 * analyze: its ErrorBudget.
 
 These tests pin that each such result is the one the public constructor
@@ -210,15 +210,24 @@ class TestPublicConstructors:
 
 
 def retained(build, inputs):
-    """Bytes still held by the results of build over inputs."""
+    """Bytes held by the results of build over inputs: what dropping them frees.
+
+    The bytes still traced after the build would also count the blocks it
+    leaves in CPython's free lists, and how many those are depends on what
+    ran before: dataclasses.fields makes each of its tuples by a resize,
+    which takes a new block and frees it into the list of 3-tuples (2000
+    long in 3.11). So a build that finds that list short, as it is after
+    a full garbage collection, seemed to keep up to 2000 x 64 B more.
+    """
     tracemalloc.start()
     try:
         kept = [build(x) for x in inputs]
+        assert len(kept) == len(inputs)
         size, _ = tracemalloc.get_traced_memory()
+        del kept
+        return size - tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert len(kept) == len(inputs)
-    return size
 
 
 def test_kept_results_take_no_more_memory_than_public_ones():
@@ -230,10 +239,8 @@ def test_kept_results_take_no_more_memory_than_public_ones():
         q = oq_distribution(ps)
         return Quasiprobability(q.w, q.negativity, q.nsit_dev, q.aot_dev)
 
-    # a first traced run pays a few kB of one-off allocations, so each
-    # result is allowed 8 bytes; a dict of its own would cost 64 or more
-    retained(oq_distribution, sets[:64])
-    retained(public, sets[:64])
+    # each result is allowed 8 bytes, as the first instances of a class get
+    # longer value arrays; a dict of its own would cost 64 or more
     assert retained(oq_distribution, sets) <= retained(public, sets) + 8 * len(sets)
 
 
@@ -285,9 +292,6 @@ def test_every_generated_constructor_keeps_the_shared_dict(cls):
             object.__setattr__(y, field.name, value)
         return y
 
-    # a first traced run of each pays one-off allocations of about 35 bytes a result
-    for build in (generated, public):
-        retained(build, inputs)
     assert retained(generated, inputs) <= retained(public, inputs) + 8 * len(inputs)
     if extra:
         assert any(getattr(x, extra) is not None for x in samples)
