@@ -516,7 +516,13 @@ def _weak_field_batch(thetas_deg, means, n_pulses, det, run_seeds):
     counts = np.stack((runs, np.maximum(runs - dark, 0)), axis=1).reshape(-1, 2, 4)
     p, ok = _estimate_rows(counts, (1.0, 1.0, 1.0, 1.0))[:2]
     if not ok.all():
-        _refuse(REQUIRED_SETUPS, counts[np.argmin(ok)])
+        first = int(np.argmin(ok))
+        point, tables = first // 2, ("raw", "dark-corrected")[first % 2]
+        try:
+            _refuse(REQUIRED_SETUPS, counts[first])
+        except ValueError as exc:
+            raise ValueError(f"point (theta {thetas_deg[point]:g}, mean {means[point]:g}), "
+                             f"{tables} tables: {exc}") from None
     w, corrected, _, _ = _quasi_rows(p[1::2])
     return w, _quasi_rows(_probabilities(rho))[1], _quasi_rows(p[0::2])[1], corrected
 
@@ -527,11 +533,15 @@ def weakfield_scan(thetas_deg, means, n_pulses: int, det: DetectorModel | None =
 
     Point (i, j) runs setups (1, 1) and (0, 1), run k drawn as weakfield_run
     draws it, from SeedSequence(seed, spawn_key=(i, j, k)); the tables are
-    read as analyze reads them, raw and dark-corrected, and the first point
-    analyze would refuse raises its error. Inputs, seed a nonnegative
-    integer among them, are checked before any seed is built. Returns, on
-    the (len(thetas_deg), len(means)) grid, the corrected w (..., 2, 2)
-    and the exact, uncorrected and corrected negativity.
+    read as analyze reads them, raw and dark-corrected. The corrected
+    tables subtract expected_dark_counts(det, n_pulses) from every cell and
+    clamp a cell at 0 with no flag, the clamp analyze --dark-counts flags
+    as dark_clamped. The first point whose raw or corrected tables analyze
+    would refuse raises its error for the whole scan, prefixed with the
+    point's theta and mean and which tables it refused. Inputs, seed a
+    nonnegative integer among them, are checked before any seed is built.
+    Returns, on the (len(thetas_deg), len(means)) grid, the corrected w
+    (..., 2, 2) and the exact, uncorrected and corrected negativity.
     """
     thetas = np.asarray(thetas_deg, dtype=float)
     if not np.isfinite(thetas).all():

@@ -363,10 +363,12 @@ def _scan_rows_bloch_disk(args):
 
     def rows(i, j):
         rho = w1[j] * first[i] + w2[j] * second[i]
-        # x and z as bloch_vector computes them, so these columns keep
-        # their bytes
-        x = np.trace(rho @ qcore.SIGMA_X, axis1=1, axis2=2).real
-        z = np.trace(rho @ qcore.SIGMA_Z, axis1=1, axis2=2).real
+        # Tr rho sigma_x and Tr rho sigma_z read off the entries. They equal
+        # bloch_vector's x and z bit for bit unless both off-diagonal real
+        # parts are -0.0, where its complex trace gives +0.0 and this -0.0;
+        # test_cli pins the columns' reprs on the default grid
+        x = rho[:, 0, 1].real + rho[:, 1, 0].real
+        z = rho[:, 0, 0].real - rho[:, 1, 1].real
         return (thetas[i], alphas[j], x, z), rho
 
     return "theta1_deg,alpha,x,z," + _QUASI_HEADER, _scan_blocks(len(thetas), len(alphas), rows)

@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -793,15 +794,20 @@ def _write_csv(path, header: str, blocks, meta=()):
     rows of each block as it arrives.
 
     A block is a sequence of rows of Python numbers (ndarray.tolist() gives
-    them), each written as its repr: for a float, the shortest text that
-    parses back to it, so re-read rows give the same values. No text of a
-    block is held once it is written.
+    them), as many in a row as the header has columns, each written as its
+    repr: for a float, the shortest text that parses back to it, so
+    re-read rows give the same values. A block is written by one %-format,
+    its line of %r repeated once per row; no text of a block is held once
+    it is written.
     """
+    width = header.count(",") + 1
+    line = ",".join(["%r"] * width) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# schema_version={SCHEMA_VERSION}\n"
                  + "".join([f"# {key}={value}\n" for key, value in meta]) + header + "\n")
         for block in blocks:
-            fh.write("".join([",".join(map(repr, row)) + "\n" for row in block]))
+            cells = tuple(chain.from_iterable(block))
+            fh.write(line * (len(cells) // width) % cells)
 
 
 def count_tables_to_csv(tables, path):

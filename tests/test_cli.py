@@ -223,6 +223,19 @@ class TestScanBatchMatchesScalar:
             assert (x, z) == (bx, bz)
             np.testing.assert_allclose(cells, scalar_columns(rho), rtol=0, atol=1e-15)
 
+    def test_bloch_disk_coordinates_are_bloch_vectors(self, tmp_path, capsys):
+        # by repr, so the sign of a zero counts, on the default grid
+        out = tmp_path / "disk.csv"
+        assert run_cli(["scan", "--kind", "bloch-disk", "--out", str(out)], capsys)[0] == 0
+        lines = out.read_text().splitlines()[2:]
+        assert len(lines) == 181 * 61
+        for line in lines:
+            theta, alpha, x, z = line.split(",")[:4]
+            t1 = math.radians(float(theta))
+            rho = qcore.make_mixed_state(t1, t1 + math.pi, float(alpha))
+            bx, _, bz = qcore.bloch_vector(rho).tolist()
+            assert (x, z) == (repr(bx), repr(bz))
+
     def test_scalar_and_batched_kernels_agree_to_rounding(self):
         # predict runs eq. (1) as (8,) @ _EQ1_MATRIX, a matrix-vector
         # product, and a scan as (N, 8) @ _EQ1_MATRIX, a matrix product; on
@@ -358,7 +371,8 @@ def per_run_weak_field_point(theta_deg, mean, pulses, det, seed_seq):
 
     Two weakfield_run tables, analyze on the raw record, then
     dark_count_correction and analyze again, as the scan did point by
-    point before it ran as one batch.
+    point before it ran as one batch. A record analyze refuses raises its
+    error under the point and the tables refused.
     """
     theta = math.radians(theta_deg)
     src = WeakCoherent(mean_photons_per_pulse=mean)
@@ -367,9 +381,16 @@ def per_run_weak_field_point(theta_deg, mean, pulses, det, seed_seq):
         for setup, seed in zip([(1, 1), (0, 1)], seed_seq.spawn(2))
     }
     rec = ExperimentRecord(tables=tables, theta_deg=theta_deg, source="weak-coherent")
-    q_raw, _ = analyze(rec, n_boot=0)
-    corrected = dark_count_correction(rec, expected_dark_counts(det, pulses))
-    q_corr, _ = analyze(corrected, n_boot=0)
+
+    def analysed(record, name):
+        try:
+            return analyze(record, n_boot=0)[0]
+        except ValueError as exc:
+            raise ValueError(f"point (theta {theta_deg:g}, mean {mean:g}), {name} tables: {exc}")
+
+    q_raw = analysed(rec, "raw")
+    q_corr = analysed(dark_count_correction(rec, expected_dark_counts(det, pulses)),
+                      "dark-corrected")
     exact = oq_distribution(context_table(qcore.make_pure_state(theta)))
     return float(q_raw.negativity), q_corr, float(exact.negativity)
 
@@ -535,7 +556,28 @@ class TestScanWeakField:
             capsys,
         )
         assert code == 3
-        assert err == "error: setup (1, 1): table holds no counts\n"
+        assert err == ("error: point (theta 0, mean 0.001), raw tables: "
+                       "setup (1, 1): table holds no counts\n")
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--means", "1e-6", "--pulses", "100000", "--theta-step", "45"],
+             "point (theta 45, mean 1e-06), dark-corrected tables: "
+             "setup (0, 1): no counts in the a1 = 0 row"),
+            # the raw tables hold about 125 darks a cell, all of them expected
+            (["--means", "1e-5,0.1", "--pulses", "1000000"],
+             "point (theta 0, mean 1e-05), dark-corrected tables: "
+             "setup (0, 1): table holds no counts"),
+        ],
+        ids=["empty-row", "darks-only"],
+    )
+    def test_refusal_names_the_point_and_its_tables(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "wf.csv"
+        code, _, err = run_cli(["scan", "--kind", "weak-field", *flags, "--out", str(out)],
+                               capsys)
+        assert (code, err) == (3, f"error: {message}\n")
+        assert not out.exists()
 
     def test_certain_darks_at_the_largest_pulse_count_leave_no_counts(self, tmp_path, capsys):
         # n_pulses * 1.0 rounds to 2**63: the expected darks are capped at
@@ -548,7 +590,8 @@ class TestScanWeakField:
              "--pulses", str(2**63 - 1), "--det", str(path), "--out", str(out)],
             capsys,
         )
-        assert (code, err) == (3, "error: setup (1, 1): table holds no counts\n")
+        assert (code, err) == (3, "error: point (theta 0, mean 0.1), raw tables: "
+                                  "setup (1, 1): table holds no counts\n")
         assert not out.exists()
 
     def test_grid_past_the_point_cap_is_refused_before_any_seed(

@@ -1474,6 +1474,37 @@ class TestCsvRoundTrip:
         _write_csv(path, "a,b,c", [])
         assert path.read_text() == "# schema_version=1\na,b,c\n"
 
+    def test_table_writer_is_the_per_row_repr_join(self, tmp_path):
+        # one %-format per block writes the bytes a repr join per row wrote:
+        # ints, signed zeros, the ends of float repr and non-finite cells
+        special = [0, -7, 2**63 - 1, 0.0, -0.0, 5e-324, -5e-324, 1e16, 1e22, -1e22,
+                   0.1, 1 / 3, math.inf, -math.inf, math.nan]
+        rng = np.random.default_rng(3)
+
+        def cell():
+            if rng.random() < 0.5:
+                return special[rng.integers(len(special))]
+            return float(rng.standard_normal()) * 10.0 ** int(rng.integers(-320, 300))
+
+        def reference(header, blocks):
+            rows = "".join(",".join(map(repr, row)) + "\n" for block in blocks for row in block)
+            return f"# schema_version=1\n{header}\n{rows}"
+
+        path = tmp_path / "table.csv"
+        for width in (1, 2, 5, 11):
+            header = ",".join(f"c{k}" for k in range(width))
+            blocks = [[[cell() for _ in range(width)] for _ in range(n)] for n in (0, 1, 3, 300)]
+            _write_csv(path, header, iter(blocks))
+            assert path.read_text() == reference(header, blocks)
+        # blocks of rows zipped from columns, as g2 writes its histogram
+        tau = (np.arange(-40, 40) * 2.5).tolist()
+        counts = rng.integers(0, 2**40, size=80).tolist()
+        g2 = [cell() for _ in range(80)]
+        bounds = [0, 2, 41, 80]
+        _write_csv(path, "tau_ns,counts,g2",
+                   (zip(tau[lo:hi], counts[lo:hi], g2[lo:hi]) for lo, hi in zip(bounds, bounds[1:])))
+        assert path.read_text() == reference("tau_ns,counts,g2", [zip(tau, counts, g2)])
+
     @pytest.mark.parametrize("version", ["2", "0", "", "1.0"])
     def test_other_schema_version_is_refused(self, tmp_path, version):
         path = tmp_path / "counts.csv"
